@@ -43,7 +43,8 @@ from .entropy import entropy_finite
 from .errors import (CatalogError, ConvergenceError, DomainError,
                      ExprEvalError, ExprSyntaxError, HaarentError,
                      StepSizeError, WindowOverflowError)
-from .groups import FiniteGroup, Group, Subgroup, group_from_descriptor, haar
+from .groups import (FiniteGroup, Group, MultiplicativePositiveReals,
+                     Subgroup, group_from_descriptor, haar)
 from .maxent import maximize_entropy
 from .measures import Density, Measure, Space, table_density
 from .quadrature import Integrator
@@ -51,7 +52,7 @@ from .report import reports_to_csv, reports_to_json, reports_to_table
 from .supnorm import sup_density, sup_normalize
 from .verifier import summary_to_table
 
-__all__ = ["RunConfig", "dispatch", "main", "measure_from_spec"]
+__all__ = ["RunConfig", "main", "measure_from_spec"]
 
 _DEFAULT_TOL = 1e-8
 _COMMANDS = ("entropy", "supnorm", "verify", "examples", "maxent")
@@ -65,11 +66,15 @@ class _UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved common options of one invocation."""
+    """Resolved common options of one invocation.
+
+    tol is None only for verify without --tol or HAARENT_TOL, where each
+    claim keeps its own pass threshold.
+    """
 
     command: str
     input_paths: tuple = ()
-    tol: float = _DEFAULT_TOL
+    tol: float | None = _DEFAULT_TOL
     seed: int = 0
     output_format: str = "table"
     output_path: str | None = None
@@ -77,7 +82,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
+        if self.tol is not None and not (self.tol > 0
+                                         and math.isfinite(self.tol)):
             raise DomainError(f"tolerance must be positive, got {self.tol!r}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed!r}")
@@ -122,11 +128,7 @@ def _builtin_density(name: str, space: Space) -> Density:
     if name == "haar:R*":
         if space.is_finite:
             raise _UsageError("builtin \"haar:R*\" needs an interval space")
-        lo, hi = space.bounds
-        if lo <= 0:
-            raise _UsageError(f"builtin \"haar:R*\" needs a positive "
-                              f"interval, got [{lo!r}, {hi!r}]")
-        return Density(lambda x: 1.0 / x, sup=1.0 / lo)
+        return MultiplicativePositiveReals(space.bounds).haar_density()
     raise _UsageError(f"unknown builtin density {name!r}; "
                       f"known: {', '.join(_BUILTINS)}")
 
@@ -344,10 +346,9 @@ def _cmd_supnorm(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
-    tol = args.tol if args.tol is not None else _env_tol()
     if args.all:
         summary = verifier.run_all(seed=cfg.seed, trials=args.trials,
-                                   tol=tol)
+                                   tol=cfg.tol)
         if cfg.output_format == "json":
             doc = {"schema": "haarent-run/1", **summary.to_dict()}
             text = json.dumps(doc, indent=2) + "\n"
@@ -360,7 +361,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     reports = []
     for cid in args.claim:
         reports.extend(verifier.verify(cid, trials=args.trials,
-                                       seed=cfg.seed, tol=tol))
+                                       seed=cfg.seed, tol=cfg.tol))
     _emit(cfg, _render_reports(cfg.output_format, reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -432,11 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "normalize, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True):
-        if tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="tolerance (default 1e-8; HAARENT_TOL "
-                                "overrides the default)")
+    def common(p):
         p.add_argument("--format", choices=_FORMATS, default="table",
                        help="output format (default table)")
         p.add_argument("--output", default=None, metavar="PATH",
@@ -457,6 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", metavar="SET",
                    help="evaluation set, e.g. \"[0,2]\" or \"{0,3}\" "
                         "(default: full space)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="quadrature tolerance (default 1e-8; HAARENT_TOL "
+                        "overrides the default)")
     common(p)
 
     p = sub.add_parser("supnorm",
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use this group's Haar measure as reference")
     p.add_argument("--set", metavar="SET",
                    help="carrier subset (default: full space)")
-    common(p, tol=False)
+    common(p)
 
     p = sub.add_parser("verify", help="run catalog claims")
     which = p.add_mutually_exclusive_group(required=True)
@@ -482,10 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random instances per claim (default 20)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed (default 0)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="pass threshold of the reports (default per claim; "
+                        "HAARENT_TOL overrides the default)")
     common(p)
 
     p = sub.add_parser("examples", help="reproduce the worked examples")
-    common(p, tol=False)
+    common(p)
 
     p = sub.add_parser("maxent",
                        help="maximize entropy over the scaled simplex")
@@ -506,10 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    env = _env_tol()
     tol = getattr(args, "tol", None)
-    if tol is None:
-        tol = env if env is not None else _DEFAULT_TOL
+    if tol is None and "tol" in args:  # only entropy and verify take a tol
+        tol = _env_tol()
+    if tol is None and args.command != "verify":
+        tol = _DEFAULT_TOL
     paths = []
     measure = getattr(args, "measure", None)
     if isinstance(measure, str):
@@ -524,16 +528,6 @@ def _config_from(args) -> RunConfig:
                      seed=getattr(args, "seed", 0),
                      output_format=args.format,
                      output_path=args.output)
-
-
-def dispatch(cfg: RunConfig, argv) -> int:
-    """Execute cfg's subcommand. argv must parse against the flag grammar
-    and name the same subcommand as cfg."""
-    args = build_parser().parse_args(list(argv))
-    if args.command != cfg.command:
-        raise DomainError(f"config says {cfg.command!r} but argv says "
-                          f"{args.command!r}")
-    return _RUNNERS[cfg.command](cfg, args)
 
 
 def main(argv=None) -> int:

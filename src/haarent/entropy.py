@@ -11,6 +11,16 @@ Three equivalent presentations of the same quantity:
 The finite form is scale-invariant and equals the probability form of the
 unit-normalized measure; the weight form is the finite form of the measure
 with density e^-phi. All integrals run against the reference measure.
+
+Every form integrates a function of a density quotient against a measure,
+and points where that measure's density is 0 contribute 0. In the xlogx
+forms (probability, finite, nonnegativity certificate) the measure is the
+reference: on a finite set the quotient is still evaluated at atoms where
+the reference is 0, so a measure that charges such an atom raises
+AbsoluteContinuityError; on an interval such points are null and skipped.
+In the weight form, the change of reference and the entropic gap the
+measure is the one being averaged (the reference, rho, rho), and points
+where it is 0 are always skipped, atoms included.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from . import quadrature
 from .errors import (AbsoluteContinuityError, DegenerateMeasureError,
                      NotInformationMeasureError)
 from .measures import (Density, Measure, MeasurableSet, WeightFunction, mass,
-                       radon_nikodym)
+                       merge_breakpoints, radon_nikodym)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator, xlogx
 
 __all__ = [
@@ -81,22 +91,47 @@ class NonUnitMassWarning(UserWarning):
     """Probability-form entropy was asked of a measure of mass != 1."""
 
 
-def _xlogx_integral(m: Measure, reference: Measure, s: MeasurableSet,
-                    cfg: Integrator) -> float:
-    """integral over s of xlogx(dm/dreference) dreference."""
-    quot = radon_nikodym(m, reference)
-    ref_ev = reference.density.evaluator
-    q_ev = quot.evaluator
-    if s.is_finite:
-        integrand = lambda x: xlogx(q_ev(x)) * ref_ev(x)
+def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator,
+              evaluate_null_atoms: bool) -> float:
+    """integral over s of h(f) dm, f a density or weight function.
+
+    Where m's density is 0 the integrand is 0 without evaluating f, except
+    at atoms when evaluate_null_atoms is set.
+    """
+    f_ev, w_ev = f.evaluator, m.density.evaluator
+    if evaluate_null_atoms and s.is_finite:
+        integrand = lambda x: h(f_ev(x)) * w_ev(x)
     else:
         def integrand(x):
-            w = ref_ev(x)
-            if w == 0.0:
+            wx = w_ev(x)
+            if wx == 0.0:
                 return 0.0
-            return xlogx(q_ev(x)) * w
-    bps = tuple(sorted(set(quot.breakpoints) | set(reference.density.breakpoints)))
+            return h(f_ev(x)) * wx
+    bps = merge_breakpoints(f.breakpoints, m.density.breakpoints)
     return quadrature.integrate(integrand, s, cfg, breakpoints=bps)
+
+
+def _xlogx_integral(quot: Density, reference: Measure, s: MeasurableSet,
+                    cfg: Integrator) -> float:
+    """integral over s of xlogx(quot) dreference, quot = dm/dreference.
+
+    quot is evaluated at every atom, also where the reference is 0: a
+    quotient that raises there is the absolute-continuity check.
+    """
+    return _integral(xlogx, quot, reference, s, cfg, True)
+
+
+def _weighted_integral(h, f, m: Measure, s: MeasurableSet,
+                       cfg: Integrator) -> float:
+    """integral over s of h(f) dm; f is not evaluated where m's density is 0."""
+    return _integral(h, f, m, s, cfg, False)
+
+
+def _positive_mass(total: float, what: str) -> float:
+    if total <= 0.0:
+        raise DegenerateMeasureError(
+            f"{what} of the set is {total!r}; entropy needs positive mass")
+    return total
 
 
 def entropy_prob(m: Measure, reference: Measure, s: MeasurableSet,
@@ -113,18 +148,15 @@ def entropy_prob(m: Measure, reference: Measure, s: MeasurableSet,
         warnings.warn(
             f"probability-form entropy of a measure with mass {total!r}",
             NonUnitMassWarning, stacklevel=2)
-    val = -_xlogx_integral(m, reference, s, cfg)
+    val = -_xlogx_integral(radon_nikodym(m, reference), reference, s, cfg)
     return EntropyValue(val, EntropyForm.PROBABILITY, total)
 
 
 def entropy_finite(m: Measure, reference: Measure, s: MeasurableSet,
                    cfg: Integrator = DEFAULT_INTEGRATOR) -> EntropyValue:
     """Finite-form entropy: log mass minus the normalized xlogx integral."""
-    total = mass(m, s, cfg)
-    if total <= 0.0:
-        raise DegenerateMeasureError(
-            f"measure of the set is {total!r}; entropy needs positive mass")
-    integral = _xlogx_integral(m, reference, s, cfg)
+    total = _positive_mass(mass(m, s, cfg), "measure")
+    integral = _xlogx_integral(radon_nikodym(m, reference), reference, s, cfg)
     return EntropyValue(math.log(total) - integral / total,
                         EntropyForm.FINITE, total)
 
@@ -136,30 +168,11 @@ def entropy_weight(phi: WeightFunction, reference: Measure, s: MeasurableSet,
     Uses phi*e^-phi = -xlogx(e^-phi), which extends continuously by 0 to
     phi = +inf, so infinite weights contribute nothing to either integral.
     """
-    p_ev = phi.evaluator
-    ref_ev = reference.density.evaluator
-    bps = tuple(sorted(set(phi.breakpoints) | set(reference.density.breakpoints)))
-
-    def mass_integrand(x):
-        w = ref_ev(x)
-        if w == 0.0:
-            return 0.0
-        v = p_ev(x)
-        return (math.exp(-v) if v != math.inf else 0.0) * w
-
-    def phi_integrand(x):
-        w = ref_ev(x)
-        if w == 0.0:
-            return 0.0
-        v = p_ev(x)
-        q = math.exp(-v) if v != math.inf else 0.0
-        return -xlogx(q) * w
-
-    m0 = quadrature.integrate(mass_integrand, s, cfg, breakpoints=bps)
-    if m0 <= 0.0:
-        raise DegenerateMeasureError(
-            f"weight measure of the set is {m0!r}; entropy needs positive mass")
-    num = quadrature.integrate(phi_integrand, s, cfg, breakpoints=bps)
+    m0 = _positive_mass(
+        _weighted_integral(lambda v: math.exp(-v), phi, reference, s, cfg),
+        "weight measure")
+    num = _weighted_integral(lambda v: -xlogx(math.exp(-v)), phi, reference,
+                             s, cfg)
     return EntropyValue(math.log(m0) + num / m0, EntropyForm.WEIGHT, m0)
 
 
@@ -167,10 +180,7 @@ def uniform_measure(reference: Measure, s: MeasurableSet,
                     cfg: Integrator = DEFAULT_INTEGRATOR) -> Measure:
     """The maximum-entropy measure on s: density 1/reference(s) against
     reference, restricted to s. Its finite-form entropy is log reference(s)."""
-    total = mass(reference, s, cfg)
-    if total <= 0.0:
-        raise DegenerateMeasureError(
-            f"reference measure of the set is {total!r}")
+    total = _positive_mass(mass(reference, s, cfg), "reference measure")
     return reference.scaled(1.0 / total).restricted(
         s, label=f"uniform[{reference.label}]")
 
@@ -189,20 +199,16 @@ def change_reference(rho: Measure, mu: Measure, nu: Measure,
     base = entropy_finite(rho, mu, s, cfg)
     quot = radon_nikodym(mu, nu)
     q_ev = quot.evaluator
-    rho_ev = rho.density.evaluator
 
-    def integrand(x):
-        w = rho_ev(x)
-        if w == 0.0:
-            return 0.0
+    def positive_quot(x):
         q = q_ev(x)
         if q <= 0.0:
             raise AbsoluteContinuityError(
-                f"dmu/dnu is {q!r} at {x!r} where rho has density {w!r}")
-        return math.log(q) * w
+                f"dmu/dnu is {q!r} at {x!r} where rho has positive density")
+        return q
 
-    bps = tuple(sorted(set(quot.breakpoints) | set(rho.density.breakpoints)))
-    corr = quadrature.integrate(integrand, s, cfg, breakpoints=bps)
+    corr = _weighted_integral(math.log, Density(positive_quot, quot.breakpoints),
+                              rho, s, cfg)
     return EntropyValue(base.nats - corr / base.mass,
                         EntropyForm.FINITE, base.mass)
 
@@ -217,29 +223,23 @@ def entropic_gap(rho: Measure, xi: Measure, haar_ref: Measure,
     S_haar(rho, s) - S_xi(rho, s). Raises NotInformationMeasureError if
     the quotient exceeds 1 beyond tol at an evaluated point.
     """
-    total = mass(rho, s, cfg)
-    if total <= 0.0:
-        raise DegenerateMeasureError(
-            f"rho measure of the set is {total!r}")
+    total = _positive_mass(mass(rho, s, cfg), "rho measure")
     quot = radon_nikodym(xi, haar_ref)
     q_ev = quot.evaluator
-    rho_ev = rho.density.evaluator
 
-    def integrand(x):
-        w = rho_ev(x)
-        if w == 0.0:
-            return 0.0
+    def checked_quot(x):
         q = q_ev(x)
         if q > 1.0 + tol:
             raise NotInformationMeasureError(
                 f"dxi/dhaar is {q!r} > 1 at {x!r}")
         if q <= 0.0:
             raise AbsoluteContinuityError(
-                f"dxi/dhaar is {q!r} at {x!r} where rho has density {w!r}")
-        return math.log(min(q, 1.0)) * w
+                f"dxi/dhaar is {q!r} at {x!r} where rho has positive density")
+        return q
 
-    bps = tuple(sorted(set(quot.breakpoints) | set(rho.density.breakpoints)))
-    corr = quadrature.integrate(integrand, s, cfg, breakpoints=bps)
+    corr = _weighted_integral(lambda q: math.log(min(q, 1.0)),
+                              Density(checked_quot, quot.breakpoints),
+                              rho, s, cfg)
     return -corr / total
 
 
@@ -257,7 +257,6 @@ def nonneg_certificate(m: Measure, reference: Measure, s: MeasurableSet,
     """
     quot = radon_nikodym(m, reference)
     q_ev = quot.evaluator
-    ref_ev = reference.density.evaluator
 
     def checked_quot(x):
         q = q_ev(x)
@@ -272,17 +271,8 @@ def nonneg_certificate(m: Measure, reference: Measure, s: MeasurableSet,
         _scan_quotient(checked_quot, s, quot.breakpoints)
         return NonnegativityCertificate(Verdict.MASS_AT_LEAST_ONE, total, 1.0)
 
-    if s.is_finite:
-        integrand = lambda x: xlogx(checked_quot(x)) * ref_ev(x)
-    else:
-        def integrand(x):
-            w = ref_ev(x)
-            if w == 0.0:
-                return 0.0
-            return xlogx(checked_quot(x)) * w
-    bps = tuple(sorted(set(quot.breakpoints) | set(reference.density.breakpoints)))
-    integral = quadrature.integrate(integrand, s, cfg, breakpoints=bps)
-    lhs = -integral
+    lhs = -_xlogx_integral(Density(checked_quot, quot.breakpoints),
+                           reference, s, cfg)
     rhs = -total * math.log(total)
     if lhs >= rhs - tol:
         return NonnegativityCertificate(Verdict.CONDITION_HOLDS, lhs, rhs)

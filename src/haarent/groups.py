@@ -148,7 +148,7 @@ class FiniteGroup(Group):
 
     @cached_property
     def _tables(self):
-        """(index map, multiplication table, inverse table) over element indices."""
+        """(index map, multiplication table) over element indices."""
         reps = self.reps
         index = {r: i for i, r in enumerate(reps)}
         n = len(reps)
@@ -156,11 +156,7 @@ class FiniteGroup(Group):
         for i, a in enumerate(reps):
             for j, b in enumerate(reps):
                 mtab[i, j] = index[self.compose_reps(a, b)]
-        inv = np.empty(n, dtype=np.int32)
-        e = index[self.identity_rep()]
-        for i in range(n):
-            inv[i] = int(np.where(mtab[i] == e)[0][0])
-        return index, mtab, inv
+        return index, mtab
 
 
 @dataclass(frozen=True)
@@ -557,7 +553,7 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
     n = group.order
     if n > 720:
         raise DomainError(f"subgroup enumeration capped at order 720, got {n}")
-    index, mtab, _inv = group._tables
+    index, mtab = group._tables
     e = index[group.identity_rep()]
 
     cyclic_reps: dict[frozenset, int] = {}

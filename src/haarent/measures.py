@@ -189,12 +189,6 @@ class MeasurableSet:
         return MeasurableSet.of_atoms(
             self.space, [a for a in self.atoms if a not in drop])
 
-    def issubset(self, other: "MeasurableSet") -> bool:
-        if self.is_finite:
-            return set(self.atoms) <= set(other.atoms)
-        return all(any(c <= a and b <= d for c, d in other.intervals)
-                   for a, b in self.intervals)
-
     def boundary_points(self) -> tuple:
         if self.is_finite:
             return ()
@@ -203,6 +197,11 @@ class MeasurableSet:
             out.append(a)
             out.append(b)
         return tuple(out)
+
+
+def merge_breakpoints(a, b) -> tuple:
+    """Sorted union of two breakpoint sequences."""
+    return tuple(sorted(set(a) | set(b)))
 
 
 @dataclass(frozen=True)
@@ -246,8 +245,8 @@ class Density:
         if other.constant is not None:
             return self.scaled(other.constant)
         f, g = self.evaluator, other.evaluator
-        bps = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        return Density(lambda x: f(x) * g(x), bps)
+        return Density(lambda x: f(x) * g(x),
+                       merge_breakpoints(self.breakpoints, other.breakpoints))
 
     def restricted_to(self, s: MeasurableSet) -> "Density":
         ev = self.evaluator
@@ -260,8 +259,8 @@ class Density:
                 if a <= x <= b:
                     return _ev(x)
             return 0.0
-        bps = tuple(sorted(set(self.breakpoints) | set(s.boundary_points())))
-        return Density(gated, bps)
+        return Density(gated, merge_breakpoints(self.breakpoints,
+                                                s.boundary_points()))
 
 
 def step_density(edges: Sequence[float], values: Sequence[float]) -> Density:
@@ -352,10 +351,6 @@ class Measure:
         return Measure(self.space, self.density.restricted_to(s),
                        self.label if label is None else label)
 
-    @cached_property
-    def total_mass(self) -> float:
-        return mass(self, MeasurableSet.full(self.space))
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -418,7 +413,7 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
                 f"has density {num!r}")
         return num / den
 
-    bps = tuple(sorted(set(md.breakpoints) | set(rd.breakpoints)))
+    bps = merge_breakpoints(md.breakpoints, rd.breakpoints)
     sup = None
     if rd.constant is not None and rd.constant > 0 and md.sup is not None:
         sup = md.sup / rd.constant
@@ -453,6 +448,6 @@ def measure_of_weight(phi: WeightFunction, reference: Measure,
             raise DomainError(f"weight value {v!r} at {x!r} is outside [0, +inf]")
         return math.exp(-v) if v != math.inf else 0.0
 
-    bps = tuple(sorted(set(phi.breakpoints) | set(reference.density.breakpoints)))
+    bps = merge_breakpoints(phi.breakpoints, reference.density.breakpoints)
     return Measure(reference.space,
                    Density(dens, bps).times(reference.density), label)

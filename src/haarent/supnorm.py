@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NormalizationError, WindowOverflowError
+from .errors import DomainError, NormalizationError, WindowOverflowError
 from .groups import Group, GroupElement, translate_set, translation_samples
 from .measures import Measure, MeasurableSet, mass, radon_nikodym
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
@@ -71,7 +71,13 @@ def _extrema_on_set(evaluator, s: MeasurableSet, breakpoints) -> tuple:
     return best_min[0], best_min[1], best_max[0], best_max[1]
 
 
+def _require_nonempty(s: MeasurableSet) -> None:
+    if s.is_empty:
+        raise DomainError("the set is empty; a sup over it is undefined")
+
+
 def _sup_and_argmax(m: Measure, reference: Measure, s: MeasurableSet) -> tuple:
+    _require_nonempty(s)
     quot = radon_nikodym(m, reference)
     if quot.constant is not None:
         at = s.atoms[0] if s.is_finite else s.intervals[0][0]
@@ -88,6 +94,7 @@ def sup_density(m: Measure, reference: Measure, s: MeasurableSet) -> float:
     Exact for finite spaces and constant quotients; a declared analytic sup
     overrides the grid estimate when s is the full space. Otherwise this is
     a grid lower bound of the true sup (refined around the incumbent).
+    Raises DomainError when s is empty.
     """
     return _sup_and_argmax(m, reference, s)[0]
 
@@ -113,7 +120,8 @@ class SupNormalizationReport:
 def sup_normalize(rho: Measure, xi: Measure, reference: Measure,
                   s: MeasurableSet, target: float = 1.0):
     """Scale rho and xi so both density quotients against reference have
-    supremum `target` over s. Returns (rho', xi', report)."""
+    supremum `target` over s. Returns (rho', xi', report). Raises
+    DomainError when s is empty."""
     if target <= 0 or not math.isfinite(target):
         raise NormalizationError(f"target sup must be positive: {target!r}")
     sup_r, at_r = _sup_and_argmax(rho, reference, s)
@@ -132,7 +140,11 @@ def sup_normalize(rho: Measure, xi: Measure, reference: Measure,
 
 def is_information_measure(rho: Measure, reference: Measure,
                            s: MeasurableSet, tol: float = 1e-9) -> bool:
-    """True iff drho/dreference lies in [-tol, 1 + tol] at all sampled points."""
+    """True iff drho/dreference lies in [-tol, 1 + tol] at all sampled points.
+
+    Raises DomainError when s is empty.
+    """
+    _require_nonempty(s)
     quot = radon_nikodym(rho, reference)
     if quot.constant is not None:
         return -tol <= quot.constant <= 1.0 + tol

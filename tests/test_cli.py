@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from haarent.cli import RunConfig, dispatch, main, measure_from_spec
+from haarent.cli import RunConfig, main, measure_from_spec
 from haarent.errors import DomainError
 from haarent.measures import MeasurableSet, Space, mass
 
@@ -156,6 +156,17 @@ class TestSupnormCommand:
         assert rec["sup_rho"] == pytest.approx(2.0, abs=1e-9)
         assert rec["scale_rho"] == pytest.approx(0.5, abs=1e-9)
         assert rec["scale_xi"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("density", [
+        {"kind": "builtin", "payload": "uniform"},
+        {"kind": "table", "payload": {"0": 0.5, "1": 1.0}}])
+    def test_empty_set_exits_three(self, tmp_path, capsys, density):
+        m = write_spec(tmp_path, "m.json", {"density": density})
+        assert main(["supnorm", "--measure", m, "--group", "Z4",
+                     "--set", "{}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty" in captured.err
 
     def test_three_measures_rejected(self, tmp_path, capsys):
         space = {"kind": "interval", "bounds": [0.0, 1.0]}
@@ -344,6 +355,16 @@ class TestEnvironmentTolerance:
         assert main(["verify", "--claim", "lem-finite-form"]) == 2
         capsys.readouterr()
 
+    def test_commands_without_tol_ignore_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("HAARENT_TOL", "potato")
+        assert main(["examples"]) == 0
+        assert main(["maxent", "--n", "3", "--iters", "5"]) == 0
+        capsys.readouterr()
+
+    def test_maxent_takes_no_tol(self, capsys):
+        assert main(["maxent", "--n", "3", "--tol", "1e-3"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestOutputFile:
     def test_output_written_to_path(self, tmp_path, interval_specs, capsys):
@@ -454,15 +475,3 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             RunConfig(command="entropy",
                       input_paths=("/does/not/exist.json",))
-
-
-class TestDispatch:
-    def test_runs_matching_command(self, capsys):
-        cfg = RunConfig(command="examples")
-        assert dispatch(cfg, ["examples"]) == 0
-        capsys.readouterr()
-
-    def test_command_mismatch_rejected(self):
-        cfg = RunConfig(command="examples")
-        with pytest.raises(DomainError):
-            dispatch(cfg, ["verify", "--all"])

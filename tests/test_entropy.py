@@ -10,7 +10,7 @@ from haarent.entropy import (EntropyForm, NonUnitMassWarning, Verdict,
                              change_reference, entropic_gap, entropy_finite,
                              entropy_prob, entropy_weight, nonneg_certificate,
                              uniform_measure)
-from haarent.errors import (DegenerateMeasureError,
+from haarent.errors import (AbsoluteContinuityError, DegenerateMeasureError,
                             NotInformationMeasureError)
 from haarent.groups import Dihedral, haar
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
@@ -329,6 +329,63 @@ class TestNonnegativityCertificate:
         d = cert.to_dict()
         assert d["verdict"] == "ConditionHolds"
         assert set(d) == {"verdict", "lhs", "rhs"}
+
+
+class TestZeroWeightAtoms:
+    """Which forms evaluate a quotient at atoms their measure does not charge.
+
+    The xlogx forms integrate against the reference and still evaluate the
+    quotient where the reference is 0, which is their absolute-continuity
+    check. The other forms average against a measure (rho, or the reference
+    of a weight) and skip its null atoms, where the quotient may be
+    undefined.
+    """
+
+    ABC = Space.finite(["a", "b", "c", "d"])
+    ALL = MeasurableSet.full(ABC)
+
+    def table(self, weights):
+        return Measure.from_density(self.ABC, table_density(self.ABC, weights))
+
+    @pytest.mark.parametrize("form, c_mass", [
+        (entropy_finite, 0.1), (entropy_prob, 0.1),
+        (nonneg_certificate, 0.1),   # mass 1: the quotient-scan branch
+        (nonneg_certificate, 0.05)])  # mass < 1: the integral branch
+    def test_xlogx_forms_reject_mass_where_reference_is_zero(self, form,
+                                                              c_mass):
+        m = self.table({"a": 0.5, "b": 0.4, "c": c_mass})
+        reference = self.table({"a": 1.0, "b": 1.0, "d": 1.0})
+        with pytest.raises(AbsoluteContinuityError):
+            form(m, reference, self.ALL)
+
+    def test_change_reference_skips_atoms_rho_misses(self):
+        # at c: mu > 0 and nu = 0, so dmu/dnu raises if evaluated;
+        # at d: mu = 0 and nu > 0, so log(dmu/dnu) is -inf
+        rho = self.table({"a": 1.0, "b": 2.0})
+        mu = self.table({"a": 0.5, "b": 1.5, "c": 1.0})
+        nu = self.table({"a": 1.0, "b": 1.0, "d": 1.0})
+        via = change_reference(rho, mu, nu, self.ALL)
+        direct = entropy_finite(rho, nu, self.ALL)
+        assert via.nats == pytest.approx(direct.nats, abs=1e-12)
+
+    def test_entropic_gap_skips_atoms_rho_misses(self):
+        # at c: xi > 0 and haar = 0; at d: xi = 0 and haar > 0
+        rho = self.table({"a": 1.0, "b": 2.0})
+        xi = self.table({"a": 0.5, "b": 0.25, "c": 1.0})
+        haar_ref = self.table({"a": 1.0, "b": 1.0, "d": 1.0})
+        got = entropic_gap(rho, xi, haar_ref, self.ALL)
+        want = -(math.log(0.5) + 2.0 * math.log(0.25)) / 3.0
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_weight_form_skips_atoms_reference_misses(self):
+        weights = {"a": 0.0, "b": 1.0}
+        phi = WeightFunction(lambda x: weights[x])  # KeyError off a and b
+        reference = self.table({"a": 1.0, "b": 1.0})
+        got = entropy_weight(phi, reference, self.ALL)
+        m0 = 1.0 + math.exp(-1.0)
+        assert got.mass == pytest.approx(m0, abs=1e-12)
+        assert got.nats == pytest.approx(
+            math.log(m0) + math.exp(-1.0) / m0, abs=1e-12)
 
 
 def test_entropy_value_to_dict():

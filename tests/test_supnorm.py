@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from haarent.errors import NormalizationError
+from haarent.errors import DomainError, NormalizationError
 from haarent.groups import AdditiveReals, Cyclic, haar, translation_samples
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               step_density, table_density)
@@ -110,6 +110,22 @@ class TestSupNormalize:
             sup_normalize(LEB, LEB, LEB, FULL, target=0.0)
         with pytest.raises(NormalizationError):
             sup_normalize(LEB, LEB, LEB, FULL, target=math.inf)
+
+
+class TestEmptySet:
+    # the counting measure against itself has a constant quotient
+    @pytest.mark.parametrize("m", [
+        Measure.counting(DIE),
+        Measure.from_density(DIE, table_density(DIE, {1: 0.5, 2: 1.0}))])
+    def test_sup_over_empty_set_rejected(self, m):
+        counting = Measure.counting(DIE)
+        empty = MeasurableSet.of_atoms(DIE, [])
+        with pytest.raises(DomainError):
+            sup_density(m, counting, empty)
+        with pytest.raises(DomainError):
+            sup_normalize(m, counting, counting, empty)
+        with pytest.raises(DomainError):
+            is_information_measure(m, counting, empty)
 
 
 class TestIsInformationMeasure:
