@@ -21,9 +21,9 @@ from .errors import (AbsoluteContinuityError, CatalogError, ConvergenceError,
 from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
                      Group, GroupElement, HaarMeasure,
                      MultiplicativePositiveReals, RestrictedGroup, Subgroup,
-                     Symmetric, check_invariance, group_from_descriptor,
-                     haar, subgroup_chains, subgroups, translate_measure,
-                     translate_set, translation_samples)
+                     Symmetric, check_invariance, generated_subgroup,
+                     group_from_descriptor, haar, subgroup_chains, subgroups,
+                     translate_measure, translate_set, translation_samples)
 from .maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
                      maximize_entropy)
 from .measures import (Density, MeasurableSet, Measure, Space,
@@ -57,7 +57,7 @@ __all__ = [
     "catalog", "change_reference", "check_invariance",
     "check_translate_bound", "claim_ids", "concavity_probe", "entropic_gap",
     "entropy_finite", "entropy_of_weights", "entropy_prob", "entropy_weight",
-    "eq_report", "group_from_descriptor", "haar", "integrate",
+    "eq_report", "generated_subgroup", "group_from_descriptor", "haar", "integrate",
     "is_information_measure", "le_report", "mass", "maximize_entropy",
     "measure_of_weight", "nonneg_certificate", "radon_nikodym", "reports_to_csv",
     "reports_to_json", "reports_to_table", "run_all", "run_examples",

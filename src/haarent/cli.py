@@ -40,11 +40,9 @@ from dataclasses import dataclass
 
 from . import dsl, verifier
 from .entropy import entropy_finite
-from .errors import (CatalogError, ConvergenceError, DomainError,
-                     ExprEvalError, ExprSyntaxError, HaarentError,
-                     StepSizeError, WindowOverflowError)
-from .groups import (FiniteGroup, Group, MultiplicativePositiveReals,
-                     Subgroup, group_from_descriptor, haar)
+from .errors import CatalogError, DomainError, ExprSyntaxError, HaarentError
+from .groups import (Group, MultiplicativePositiveReals, generated_subgroup,
+                     group_from_descriptor, haar)
 from .maxent import maximize_entropy
 from .measures import Density, Measure, Space, table_density
 from .quadrature import Integrator
@@ -227,30 +225,6 @@ def _resolve_group(descriptor: str) -> Group:
         raise _UsageError(str(exc)) from exc
 
 
-def _generated_subgroup(group: FiniteGroup, labels_csv: str) -> Subgroup:
-    labels = [t.strip() for t in labels_csv.split(",") if t.strip()]
-    if not labels:
-        raise _UsageError("--subgroup needs at least one element label")
-    try:
-        gens = [group.element(lab).rep for lab in labels]
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from exc
-    members = {group.identity_rep()}
-    frontier = list(members)
-    while frontier:
-        grown = []
-        for x in frontier:
-            for g in gens:
-                y = group.compose_reps(x, g)
-                if y not in members:
-                    members.add(y)
-                    grown.append(y)
-        frontier = grown
-    chosen = tuple(a for a in group.carrier.atoms
-                   if group.element(a).rep in members)
-    return Subgroup(group, chosen)
-
-
 def _reference_from_args(args) -> tuple[Measure, Group | None]:
     has_ref = getattr(args, "reference", None) is not None
     has_group = getattr(args, "group", None) is not None
@@ -314,7 +288,14 @@ def _cmd_entropy(cfg: RunConfig, args) -> int:
         if args.set is not None:
             raise _UsageError("--subgroup already fixes the set; "
                               "drop --set")
-        s = _generated_subgroup(group, args.subgroup).as_set()
+        labels = [t.strip() for t in args.subgroup.split(",") if t.strip()]
+        if not labels:
+            raise _UsageError("--subgroup needs at least one element label")
+        try:
+            gens = [group.element(lab) for lab in labels]
+        except DomainError as exc:
+            raise _UsageError(str(exc)) from exc
+        s = generated_subgroup(group, gens).as_set()
     else:
         s = dsl.parse_set(args.set if args.set is not None else "full",
                           m.space)
@@ -543,26 +524,16 @@ def main(argv=None) -> int:
         return 2
     try:
         return _RUNNERS[cfg.command](cfg, args)
-    except _UsageError as exc:
-        print(f"haarent: error: {exc}", file=sys.stderr)
-        return 2
     except ExprSyntaxError as exc:
         print(f"haarent: error: {exc} (at position {exc.position})",
               file=sys.stderr)
         return 2
-    except CatalogError as exc:
+    except (_UsageError, CatalogError, OSError) as exc:
         print(f"haarent: error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, StepSizeError, WindowOverflowError,
-            ExprEvalError) as exc:
-        print(f"haarent: error: {exc}", file=sys.stderr)
-        return 3
     except HaarentError as exc:
         print(f"haarent: error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"haarent: error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -434,46 +434,29 @@ _SCAN_GRID = 512
 _BISECT_ITERS = 80
 
 
-def _kink_sources(e: Expr, out: list):
-    """Collect (subexpression, kind) pairs whose zeros are breakpoints."""
+def _candidates(e: Expr, bounds: list, subs: list):
+    """One walk of e collecting finite piecewise guard bounds into `bounds`
+    and subexpressions whose zeros are breakpoints into `subs`."""
     if isinstance(e, BinOp):
-        _kink_sources(e.left, out)
-        _kink_sources(e.right, out)
+        _candidates(e.left, bounds, subs)
+        _candidates(e.right, bounds, subs)
         if e.op == "/":
-            out.append(e.right)
+            subs.append(e.right)
     elif isinstance(e, Neg):
-        _kink_sources(e.operand, out)
+        _candidates(e.operand, bounds, subs)
     elif isinstance(e, Call):
         for arg in e.args:
-            _kink_sources(arg, out)
+            _candidates(arg, bounds, subs)
         if e.func in ("log", "sqrt", "abs"):
-            out.append(e.args[0])
+            subs.append(e.args[0])
         elif e.func in ("min", "max") and len(e.args) == 2:
-            out.append(BinOp("-", e.args[0], e.args[1]))
+            subs.append(BinOp("-", e.args[0], e.args[1]))
     elif isinstance(e, Piecewise):
-        for _, body in e.branches:
-            _kink_sources(body, out)
-        if e.otherwise is not None:
-            _kink_sources(e.otherwise, out)
-
-
-def _guard_bounds(e: Expr, out: list):
-    if isinstance(e, Piecewise):
         for guard, body in e.branches:
-            for bound in (guard.lo, guard.hi):
-                if math.isfinite(bound):
-                    out.append(bound)
-            _guard_bounds(body, out)
+            bounds.extend(b for b in (guard.lo, guard.hi) if math.isfinite(b))
+            _candidates(body, bounds, subs)
         if e.otherwise is not None:
-            _guard_bounds(e.otherwise, out)
-    elif isinstance(e, BinOp):
-        _guard_bounds(e.left, out)
-        _guard_bounds(e.right, out)
-    elif isinstance(e, Neg):
-        _guard_bounds(e.operand, out)
-    elif isinstance(e, Call):
-        for arg in e.args:
-            _guard_bounds(arg, out)
+            _candidates(e.otherwise, bounds, subs)
 
 
 def _scan_zeros(sub: Expr, a: float, b: float, out: list):
@@ -519,9 +502,8 @@ def breakpoints(e: Expr, s: MeasurableSet) -> tuple:
     if s.is_finite:
         return ()
     candidates: list = []
-    _guard_bounds(e, candidates)
     subs: list = []
-    _kink_sources(e, subs)
+    _candidates(e, candidates, subs)
     for a, b in s.intervals:
         for sub in subs:
             _scan_zeros(sub, a, b, candidates)

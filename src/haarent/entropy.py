@@ -34,7 +34,7 @@ from . import quadrature
 from .errors import (AbsoluteContinuityError, DegenerateMeasureError,
                      NotInformationMeasureError)
 from .measures import (Density, Measure, MeasurableSet, WeightFunction, mass,
-                       merge_breakpoints, radon_nikodym)
+                       merge_breakpoints, radon_nikodym, sample_grid)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator, xlogx
 
 __all__ = [
@@ -285,8 +285,5 @@ def _scan_quotient(checked_quot, s: MeasurableSet, breakpoints) -> None:
             checked_quot(a)
         return
     for a, b in s.intervals:
-        for i in range(33):
-            checked_quot(a + (b - a) * i / 32.0)
-        for bp in breakpoints:
-            if a <= bp <= b:
-                checked_quot(bp)
+        for x in sample_grid(a, b, 32, breakpoints):
+            checked_quot(x)

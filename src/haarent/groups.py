@@ -4,19 +4,20 @@ Finite kinds (cyclic, dihedral, symmetric up to n=6) carry their own
 elements as atoms of a finite space; continuous kinds live on a bounded
 window of the real line (or the circle). The only measures a group hands
 out are its Haar measures; everything else is built on top of them.
+
+Every subgroup of a finite kind (in `subgroups`, `subgroup_chains` and
+`generated_subgroup`) comes from one closure routine, `_extend`: Dimino's
+walk over the right cosets of a subgroup H inside <H, x>.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (DomainError, UnsupportedOperationError,
                      WindowOverflowError)
@@ -30,7 +31,7 @@ __all__ = [
     "MultiplicativePositiveReals", "Circle",
     "haar", "translate_set", "translate_measure", "subgroups",
     "check_invariance", "translation_samples", "group_from_descriptor",
-    "subgroup_chains",
+    "subgroup_chains", "generated_subgroup",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -147,16 +148,22 @@ class FiniteGroup(Group):
         return Density.const(1.0)
 
     @cached_property
-    def _tables(self):
-        """(index map, multiplication table) over element indices."""
-        reps = self.reps
-        index = {r: i for i, r in enumerate(reps)}
-        n = len(reps)
-        mtab = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                mtab[i, j] = index[self.compose_reps(a, b)]
-        return index, mtab
+    def _index(self) -> dict:
+        """Position of each rep in the canonical order."""
+        return {r: i for i, r in enumerate(self.reps)}
+
+    @cached_property
+    def _columns(self) -> dict:
+        return {}
+
+    def _column(self, g: int) -> list:
+        """Right multiplication by reps[g]: entry i is the index of
+        reps[i]*reps[g]. Built on first use, n compositions."""
+        if g not in self._columns:
+            b, index = self.reps[g], self._index
+            self._columns[g] = [index[self.compose_reps(a, b)]
+                                for a in self.reps]
+        return self._columns[g]
 
 
 @dataclass(frozen=True)
@@ -234,7 +241,7 @@ class Symmetric(FiniteGroup):
         return tuple(range(self.n))
 
     def compose_reps(self, a, b):
-        return tuple(a[b[i]] for i in range(self.n))
+        return tuple([a[i] for i in b])
 
     def inverse_rep(self, a):
         out = [0] * self.n
@@ -538,14 +545,76 @@ def _is_prime_power(k: int) -> bool:
     return True  # k itself prime
 
 
+def _mask(n: int, members: Iterable[int]) -> bytes:
+    """Membership mask: one 0/1 byte per element, in canonical order."""
+    mask = bytearray(n)
+    for i in members:
+        mask[i] = 1
+    return bytes(mask)
+
+
+def _members(mask: bytes) -> list[int]:
+    return [i for i, bit in enumerate(mask) if bit]
+
+
+def _extend(group: FiniteGroup, h: list[int], h_mask: bytes,
+            gens: tuple) -> bytes:
+    """Mask of <H, gens[-1]>, where H = <gens[:-1]> has element indices h
+    and mask h_mask.
+
+    <H, x> is a union of right cosets H*r, and right multiplication by the
+    generators permutes these cosets transitively. So the walk starts from
+    H, maps each coset through each generator's column, and keeps the image
+    when its first element is not yet in the mask (cosets are disjoint).
+    """
+    cols = [group._column(g) for g in gens]
+    mask = bytearray(h_mask)
+    cosets = [h]
+    for coset in cosets:
+        for col in cols:
+            if not mask[col[coset[0]]]:
+                new = [col[i] for i in coset]
+                for i in new:
+                    mask[i] = 1
+                cosets.append(new)
+    return bytes(mask)
+
+
+def _subgroup(group: FiniteGroup, mask: bytes) -> Subgroup:
+    atoms = group.carrier.atoms
+    return Subgroup(group, tuple(atoms[i] for i in _members(mask)))
+
+
+def generated_subgroup(group: FiniteGroup,
+                       elements: Iterable[GroupElement]) -> Subgroup:
+    """Smallest subgroup containing `elements` (the trivial subgroup when
+    they are all the identity, or none are given).
+
+    The elements are added one at a time, each by one coset walk.
+    """
+    if not group.is_finite:
+        raise UnsupportedOperationError(
+            f"generated subgroups need a finite kind, got {group.describe()}")
+    mask, gens = _mask(group.order, [group._index[group.identity_rep()]]), ()
+    for g in elements:
+        if _group_of(g) != group:
+            raise DomainError(
+                f"{g.label} is not an element of {group.describe()}")
+        x = group._index[g.rep]
+        if not mask[x]:
+            gens += (x,)
+            mask = _extend(group, _members(mask), mask, gens)
+    return _subgroup(group, mask)
+
+
 def subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by order (trivial and full included).
 
-    Breadth-first closure over the lattice: each found subgroup is extended
-    by one representative generator per prime-power-order cyclic subgroup,
-    with Dimino-style coset closure on the cached multiplication table.
-    Every subgroup is generated by its prime-power-order elements, so the
-    search is exhaustive.
+    Breadth-first closure over the lattice: every cyclic subgroup <x> is one
+    coset walk from the trivial subgroup, and each found subgroup is then
+    extended by one representative generator per prime-power-order cyclic
+    subgroup, one coset walk each. Every subgroup is generated by its
+    prime-power-order elements, so the search is exhaustive.
     """
     if not group.is_finite:
         raise UnsupportedOperationError(
@@ -553,92 +622,64 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
     n = group.order
     if n > 720:
         raise DomainError(f"subgroup enumeration capped at order 720, got {n}")
-    index, mtab = group._tables
-    e = index[group.identity_rep()]
+    e = group._index[group.identity_rep()]
+    trivial = _mask(n, [e])
 
-    cyclic_reps: dict[frozenset, int] = {}
+    cyclic: dict[bytes, int] = {}
     for x in range(n):
-        members = {e}
-        cur = x
-        while cur != e:
-            members.add(cur)
-            cur = int(mtab[cur, x])
-        key = frozenset(members)
-        cyclic_reps.setdefault(key, x)
-    pool = sorted(x for key, x in cyclic_reps.items()
-                  if _is_prime_power(len(key)))
+        cyclic.setdefault(_extend(group, [e], trivial, (x,)), x)
+    pool = [x for key, x in cyclic.items() if _is_prime_power(sum(key))]
 
-    found: dict[frozenset, tuple] = {frozenset({e}): ()}
-    for key, x in cyclic_reps.items():
-        if key not in found:
-            found[key] = (x,)
-    queue = deque(sorted(found, key=lambda k: (len(k), sorted(k))))
-
-    def dimino_closure(h_sorted: np.ndarray, h_set: frozenset,
-                       gens: tuple) -> frozenset:
-        # Cosets of H in <H, x> are connected under right multiplication
-        # by the generators of the extension, so a rep BFS covers them all.
-        k_set = set(h_set)
-        reps_queue = [gens[-1]]
-        i = 0
-        while i < len(reps_queue):
-            r = reps_queue[i]
-            i += 1
-            if r in k_set:
-                continue
-            coset = mtab[h_sorted, r]
-            k_set.update(coset.tolist())
-            for gg in gens:
-                reps_queue.append(int(mtab[r, gg]))
-        return frozenset(k_set)
-
-    while queue:
-        h = queue.popleft()
-        h_gens = found[h]
-        h_sorted = np.fromiter(sorted(h), dtype=np.int64, count=len(h))
+    found: dict[bytes, tuple] = {trivial: ()}
+    for key, x in cyclic.items():
+        found.setdefault(key, (x,))
+    queue = list(found)
+    for h_mask in queue:
+        h_gens = found[h_mask]
+        h = _members(h_mask)
         for x in pool:
-            if x in h:
+            if h_mask[x]:
                 continue
-            k = dimino_closure(h_sorted, h, h_gens + (x,))
+            k = _extend(group, h, h_mask, h_gens + (x,))
             if k not in found:
                 found[k] = h_gens + (x,)
                 queue.append(k)
 
-    atoms = group.carrier.atoms
-    subs = []
-    for key in found:
-        labels = tuple(atoms[i] for i in sorted(key))
-        subs.append(Subgroup(group, labels))
+    subs = [_subgroup(group, key) for key in found]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
 
 
 def subgroup_chains(group: FiniteGroup) -> list[list[Subgroup]]:
-    """All maximal chains of the subgroup lattice, trivial to full."""
+    """All maximal chains of the subgroup lattice, trivial to full.
+
+    Covers come from the membership masks read as ints (H <= K iff
+    H & ~K == 0): a larger K covers H unless a cover of H found earlier
+    lies inside K.
+    """
     subs = subgroups(group)
-    by_key = {frozenset(s.elements): s for s in subs}
-    keys = sorted(by_key, key=lambda k: (len(k), sorted(map(str, k))))
-    covers: dict[frozenset, list[frozenset]] = {k: [] for k in keys}
-    for small in keys:
-        for big in keys:
-            if len(big) <= len(small) or not small < big:
-                continue
-            if any(small < mid < big for mid in keys
-                   if len(small) < len(mid) < len(big)):
-                continue
-            covers[small].append(big)
-    full = max(keys, key=len)
+    keys = sorted(subs, key=lambda s: (s.order, sorted(s.elements)))
+    index = {a: i for i, a in enumerate(group.carrier.atoms)}
+    bits = [int.from_bytes(_mask(group.order, (index[a] for a in s.elements)),
+                           "little") for s in keys]
+    covers = []
+    for i, small in enumerate(bits):
+        up = []
+        for j in range(i + 1, len(bits)):
+            big = bits[j]
+            if small & ~big == 0 and all(bits[c] & ~big for c in up):
+                up.append(j)
+        covers.append(up)
     chains = []
 
-    def walk(key, acc):
-        if key == full:
-            chains.append([by_key[k] for k in acc])
+    def walk(i, acc):
+        if i == len(keys) - 1:
+            chains.append([keys[k] for k in acc])
             return
-        for nxt in covers[key]:
-            walk(nxt, acc + [nxt])
+        for j in covers[i]:
+            walk(j, acc + [j])
 
-    trivial = min(keys, key=len)
-    walk(trivial, [trivial])
+    walk(0, [0])
     return chains
 
 

@@ -204,6 +204,14 @@ def merge_breakpoints(a, b) -> tuple:
     return tuple(sorted(set(a) | set(b)))
 
 
+def sample_grid(a: float, b: float, n: int, breakpoints) -> list:
+    """n+1 evenly spaced points of [a, b], then the breakpoints inside it:
+    the points where a quotient or density is sampled on an interval."""
+    pts = [a + (b - a) * i / n for i in range(n + 1)]
+    pts.extend(bp for bp in breakpoints if a <= bp <= b)
+    return pts
+
+
 @dataclass(frozen=True)
 class Density:
     """Pointwise nonnegative weight against a reference measure.
@@ -298,10 +306,7 @@ def table_density(space: Space, weights: Mapping) -> Density:
 def _validation_points(space: Space, density: Density):
     if space.is_finite:
         return space.atoms
-    lo, hi = space.bounds
-    pts = [lo + (hi - lo) * i / 16.0 for i in range(17)]
-    pts.extend(b for b in density.breakpoints if lo <= b <= hi)
-    return pts
+    return sample_grid(*space.bounds, 16, density.breakpoints)
 
 
 @dataclass(frozen=True)

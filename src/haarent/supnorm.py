@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NormalizationError, WindowOverflowError
 from .groups import Group, GroupElement, translate_set, translation_samples
-from .measures import Measure, MeasurableSet, mass, radon_nikodym
+from .measures import (Measure, MeasurableSet, mass, radon_nikodym,
+                       sample_grid)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
 from .report import VerificationReport, le_report, skip_report
 
@@ -54,11 +55,8 @@ def _extrema_on_set(evaluator, s: MeasurableSet, breakpoints) -> tuple:
                 best_min = (v, x)
 
     for a, b in s.intervals:
-        width = b - a
-        pts = [a + width * i / _GRID for i in range(_GRID + 1)]
-        pts.extend(bp for bp in breakpoints if a <= bp <= b)
-        scan(pts)
-        h = width / _GRID
+        scan(sample_grid(a, b, _GRID, breakpoints))
+        h = (b - a) / _GRID
         for _ in range(_REFINE_ROUNDS):
             centers = [c for _, c in (best_max, best_min) if c is not None]
             for c in centers:

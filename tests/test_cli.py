@@ -313,6 +313,17 @@ class TestExitCodes:
                      "--reference", ref]) == 2
         assert "position" in capsys.readouterr().err
 
+    def test_expr_eval_error_exits_three(self, tmp_path, capsys):
+        space = {"kind": "interval", "bounds": [0.0, 2.0]}
+        m = write_spec(tmp_path, "log.json", {
+            "space": space, "density": {"kind": "expr", "payload": "log(x)"}})
+        ref = write_spec(tmp_path, "ref.json", {
+            "space": space,
+            "density": {"kind": "builtin", "payload": "lebesgue"}})
+        assert main(["entropy", "--measure", m, "--reference", ref]) == 3
+        assert capsys.readouterr().err == \
+            "haarent: error: log of a nonpositive value\n"
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["entropy", "--bogus"]) == 2
         capsys.readouterr()

@@ -1,13 +1,16 @@
 import math
+import random
 from itertools import product
 
 import pytest
 
-from haarent.errors import DomainError, WindowOverflowError
+from haarent.errors import (DomainError, UnsupportedOperationError,
+                             WindowOverflowError)
 from haarent.groups import (AdditiveReals, Circle, Cyclic, Dihedral,
                             GroupElement, MultiplicativePositiveReals,
                             RestrictedGroup, Subgroup, Symmetric,
-                            check_invariance, group_from_descriptor, haar,
+                            check_invariance, generated_subgroup,
+                            group_from_descriptor, haar,
                             subgroup_chains, subgroups, translate_measure,
                             translate_set, translation_samples)
 from haarent.measures import (Density, MeasurableSet, Measure, mass,
@@ -371,6 +374,41 @@ class TestSubgroupChains:
         chains = subgroup_chains(Cyclic(1))
         assert len(chains) == 1
         assert [h.order for h in chains[0]] == [1]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("group, n_subgroups, n_chains", [
+        (Cyclic(16), 5, 1), (Dihedral(6), 16, 19), (Dihedral(12), 34, 62),
+        (Symmetric(4), 30, 44), (Symmetric(5), 156, 587),
+    ], ids=["Z16", "D6", "D12", "S4", "S5"])
+    def test_subgroup_and_chain_counts(self, group, n_subgroups, n_chains):
+        assert len(subgroups(group)) == n_subgroups
+        assert len(subgroup_chains(group)) == n_chains
+
+    @pytest.mark.parametrize("group", [Dihedral(12), Symmetric(4),
+                                       Symmetric(5)],
+                             ids=lambda g: g.describe())
+    def test_generated_is_smallest_containing_subgroup(self, group):
+        lattice = subgroups(group)  # sorted by order
+        rng = random.Random(group.order)
+        for _ in range(20):
+            gens = rng.sample(group.elements(), rng.randint(1, 3))
+            labels = {g.label for g in gens}
+            want = next(h for h in lattice if labels <= set(h.elements))
+            assert generated_subgroup(group, gens) == want
+
+    def test_identity_alone_is_trivial(self):
+        g = Symmetric(4)
+        sub = generated_subgroup(g, [g.identity()])
+        assert sub.elements == (g.identity().label,)
+
+    def test_foreign_element_rejected(self):
+        with pytest.raises(DomainError):
+            generated_subgroup(Cyclic(6), [Cyclic(4).element(1)])
+
+    def test_needs_finite_group(self):
+        with pytest.raises(UnsupportedOperationError):
+            generated_subgroup(Circle(), [])
 
 
 class TestDescriptors:
