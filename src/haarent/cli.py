@@ -480,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=float, default=1.0,
                    help="total mass of the weight vector (default 1)")
     p.add_argument("--iters", type=int, default=500,
-                   help="ascent iterations (default 500)")
+                   help="cap on ascent iterations (default 500); the "
+                        "ascent stops early once its state can no longer "
+                        "change, which never changes the result")
     p.add_argument("--step", type=float, default=0.1,
                    help="initial step size (default 0.1)")
     p.add_argument("--seed", type=int, default=0,
@@ -511,10 +513,24 @@ def _config_from(args) -> RunConfig:
                      output_path=args.output)
 
 
+_built = None  # (build_parser as bound when it ran, its parser)
+
+
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs over ten parses, and parse_args keeps no
+    # state between calls, so one parser serves every main() call of the
+    # process. If build_parser is rebound (wrapped by a profiler, say),
+    # the new binding builds the next parser.
+    global _built
+    if _built is None or _built[0] is not build_parser:
+        _built = (build_parser, build_parser())
+    return _built[1]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

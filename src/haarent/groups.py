@@ -112,10 +112,11 @@ class FiniteGroup(Group):
 
     @cached_property
     def carrier(self) -> Space:
-        return Space.finite(self.label_of(r) for r in self.reps)
+        return Space.finite(self._rep_by_label)
 
     @cached_property
     def _rep_by_label(self) -> dict:
+        # in canonical order, which the carrier's atoms follow
         return {self.label_of(r): r for r in self.reps}
 
     @property

@@ -83,6 +83,15 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
     is rejected and the trial size halved (it regrows on success, capped
     at `step`). Ten consecutive materially-decreasing proposals raise
     StepSizeError: the step diverges.
+
+    `iters` is a cap. The ascent returns early once its state can no
+    longer change, which it detects exactly in two ways: the state at the
+    top of the loop repeats bit for bit (an accepted candidate equal to p,
+    with a trial size already seen since p last moved), or the proposal
+    p + trial*grad rounds to the same array at every smaller trial size
+    and is rejected without a material decrease. Every later iteration
+    would then replay the same steps, so the result, or the
+    StepSizeError, is bit-identical to running all `iters`.
     """
     nu = _validate_nu(nu_weights)
     if mass <= 0 or not math.isfinite(mass):
@@ -108,14 +117,23 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
     floor = 1e-16 * mass / len(nu)
     trial = step
     decreases = 0
+    # trial sizes after each acceptance since p last moved; with p fixed,
+    # each names one loop-top state (p, value, trial, decreases=0)
+    still = set()
     for _ in range(iters):
         grad = -(np.log(np.maximum(p, floor) / nu) + 1.0)
-        cand = _project_simplex(p + trial * grad, mass)
+        proposal = p + trial * grad
+        cand = _project_simplex(proposal, mass)
         cand_value = entropy_of_weights(cand, nu)
         if cand_value > value or np.array_equal(cand, p):
+            if cand.tobytes() != p.tobytes():
+                still.clear()
             p, value = cand, cand_value
             decreases = 0
             trial = min(step, trial * 2.0)
+            if trial in still:
+                break
+            still.add(trial)
         else:
             if cand_value < value - _DECREASE_TOL:
                 decreases += 1
@@ -124,6 +142,10 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
                         f"entropy decreased {decreases} consecutive "
                         f"iterations (trial step {trial!r}, best value "
                         f"{value!r}); the step size diverges")
+            elif np.array_equal(proposal, p):
+                # rounding is monotone, so every smaller trial rounds to
+                # this same proposal and the same rejection
+                break
             trial /= 2.0
     return SimplexPoint(tuple(float(x) for x in p), mass), value
 

@@ -1,8 +1,13 @@
 import json
 import math
+import re
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
+from haarent import cli
 from haarent.cli import RunConfig, main, measure_from_spec
 from haarent.errors import DomainError
 from haarent.measures import MeasurableSet, Space, mass
@@ -288,6 +293,68 @@ class TestMaxentCommand:
                      "--iters", "200"])
         assert code == 3
         assert "step" in capsys.readouterr().err
+
+    def test_iters_is_only_a_cap(self, capsys):
+        argv = ["maxent", "--n", "3", "--format", "json", "--iters"]
+        t0 = time.perf_counter()
+        assert main(argv + ["100000000"]) == 0
+        elapsed = time.perf_counter() - t0
+        uncapped = capsys.readouterr().out
+        assert main(argv + ["1500"]) == 0
+        assert capsys.readouterr().out == uncapped
+        assert elapsed < 1.0
+
+    def test_readme_example_output(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        example = re.search(r"```sh\nhaarent (maxent --nu 1,2,3 [^\n]*)\n"
+                            r"```\n\n```json\n(.*?)```", readme, re.S)
+        assert example is not None
+        assert main(shlex.split(example.group(1))) == 0
+        assert capsys.readouterr().out == example.group(2)
+
+
+class TestParserReuse:
+    def test_interleaved_calls_match_solo_calls(self, tmp_path, capsys,
+                                                monkeypatch):
+        space = {"kind": "interval", "bounds": [0.0, 1.0]}
+        rho = write_spec(tmp_path, "rho.json", {
+            "space": space, "density": {"kind": "expr", "payload": "2*x"}})
+        xi = write_spec(tmp_path, "xi.json", {
+            "space": space,
+            "density": {"kind": "expr", "payload": "exp(-x)"}})
+        ref = write_spec(tmp_path, "ref.json", {
+            "space": space,
+            "density": {"kind": "builtin", "payload": "lebesgue"}})
+        calls = [
+            ["entropy", "--measure", rho, "--reference", ref,
+             "--format", "json"],
+            ["supnorm", "--measure", rho, "--measure", xi,
+             "--reference", ref, "--format", "json"],
+            ["verify", "--claim", "lem-finite-form", "--claim",
+             "lem-weight-form", "--trials", "2", "--format", "csv"],
+            ["examples", "--format", "csv"],
+            ["maxent", "--nu", "1,2", "--iters", "50", "--format", "json"],
+            ["supnorm", "--measure", xi, "--reference", ref],
+            ["verify", "--claim", "lem-weight-form", "--trials", "1"],
+            ["maxent", "--n", "3", "--bogus"],
+            ["entropy", "--measure", xi, "--group", "Z6"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        solo = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_built", None)
+            solo.append(run(argv))
+        assert [code for code, _, _ in solo] == [0, 0, 0, 0, 0, 0, 0, 2, 2]
+        parser = cli._parser()
+        for _ in range(2):
+            assert [run(argv) for argv in calls] == solo
+        assert cli._parser() is parser
 
 
 class TestExitCodes:

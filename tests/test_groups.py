@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -81,6 +81,16 @@ class TestElementsAndLabels:
         assert len(labels) == 6
         swap = g.element("102")
         assert swap.compose(swap).label == "012"
+
+    @pytest.mark.parametrize("group, atoms", [
+        (Symmetric(5), tuple("".join(map(str, w))
+                             for w in permutations(range(5)))),
+        (Dihedral(12), tuple(f"{k}{i}" for k in "rs" for i in range(12))),
+    ], ids=["S5", "D12"])
+    def test_carrier_atoms_follow_canonical_order(self, group, atoms):
+        assert group.carrier.atoms == atoms
+        assert atoms == tuple(group.label_of(r) for r in group.reps)
+        assert tuple(group._rep_by_label) == atoms
 
     def test_unknown_label_rejected(self):
         with pytest.raises(DomainError):

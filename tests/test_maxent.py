@@ -5,9 +5,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarent import maxent
 from haarent.errors import DomainError, StepSizeError
 from haarent.maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
                             maximize_entropy)
+
+
+def full_run_maximize(nu_weights, mass=1.0, iters=500, step=0.1, seed=0,
+                      start=None):
+    """maximize_entropy as it was before the early stop: every call runs
+    all `iters` iterations. The reference for the stop's exactness."""
+    nu = np.asarray(tuple(nu_weights), dtype=float)
+    if start is None:
+        rng = np.random.default_rng(seed)
+        w = rng.random(len(nu)) + 0.1
+        p = mass * w / w.sum()
+    else:
+        p = np.asarray(tuple(start), dtype=float)
+    value = entropy_of_weights(p, nu)
+    floor = 1e-16 * mass / len(nu)
+    trial = step
+    decreases = 0
+    for _ in range(iters):
+        grad = -(np.log(np.maximum(p, floor) / nu) + 1.0)
+        cand = maxent._project_simplex(p + trial * grad, mass)
+        cand_value = entropy_of_weights(cand, nu)
+        if cand_value > value or np.array_equal(cand, p):
+            p, value = cand, cand_value
+            decreases = 0
+            trial = min(step, trial * 2.0)
+        else:
+            if cand_value < value - maxent._DECREASE_TOL:
+                decreases += 1
+                if decreases >= maxent._MAX_DECREASES:
+                    raise StepSizeError(
+                        f"entropy decreased {decreases} consecutive "
+                        f"iterations (trial step {trial!r}, best value "
+                        f"{value!r}); the step size diverges")
+            trial /= 2.0
+    return SimplexPoint(tuple(float(x) for x in p), mass), value
+
+
+def outcome_bits(solver, *args, **kwargs):
+    """Weights and value as raw bytes, or the error type and message."""
+    try:
+        point, value = solver(*args, **kwargs)
+    except StepSizeError as exc:
+        return ("StepSizeError", str(exc))
+    return (np.array(point.weights).tobytes(), point.mass,
+            np.float64(value).tobytes())
 
 
 class TestSimplexPoint:
@@ -108,6 +154,47 @@ class TestMaximizeEntropy:
     def test_huge_step_raises(self):
         with pytest.raises(StepSizeError):
             maximize_entropy([1.0, 2.0, 3.0], iters=200, step=1e8)
+
+    def test_stops_early_once_state_is_fixed(self, monkeypatch):
+        evals = []
+
+        def counted(p, nu):
+            evals.append(1)
+            return entropy_of_weights(p, nu)
+
+        monkeypatch.setattr(maxent, "entropy_of_weights", counted)
+        maximize_entropy([1.0, 2.0, 3.0], iters=1500, step=0.2)
+        # one evaluation at the start, then one per iteration
+        assert len(evals) - 1 < 300
+
+
+class TestEarlyStopIsExact:
+    """The early stop returns exactly what running all `iters` returns."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512])
+    @pytest.mark.parametrize("reference", ["uniform", "random"])
+    def test_grid_matches_full_run(self, n, reference):
+        if reference == "uniform":
+            nu = [1.0] * n
+        else:
+            nu = np.random.default_rng([11, n]).uniform(0.1, 5.0, n)
+        for step in (0.05, 0.1, 0.2, 0.5):
+            for iters in (1, 5, 50, 1500):
+                kwargs = dict(mass=1.5, iters=iters, step=step, seed=n)
+                assert outcome_bits(maximize_entropy, nu, **kwargs) == \
+                    outcome_bits(full_run_maximize, nu, **kwargs), \
+                    (step, iters)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(iters=200, step=1e8),
+        dict(iters=3000, step=1e3),
+        dict(iters=1500, step=0.2, start=(0.0, 0.5, 0.5)),
+        dict(iters=1500, step=0.2, start=(1.0, 0.0, 0.0)),
+    ], ids=["step-1e8", "step-1e3", "zero-start", "vertex-start"])
+    def test_edge_cases_match_full_run(self, kwargs):
+        nu = [1.0, 2.0, 3.0] if "start" not in kwargs else [1.0, 1.0, 1.0]
+        assert outcome_bits(maximize_entropy, nu, **kwargs) == \
+            outcome_bits(full_run_maximize, nu, **kwargs)
 
     def test_validation(self):
         with pytest.raises(DomainError):
