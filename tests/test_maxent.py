@@ -167,6 +167,24 @@ class TestMaximizeEntropy:
         # one evaluation at the start, then one per iteration
         assert len(evals) - 1 < 300
 
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            maximize_entropy([])
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, -1.0])
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, math.inf])
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, 2.0], mass=0.0)
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, 2.0], iters=0)
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, 2.0], step=-0.5)
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, 2.0], start=(1.0, 0.0, 0.0))
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, 2.0], start=(0.7, 0.7))
+
 
 class TestEarlyStopIsExact:
     """The early stop returns exactly what running all `iters` returns."""
@@ -195,24 +213,6 @@ class TestEarlyStopIsExact:
         nu = [1.0, 2.0, 3.0] if "start" not in kwargs else [1.0, 1.0, 1.0]
         assert outcome_bits(maximize_entropy, nu, **kwargs) == \
             outcome_bits(full_run_maximize, nu, **kwargs)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            maximize_entropy([])
-        with pytest.raises(DomainError):
-            maximize_entropy([1.0, -1.0])
-        with pytest.raises(DomainError):
-            maximize_entropy([1.0, math.inf])
-        with pytest.raises(DomainError):
-            maximize_entropy([1.0, 2.0], mass=0.0)
-        with pytest.raises(DomainError):
-            maximize_entropy([1.0, 2.0], iters=0)
-        with pytest.raises(DomainError):
-            maximize_entropy([1.0, 2.0], step=-0.5)
-        with pytest.raises(DomainError):
-            maximize_entropy([1.0, 2.0], start=(1.0, 0.0, 0.0))
-        with pytest.raises(DomainError):
-            maximize_entropy([1.0, 2.0], start=(0.7, 0.7))
 
 
 class TestConcavityProbe:
