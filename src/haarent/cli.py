@@ -375,8 +375,9 @@ def _cmd_maxent(cfg: RunConfig, args) -> int:
         raise _UsageError(f"--mass must be positive, got {args.mass!r}")
     if args.iters < 1:
         raise _UsageError(f"--iters must be >= 1, got {args.iters!r}")
-    if not args.step > 0:
-        raise _UsageError(f"--step must be positive, got {args.step!r}")
+    if not (args.step > 0 and math.isfinite(args.step)):
+        raise _UsageError(f"--step must be positive and finite, "
+                          f"got {args.step!r}")
     point, value = maximize_entropy(nu, mass=args.mass, iters=args.iters,
                                     step=args.step, seed=cfg.seed)
     total = math.fsum(nu)

@@ -7,7 +7,9 @@ out are its Haar measures; everything else is built on top of them.
 
 Every subgroup of a finite kind (in `subgroups`, `subgroup_chains` and
 `generated_subgroup`) comes from one closure routine, `_extend`: Dimino's
-walk over the right cosets of a subgroup H inside <H, x>.
+walk over the right cosets of a subgroup H inside <H, x>, or is a
+conjugate of one that does (`subgroups` extends one subgroup per
+conjugacy class).
 """
 
 from __future__ import annotations
@@ -586,6 +588,17 @@ def _subgroup(group: FiniteGroup, mask: bytes) -> Subgroup:
     return Subgroup(group, tuple(atoms[i] for i in _members(mask)))
 
 
+def _closure(group: FiniteGroup, xs: Iterable[int]) -> tuple[bytes, tuple]:
+    """Mask of the subgroup generated by the element indices xs, and the
+    generators it took: each x not yet inside costs one coset walk."""
+    mask, gens = _mask(group.order, [group._index[group.identity_rep()]]), ()
+    for x in xs:
+        if not mask[x]:
+            gens += (x,)
+            mask = _extend(group, _members(mask), mask, gens)
+    return mask, gens
+
+
 def generated_subgroup(group: FiniteGroup,
                        elements: Iterable[GroupElement]) -> Subgroup:
     """Smallest subgroup containing `elements` (the trivial subgroup when
@@ -596,26 +609,57 @@ def generated_subgroup(group: FiniteGroup,
     if not group.is_finite:
         raise UnsupportedOperationError(
             f"generated subgroups need a finite kind, got {group.describe()}")
-    mask, gens = _mask(group.order, [group._index[group.identity_rep()]]), ()
+    xs = []
     for g in elements:
         if _group_of(g) != group:
             raise DomainError(
                 f"{g.label} is not an element of {group.describe()}")
-        x = group._index[g.rep]
-        if not mask[x]:
-            gens += (x,)
-            mask = _extend(group, _members(mask), mask, gens)
-    return _subgroup(group, mask)
+        xs.append(group._index[g.rep])
+    return _subgroup(group, _closure(group, xs)[0])
+
+
+def _conjugation(group: FiniteGroup, g: int) -> list[int]:
+    """Conjugation by reps[g]: entry i is the index of g^-1 * reps[i] * g."""
+    ginv, index = group.inverse_rep(group.reps[g]), group._index
+    col = group._column(g)
+    return [col[index[group.compose_reps(ginv, r)]] for r in group.reps]
+
+
+def _conjugates(mask: bytes, conj: list[list[int]]) -> set[bytes]:
+    """Masks of all conjugates of a subgroup: the orbit of its mask under
+    conjugation by each map in conj, which come from generators of the
+    group."""
+    orbit, todo = {mask}, [mask]
+    for k in todo:
+        members = _members(k)
+        for c in conj:
+            image = _mask(len(k), [c[i] for i in members])
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by order (trivial and full included).
 
-    Breadth-first closure over the lattice: every cyclic subgroup <x> is one
-    coset walk from the trivial subgroup, and each found subgroup is then
-    extended by one representative generator per prime-power-order cyclic
-    subgroup, one coset walk each. Every subgroup is generated by its
-    prime-power-order elements, so the search is exhaustive.
+    The cyclic extension method, extending one subgroup per conjugacy
+    class (Neubueser 1960; Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, 2005, ch. 4). Every cyclic subgroup <x> is one coset
+    walk from the trivial subgroup; the prime-power-order ones form the
+    pool, with one generator each. A subgroup K not seen before enters the
+    result with its whole conjugacy class: the orbit of K's mask under
+    conjugation by a generating set of the group, picked greedily from
+    the pool. Only K itself is then extended, once by each pool generator
+    outside it, one coset walk each.
+
+    The search is exhaustive. Every subgroup is generated by its
+    prime-power-order elements, so it is reached from one of its cyclic
+    subgroups by pool extensions, provided the result is closed under
+    them. It is: if H was extended, g is any element and x is in the pool,
+    then <H^g, x> = <H, y>^g, where <y> = <x>^(g^-1) is a pool subgroup.
+    So <H^g, x> is H^g itself (y in H) or a conjugate of the extension
+    <H, y>, which entered with its class.
     """
     if not group.is_finite:
         raise UnsupportedOperationError(
@@ -630,21 +674,23 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
     for x in range(n):
         cyclic.setdefault(_extend(group, [e], trivial, (x,)), x)
     pool = [x for key, x in cyclic.items() if _is_prime_power(sum(key))]
+    conj = [_conjugation(group, g) for g in _closure(group, pool)[1]]
 
-    found: dict[bytes, tuple] = {trivial: ()}
+    found = {trivial}
+    queue: list[tuple[bytes, tuple]] = []  # (K, its generators), one per class
+
+    def add(k: bytes, gens: tuple) -> None:
+        if k not in found:
+            found.update(_conjugates(k, conj))
+            queue.append((k, gens))
+
     for key, x in cyclic.items():
-        found.setdefault(key, (x,))
-    queue = list(found)
-    for h_mask in queue:
-        h_gens = found[h_mask]
+        add(key, (x,))
+    for h_mask, h_gens in queue:
         h = _members(h_mask)
         for x in pool:
-            if h_mask[x]:
-                continue
-            k = _extend(group, h, h_mask, h_gens + (x,))
-            if k not in found:
-                found[k] = h_gens + (x,)
-                queue.append(k)
+            if not h_mask[x]:
+                add(_extend(group, h, h_mask, h_gens + (x,)), h_gens + (x,))
 
     subs = [_subgroup(group, key) for key in found]
     subs.sort(key=lambda s: (s.order, s.elements))

@@ -32,8 +32,8 @@ class SimplexPoint:
     mass: float
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights):
-            raise DomainError("simplex weights must be nonnegative")
+        if not all(w >= 0 for w in self.weights):  # NaN fails too
+            raise DomainError("simplex weights must be nonnegative numbers")
         total = math.fsum(self.weights)
         if abs(total - self.mass) > _MASS_TOL * max(1.0, abs(self.mass)):
             raise DomainError(
@@ -98,8 +98,8 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
         raise DomainError(f"mass must be positive: {mass!r}")
     if iters < 1:
         raise DomainError("iters must be at least 1")
-    if step <= 0:
-        raise DomainError(f"step must be positive: {step!r}")
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"step must be positive and finite: {step!r}")
 
     if start is None:
         rng = np.random.default_rng(seed)

@@ -288,6 +288,11 @@ class TestMaxentCommand:
         assert main(["maxent", "--n", "3", "--step", "-1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_is_usage_error(self, capsys, step):
+        assert main(["maxent", "--n", "3", "--step", step]) == 2
+        assert "--step must be positive and finite" in capsys.readouterr().err
+
     def test_diverging_step_exits_three(self, capsys):
         code = main(["maxent", "--nu", "1,2,3", "--step", "1e8",
                      "--iters", "200"])

@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from haarent import groups
 from haarent.errors import (DomainError, UnsupportedOperationError,
                              WindowOverflowError)
 from haarent.groups import (AdditiveReals, Circle, Cyclic, Dihedral,
@@ -13,6 +14,8 @@ from haarent.groups import (AdditiveReals, Circle, Cyclic, Dihedral,
                             group_from_descriptor, haar,
                             subgroup_chains, subgroups, translate_measure,
                             translate_set, translation_samples)
+from haarent.groups import (_extend, _is_prime_power, _mask, _members,
+                            _subgroup)
 from haarent.measures import (Density, MeasurableSet, Measure, mass,
                               table_density)
 
@@ -419,6 +422,143 @@ class TestLattice:
     def test_needs_finite_group(self):
         with pytest.raises(UnsupportedOperationError):
             generated_subgroup(Circle(), [])
+
+
+def bfs_subgroups(group):
+    """`subgroups` as it was before the search went one conjugacy class at
+    a time: every found subgroup is extended by every pool generator. The
+    reference for the class-wise search."""
+    if not group.is_finite:
+        raise UnsupportedOperationError(
+            f"subgroup enumeration needs a finite kind, got {group.describe()}")
+    n = group.order
+    if n > 720:
+        raise DomainError(f"subgroup enumeration capped at order 720, got {n}")
+    e = group._index[group.identity_rep()]
+    trivial = _mask(n, [e])
+
+    cyclic: dict[bytes, int] = {}
+    for x in range(n):
+        cyclic.setdefault(_extend(group, [e], trivial, (x,)), x)
+    pool = [x for key, x in cyclic.items() if _is_prime_power(sum(key))]
+
+    found: dict[bytes, tuple] = {trivial: ()}
+    for key, x in cyclic.items():
+        found.setdefault(key, (x,))
+    queue = list(found)
+    for h_mask in queue:
+        h_gens = found[h_mask]
+        h = _members(h_mask)
+        for x in pool:
+            if h_mask[x]:
+                continue
+            k = _extend(group, h, h_mask, h_gens + (x,))
+            if k not in found:
+                found[k] = h_gens + (x,)
+                queue.append(k)
+
+    subs = [_subgroup(group, key) for key in found]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    return subs
+
+
+def _alternating4():
+    return next(h for h in bfs_subgroups(Symmetric(4)) if h.order == 12).group
+
+
+ORACLE_GROUPS = {
+    "Z16": lambda: Cyclic(16), "D6": lambda: Dihedral(6),
+    "D12": lambda: Dihedral(12), "S4": lambda: Symmetric(4),
+    "S5": lambda: Symmetric(5), "D60": lambda: Dihedral(60),
+    "A4": _alternating4,
+}
+
+
+class TestClassWiseSearch:
+    @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+    def test_matches_bfs_oracle(self, name):
+        group = ORACLE_GROUPS[name]()
+        assert subgroups(group) == bfs_subgroups(group)
+
+    @pytest.mark.parametrize("name", ["D6", "D12", "S4", "S5"])
+    def test_chains_match_bfs_oracle(self, name, monkeypatch):
+        group = ORACLE_GROUPS[name]()
+        with monkeypatch.context() as m:
+            m.setattr(groups, "subgroups", bfs_subgroups)
+            want = subgroup_chains(group)
+        assert subgroup_chains(group) == want
+
+    @pytest.mark.parametrize("group", [Symmetric(4), Dihedral(12)],
+                             ids=lambda g: g.describe())
+    def test_closed_under_conjugation(self, group):
+        lattice = {frozenset(h.elements) for h in subgroups(group)}
+        label, by_label = group.label_of, group._rep_by_label
+        for g in group.reps:
+            ginv = group.inverse_rep(g)
+            for h in lattice:
+                conj = {label(group.compose_reps(
+                    group.compose_reps(ginv, by_label[a]), g)) for a in h}
+                assert conj in lattice
+
+    def test_s5_coset_walks(self, monkeypatch):
+        walks = []
+
+        def counting(*args):
+            walks.append(1)
+            return _extend(*args)
+
+        monkeypatch.setattr(groups, "_extend", counting)
+        assert len(subgroups(Symmetric(5))) == 156
+        # the all-pairs search made 8,151
+        assert len(walks) <= 1600
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+class TestDeclaredDomain:
+    """Subgroup enumeration covers every finite group up to order 720."""
+
+    def test_symmetric_six(self, monkeypatch):
+        lattices = []
+
+        def spy(group):
+            lattices.append(subgroups(group))
+            return lattices[-1]
+
+        # one enumeration (1.5 s): keep the lattice subgroup_chains gets
+        monkeypatch.setattr(groups, "subgroups", spy)
+        g = Symmetric(6)
+        chains = subgroup_chains(g)
+        [lattice] = lattices
+        assert len(lattice) == 1455
+        # cross-checked by an independent count of paths over the covers
+        # of the lattice (maximal_chains in the benchmark's workloads)
+        assert len(chains) == 28176
+        # chains hold the lattice's own Subgroup objects; identities are
+        # cheap to hash, tuples of up to 720 labels are not
+        position = {id(h): i for i, h in enumerate(lattice)}
+        paths = {tuple(position[id(h)] for h in c) for c in chains}
+        assert len(paths) == 28176
+        assert set().union(*paths) == set(range(1455))
+
+    def test_dihedral_360(self):
+        # per divisor d of n: the rotations <r^d> and the d dihedral
+        # subgroups <r^d, r^i s>, 0 <= i < d; tau(n) + sigma(n) in all
+        divisors = _divisors(360)
+        assert len(subgroups(Dihedral(360))) == len(divisors) + sum(divisors)
+        assert len(divisors) + sum(divisors) == 1194
+
+    def test_cyclic_720(self):
+        assert [h.order for h in subgroups(Cyclic(720))] == _divisors(720)
+        assert len(_divisors(720)) == 30
+
+    def test_order_721_rejected(self):
+        with pytest.raises(DomainError, match="capped at order 720"):
+            subgroups(Cyclic(721))
+        with pytest.raises(DomainError, match="capped at order 720"):
+            subgroup_chains(Cyclic(721))
 
 
 class TestDescriptors:

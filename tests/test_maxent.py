@@ -72,6 +72,10 @@ class TestSimplexPoint:
     def test_scaled_mass(self):
         SimplexPoint((2.0, 3.0), 5.0)
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(DomainError):
+            SimplexPoint((math.nan, 1.0), 1.0)
+
 
 class TestEntropyOfWeights:
     def test_uniform_attains_log_n(self):
@@ -184,6 +188,14 @@ class TestMaximizeEntropy:
             maximize_entropy([1.0, 2.0], start=(1.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             maximize_entropy([1.0, 2.0], start=(0.7, 0.7))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"step": math.inf}, {"step": math.nan},
+        {"start": (math.nan, 0.5, 0.5)},
+    ], ids=["step-inf", "step-nan", "start-nan"])
+    def test_non_finite_input_is_domain_error(self, kwargs):
+        with pytest.raises(DomainError):
+            maximize_entropy([1.0, 2.0, 3.0], **kwargs)
 
 
 class TestEarlyStopIsExact:
