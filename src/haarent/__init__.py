@@ -29,7 +29,8 @@ from .maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
 from .measures import (Density, MeasurableSet, Measure, Space,
                        WeightFunction, mass, measure_of_weight,
                        radon_nikodym, step_density, table_density, weight_of)
-from .quadrature import DEFAULT_INTEGRATOR, Integrator, integrate, xlogx
+from .quadrature import (DEFAULT_INTEGRATOR, IntegralResult, Integrator,
+                         integrate, integrate_result, xlogx)
 from .report import (SCHEMA, VerificationReport, eq_report, le_report,
                      reports_to_csv, reports_to_json, reports_to_table,
                      skip_report)
@@ -47,7 +48,7 @@ __all__ = [
     "DEFAULT_INTEGRATOR", "DegenerateMeasureError", "Density", "Dihedral",
     "DomainError", "EntropyForm", "EntropyValue", "ExprEvalError",
     "ExprSyntaxError", "FiniteGroup", "Group", "GroupElement", "HaarMeasure",
-    "HaarentError", "Integrator", "MeasurableSet", "Measure",
+    "HaarentError", "IntegralResult", "Integrator", "MeasurableSet", "Measure",
     "MultiplicativePositiveReals", "NonUnitMassWarning",
     "NonnegativityCertificate", "NormalizationError",
     "NotInformationMeasureError", "RestrictedGroup", "RunSummary", "SCHEMA",
@@ -58,7 +59,8 @@ __all__ = [
     "check_translate_bound", "claim_ids", "concavity_probe", "entropic_gap",
     "entropy_finite", "entropy_of_weights", "entropy_prob", "entropy_weight",
     "eq_report", "generated_subgroup", "group_from_descriptor", "haar", "integrate",
-    "is_information_measure", "le_report", "mass", "maximize_entropy",
+    "integrate_result", "is_information_measure", "le_report", "mass",
+    "maximize_entropy",
     "measure_of_weight", "nonneg_certificate", "radon_nikodym", "reports_to_csv",
     "reports_to_json", "reports_to_table", "run_all", "run_examples",
     "skip_report", "step_density", "sup_density", "sup_normalize",

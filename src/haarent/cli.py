@@ -371,8 +371,9 @@ def _cmd_maxent(cfg: RunConfig, args) -> int:
         nu = [1.0] * args.n
     else:
         raise _UsageError("maxent needs --n or --nu")
-    if not args.mass > 0:
-        raise _UsageError(f"--mass must be positive, got {args.mass!r}")
+    if not (args.mass > 0 and math.isfinite(args.mass)):
+        raise _UsageError(f"--mass must be positive and finite, "
+                          f"got {args.mass!r}")
     if args.iters < 1:
         raise _UsageError(f"--iters must be >= 1, got {args.iters!r}")
     if not (args.step > 0 and math.isfinite(args.step)):

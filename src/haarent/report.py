@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 SCHEMA = "haarent-report/1"
 
@@ -36,8 +36,7 @@ class VerificationReport:
         return self.scope_notes.startswith("skipped:")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return {k: d[k] for k in CSV_COLUMNS}
+        return {k: getattr(self, k) for k in CSV_COLUMNS}
 
 
 def le_report(claim_id: str, lhs: float, rhs: float, tolerance: float,

@@ -67,6 +67,24 @@ class TestEntropyCommand:
         rec = json.loads(capsys.readouterr().out)
         assert rec["nats"] == pytest.approx(math.log(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-8", "1e-10"])
+    @pytest.mark.parametrize("group", ["R*mul:[0.01,1000.0]",
+                                       "R+add:[0.01,1000.0]"])
+    def test_reciprocal_on_full_window(self, tmp_path, capsys, group, tol):
+        m = write_spec(tmp_path, "inv.json", {
+            "density": {"kind": "expr", "payload": "1/x"}})
+        assert main(["entropy", "--measure", m, "--group", group,
+                     "--tol", tol, "--format", "json"]) == 0
+        nats = json.loads(capsys.readouterr().out)["nats"]
+        mass = math.log(1e5)
+        # I, the integral of q log q against the reference: q = 1 against
+        # Haar, q = 1/x against Lebesgue
+        i = 0.0 if group.startswith("R*") else \
+            -(math.log(1000.0) ** 2 - math.log(0.01) ** 2) / 2.0
+        want = math.log(mass) - i / mass
+        # each integral within rel tol moves log M - I/M by at most this
+        assert abs(nats - want) <= float(tol) * (1.0 + 2.0 * abs(i) / mass)
+
     def test_set_restriction(self, tmp_path, capsys):
         space = {"kind": "interval", "bounds": [0.0, 4.0]}
         m = write_spec(tmp_path, "m.json", {
@@ -213,6 +231,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.rstrip().splitlines()[-1].startswith("PASS")
 
+    def test_mixed_reference_seed_no_longer_gives_up(self, capsys):
+        # this seed used to exit 3 with an error bound of 3.3e-13, far
+        # inside the tolerance
+        assert main(["verify", "--claim", "ex-mixed-reference", "--seed",
+                     "288545017", "--trials", "20"]) == 0
+        capsys.readouterr()
+
     def test_unknown_claim_exits_two(self, capsys):
         code = main(["verify", "--claim", "thm-bogus"])
         assert code == 2
@@ -292,6 +317,11 @@ class TestMaxentCommand:
     def test_non_finite_step_is_usage_error(self, capsys, step):
         assert main(["maxent", "--n", "3", "--step", step]) == 2
         assert "--step must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mass", ["inf", "nan"])
+    def test_non_finite_mass_is_usage_error(self, capsys, mass):
+        assert main(["maxent", "--n", "3", "--mass", mass]) == 2
+        assert "--mass must be positive and finite" in capsys.readouterr().err
 
     def test_diverging_step_exits_three(self, capsys):
         code = main(["maxent", "--nu", "1,2,3", "--step", "1e8",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from haarent.errors import ConvergenceError, DomainError
 from haarent.measures import MeasurableSet, Space
-from haarent.quadrature import DEFAULT_INTEGRATOR, Integrator, integrate, xlogx
+from haarent.quadrature import (DEFAULT_INTEGRATOR, IntegralResult,
+                                Integrator, integrate, integrate_result, xlogx)
 
 UNIT = Space.interval(0.0, 1.0)
 
@@ -122,6 +123,96 @@ class TestIntegrate:
                 lambda x: sum(c * x ** k for k, c in enumerate(coef)),
                 full(a, b))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+ADD_WINDOW = (-10.0, 15.0)       # the verifier's R+add window
+MUL_WINDOW = (0.01, 1000.0)      # the R*mul window, also used on R+add
+
+# (name, integrand, window, exact value), exact values from antiderivatives
+CLOSED_FORMS = [
+    ("gauss", lambda x: math.exp(-x * x), ADD_WINDOW,
+     math.sqrt(math.pi) / 2.0 * (math.erf(15.0) + math.erf(10.0))),
+    ("cos", math.cos, ADD_WINDOW, math.sin(15.0) + math.sin(10.0)),
+    ("cubic", lambda x: x ** 3 - 2.0 * x, ADD_WINDOW,
+     (15.0 ** 4 - 10.0 ** 4) / 4.0 - (15.0 ** 2 - 10.0 ** 2)),
+    ("exp-decay", lambda x: math.exp(-0.3 * x), ADD_WINDOW,
+     (math.exp(3.0) - math.exp(-4.5)) / 0.3),
+    ("inv", lambda x: 1.0 / x, MUL_WINDOW, math.log(1e5)),
+    ("log-over-x", lambda x: math.log(x) / x, MUL_WINDOW,
+     (math.log(1000.0) ** 2 - math.log(0.01) ** 2) / 2.0),
+    ("inv-sqrt", lambda x: 1.0 / math.sqrt(x), MUL_WINDOW,
+     2.0 * (math.sqrt(1000.0) - 0.1)),
+    ("inv-log-inv", lambda x: xlogx(1.0 / x), MUL_WINDOW,
+     -(math.log(1000.0) ** 2 - math.log(0.01) ** 2) / 2.0),
+    ("sqrt-from-0", math.sqrt, (0.0, 6.97), 2.0 / 3.0 * 6.97 ** 1.5),
+    ("xlogx-from-0", xlogx, (0.0, 1.0), -0.25),
+    # log(0) raises ValueError: the endpoint must never be evaluated
+    ("log-from-0", math.log, (0.0, 2.0), 2.0 * math.log(2.0) - 2.0),
+]
+
+
+class TestContract:
+    """|I - true| <= error_bound <= max(rel_tol*|I|, abs_tol)."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("name,f,window,exact", CLOSED_FORMS,
+                             ids=[c[0] for c in CLOSED_FORMS])
+    def test_closed_forms_on_full_windows(self, name, f, window, exact,
+                                          rel_tol):
+        cfg = Integrator(rel_tol=rel_tol)
+        r = integrate_result(f, full(*window), cfg)
+        # the exact value is itself rounded: allow a few ulps of it
+        assert abs(r.value - exact) <= r.error_bound + 8e-16 * abs(exact)
+        assert r.error_bound <= max(rel_tol * abs(r.value), cfg.abs_tol)
+
+    def test_reciprocal_full_window_cost(self):
+        # 1/x on [0.01, 1000] was missed by 1.21e-5 at rel 1e-6 and gave
+        # up at rel 1e-10; plain bisection resolves it in under 600 nodes
+        r = integrate_result(lambda x: 1.0 / x, full(*MUL_WINDOW))
+        assert r.evals <= 600
+
+    def test_result_fields(self):
+        r = integrate_result(lambda x: x * x, full(0.0, 3.0))
+        assert isinstance(r, IntegralResult)
+        assert r.value == pytest.approx(9.0, rel=1e-15)
+        assert (r.evals, r.panels, r.worst_panel) == (15, 1, (0.0, 3.0))
+        assert integrate(lambda x: x * x, full(0.0, 3.0)) == r.value
+
+    def test_finite_result(self):
+        space = Space.finite(["a", "b", "c"])
+        s = MeasurableSet.of_atoms(space, ["a", "c"])
+        r = integrate_result(lambda p: {"a": 0.25, "c": 0.5}[p], s)
+        assert r == IntegralResult(0.75, 0.0, 2, 0, None)
+
+    def test_repeated_calls_bit_identical(self):
+        def kinked(x):
+            return math.exp(-abs(x - 1.3)) + (2.0 if x > 0.4 else 0.5)
+
+        runs = [integrate_result(kinked, full(-1.0, 4.0),
+                                 Integrator(rel_tol=1e-10),
+                                 breakpoints=[0.4])
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0].value.hex() == runs[1].value.hex()
+        assert runs[0].error_bound.hex() == runs[1].error_bound.hex()
+
+    def test_convergence_error_names_worst_panel(self):
+        cfg = Integrator(rel_tol=1e-10, max_depth=10)
+        with pytest.raises(ConvergenceError) as err:
+            integrate(lambda x: 1.0 if x < 1.0 / math.pi else 3.0,
+                      full(0.0, 1.0), cfg)
+        # the panel 10 bisections deep that holds the jump at 1/pi
+        assert "worst panel [0.3173828125, 0.318359375]" in str(err.value)
+        assert err.value.error_bound > 1e-10
+
+    @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+    def test_matches_scipy_quad(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+        for name, f, window, _ in CLOSED_FORMS:
+            want, _err = quad(f, *window, epsabs=1e-13, epsrel=1e-12,
+                              limit=500)
+            got = integrate(f, full(*window))
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), name
 
 
 class TestIntegratorConfig:

@@ -1,7 +1,9 @@
 import math
+from dataclasses import asdict
 
 import pytest
 
+from haarent import report
 from haarent.entropy import entropy_finite
 from haarent.errors import CatalogError
 from haarent.groups import (AdditiveReals, Dihedral, haar, subgroup_chains)
@@ -169,3 +171,36 @@ class TestRunAll:
         a = run_all(seed=4, trials=2)
         b = run_all(seed=4, trials=2)
         assert a.reports == b.reports
+
+
+class TestReportRecords:
+    REPORTS = [
+        report.le_report("lem-x", 0.25, 1.0, 1e-9, seed=3, trial=2,
+                         scope_notes="a, \"quoted\" note"),
+        report.eq_report("lem-y", -0.0, math.inf, 1e-12, seed=2 ** 40),
+        report.eq_report("lem-z", math.nan, 1.0, 1e-6, seed=0, trial=7),
+        report.skip_report("lem-w", "no instance", 1e-9, seed=5, trial=1),
+    ]
+
+    @staticmethod
+    def _asdict_row(r):
+        d = asdict(r)
+        return {k: d[k] for k in report.CSV_COLUMNS}
+
+    def test_to_dict_matches_asdict(self):
+        for r in self.REPORTS:
+            got, want = r.to_dict(), self._asdict_row(r)
+            assert list(got) == list(want) == report.CSV_COLUMNS
+            for k in report.CSV_COLUMNS:
+                assert type(got[k]) is type(want[k])
+                assert repr(got[k]) == repr(want[k])
+
+    def test_serializations_unchanged(self, monkeypatch):
+        rendered = [render(self.REPORTS) for render in (
+            report.reports_to_json, report.reports_to_csv,
+            report.reports_to_table)]
+        monkeypatch.setattr(report.VerificationReport, "to_dict",
+                            self._asdict_row)
+        assert rendered == [render(self.REPORTS) for render in (
+            report.reports_to_json, report.reports_to_csv,
+            report.reports_to_table)]
