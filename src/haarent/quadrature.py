@@ -4,10 +4,13 @@ Finite sets are summed exactly (math.fsum in atom order). Interval unions
 use QUADPACK's QAG scheme (Piessens et al., *QUADPACK*, 1983): the set is
 cut at the declared breakpoints, each panel gets a 7-point Gauss /
 15-point Kronrod rule, and the panel with the largest error estimate is
-bisected until the summed estimates meet the tolerance. Kronrod nodes lie
-strictly inside a panel, so an integrand is never evaluated on a seeded
+bisected until the summed estimates meet the tolerance. Kronrod nodes are
+kept strictly inside each panel (math.nextafter clamps them where a panel
+is only a few ulps wide, and a panel is not bisected once a half would
+hold no float inside it), so an integrand is never evaluated on a seeded
 breakpoint or an endpoint: each panel sees one smooth piece, and
-integrable endpoint singularities need no special handling.
+integrable endpoint singularities need no special handling. The one
+exception is a seeded panel one ulp wide, which has no inside.
 Identical inputs produce bit-identical results: no randomness, fixed
 evaluation order, and math.fsum over panels.
 """
@@ -32,14 +35,17 @@ class Integrator:
     """Quadrature configuration.
 
     The contract: the returned integral I satisfies
-    |I - true| <= max(rel_tol*|I|, abs_tol), because the panels' error
-    estimates sum to at most that. The estimates are QUADPACK's, which
-    are reliable for integrands smooth between breakpoints (or with
-    integrable endpoint singularities). max_depth caps the bisections: a
-    panel cut max_depth times from a panel seeded at the breakpoints is
-    not split again. When every panel is at that depth or at the rounding
-    floor of its rule and the estimates still exceed the tolerance,
-    integrate raises ConvergenceError.
+    |I - true| <= max(rel_tol*|I|, abs_tol, floor), because the panels'
+    error estimates sum to at most that. floor is the rounding floor of
+    the rule, 50*eps times the integral of |f|; it exceeds the tolerance
+    only for integrals that cancel to far below the integral of |f|, and
+    then the returned bound is that floor (as QUADPACK's ier=2). The
+    estimates are QUADPACK's, which are reliable for integrands smooth
+    between breakpoints (or with integrable endpoint singularities).
+    max_depth caps the bisections: a panel cut max_depth times from a
+    panel seeded at the breakpoints is not split again. When no panel can
+    be split and some panel's estimate is still above its rounding floor
+    while the sum exceeds the tolerance, integrate raises ConvergenceError.
     """
 
     rel_tol: float = 1e-10
@@ -63,7 +69,8 @@ class IntegralResult:
     """One integral and how it was obtained.
 
     error_bound is the sum of the final panels' error estimates (0 for a
-    finite set); evals counts integrand nodes (15 per Kronrod panel, one
+    finite set), above the tolerance only when it is the rounding floor
+    of the rule; evals counts integrand nodes (15 per Kronrod panel, one
     per atom); panels is the size of the final partition; worst_panel is
     the (a, b) of the panel with the largest estimate, None when there
     are no panels.
@@ -155,14 +162,13 @@ def _kronrod(f, a: float, b: float) -> tuple[float, float, bool]:
     """
     h = 0.5 * (b - a)
     c = a + h
-    try:
-        fx = [f(c + h * t) for t in _NODES]
-        ok = math.isfinite(sum(fx))
-    except (OverflowError, ZeroDivisionError):
-        ok = False
-    if not ok:
-        nudge = (b - a) * 1e-12
-        fx = [_eval(f, c + h * t, nudge) for t in _NODES]
+    xs = [c + h * t for t in _NODES]
+    if xs[0] <= a or xs[-1] >= b:
+        # a panel a few ulps wide: rounding put an outer node on an end
+        lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+        xs = [min(max(x, lo), hi) for x in xs]
+    nudge = (b - a) * 1e-12
+    fx = [_eval(f, x, nudge) for x in xs]
     resk = sum(map(mul, _WK, fx))
     resabs = h * sum(map(mul, _WK, map(abs, fx)))
     mean = 0.5 * resk
@@ -187,35 +193,50 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
         return IntegralResult(math.fsum(f(a) for a in s.iter_atoms()), 0.0,
                               len(s.atoms), 0, None)
 
-    parts = {}  # the current partition: index -> (a, b, value, error)
-    heap = []   # (-error, index, a, b, depth) of the parts still splittable
+    heap = []    # (-error, index, a, b, value, depth) of the splittable panels
+    done = []    # (a, b, value, error) of the final panels
+    capped = 0   # final panels still above their rounding floor
+    # running totals steer the loop (QUADPACK's result and errsum); the
+    # stop is confirmed, and the totals re-synced, with fsum over the panels
+    value = bound = 0.0
     todo = [(a, b, 0) for a, b in _split_panels(s.intervals, breakpoints)]
     count = 0
     while True:
         for a, b, depth in todo:
             v, err, final = _kronrod(f, a, b)
-            parts[count] = (a, b, v, err)
-            if not final and depth < cfg.max_depth:
-                heapq.heappush(heap, (-err, count, a, b, depth))
+            value += v
+            bound += err
+            if final or depth >= cfg.max_depth:
+                done.append((a, b, v, err))
+                capped += not final
+            else:
+                heapq.heappush(heap, (-err, count, a, b, v, depth))
             count += 1
-        value = math.fsum(map(itemgetter(2), parts.values()))
-        bound = math.fsum(map(itemgetter(3), parts.values()))
-        met = bound <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if met or not heap:
-            break
-        _, i, a, b, depth = heapq.heappop(heap)
-        del parts[i]
+        if not heap or not bound > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            parts = done + [(a, b, v, -e) for e, _, a, b, v, _ in heap]
+            value = math.fsum(map(itemgetter(2), parts))
+            bound = math.fsum(map(itemgetter(3), parts))
+            met = bound <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+            if met or not heap:
+                break
+        e, _, a, b, v, depth = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        todo = ((a, m, depth + 1), (m, b, depth + 1))
+        if math.nextafter(a, b) < m < math.nextafter(b, a):
+            value -= v
+            bound += e
+            todo = ((a, m, depth + 1), (m, b, depth + 1))
+        else:  # a half would hold no float inside it
+            done.append((a, b, v, -e))
+            capped += 1
+            todo = ()
 
-    worst = max(parts.values(), key=itemgetter(3), default=None)
-    if not met:
+    worst = max(parts, key=itemgetter(3), default=None)
+    if not met and capped:
         a, b, _, err = worst
         raise ConvergenceError(
-            f"quadrature did not converge: every panel is {cfg.max_depth} "
-            f"bisections deep or at its rounding floor (best estimate "
-            f"{value!r}, error bound {bound!r}; worst panel [{a!r}, {b!r}] "
-            f"with error {err!r})",
+            f"quadrature did not converge: no panel can be split further "
+            f"(best estimate {value!r}, error bound {bound!r}; worst panel "
+            f"[{a!r}, {b!r}] with error {err!r})",
             estimate=value, error_bound=bound)
     return IntegralResult(value, bound, 15 * count, len(parts),
                           None if worst is None else worst[:2])
@@ -228,9 +249,10 @@ def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     For a finite set this is the exact sum of f over its atoms. For an
     interval union it is global-adaptive Gauss-Kronrod, panels seeded at
     `breakpoints`, and the result meets the Integrator contract
-    |I - true| <= max(rel_tol*|I|, abs_tol) as far as the error estimates
-    are reliable. Raises ConvergenceError (carrying the best estimate and
-    error bound, and naming the worst panel) when no panel can be split
-    further and the bound still exceeds the tolerance.
+    |I - true| <= max(rel_tol*|I|, abs_tol, rounding floor) as far as the
+    error estimates are reliable. Raises ConvergenceError (carrying the
+    best estimate and error bound, and naming the worst panel) when no
+    panel can be split further and the bound still exceeds both the
+    tolerance and the rounding floor.
     """
     return integrate_result(f, s, cfg, breakpoints).value

@@ -196,6 +196,54 @@ class TestContract:
         assert runs[0].value.hex() == runs[1].value.hex()
         assert runs[0].error_bound.hex() == runs[1].error_bound.hex()
 
+    @pytest.mark.parametrize("f,window,abs_integral", [
+        (lambda x: x, (-10.0, 10.0), 100.0),
+        (lambda x: x ** 3 - x, (-10.0, 10.0), 4901.0),
+        (lambda x: x, (-1000.0, 1000.0), 1e6),
+        (math.sin, (0.0, 200.0 * math.pi), 400.0),
+    ], ids=["x", "cubic", "x-wide", "sin"])
+    def test_cancelling_integral_returns_rounding_floor(self, f, window,
+                                                        abs_integral):
+        # the exact value is 0, but the rounding floor 50*eps*int|f| of
+        # the rule is above abs_tol: the value comes back with that bound
+        # (int|f| as the rule estimates it, within 10% here)
+        r = integrate_result(f, full(*window))
+        floor = 50.0 * 2.0 ** -52 * abs_integral
+        assert DEFAULT_INTEGRATOR.abs_tol < r.error_bound <= 1.1 * floor
+        assert abs(r.value) <= r.error_bound
+
+    def test_cancelling_integral_within_abs_tol(self):
+        assert abs(integrate(lambda x: x, full(-10.0, 10.0))) <= 1e-12
+        assert abs(integrate(lambda x: x ** 3 - x, full(-10.0, 10.0))) <= 1e-12
+
+    def test_nodes_strictly_inside_narrow_panels(self):
+        # near 1000 the panels at the singular end are a few ulps wide;
+        # rounding must not put a node on the end, where f divides by 0
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return (1000.0 - x) ** -0.5
+
+        r = integrate_result(f, full(999.0, 1000.0), Integrator(rel_tol=1e-6))
+        assert 999.0 < min(xs) and max(xs) < 1000.0
+        assert abs(r.value - 2.0) <= r.error_bound
+
+    def test_panel_too_narrow_to_halve_raises(self):
+        # three ulps wide with ulp-scale noise: the halves of the panel
+        # would hold no float inside them, so it cannot be split
+        a = 1e6
+        b = math.nextafter(math.nextafter(math.nextafter(a, 2e6), 2e6), 2e6)
+        xs = []
+
+        def noise(x):
+            xs.append(x)
+            return float(int(math.frexp(x)[0] * 2.0 ** 53) % 2)
+
+        with pytest.raises(ConvergenceError):
+            integrate(noise, full(a, b))
+        assert a < min(xs) and max(xs) < b
+
     def test_convergence_error_names_worst_panel(self):
         cfg = Integrator(rel_tol=1e-10, max_depth=10)
         with pytest.raises(ConvergenceError) as err:
