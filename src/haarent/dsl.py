@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError, ExprEvalError, ExprSyntaxError
@@ -47,6 +48,15 @@ _VARIADIC_FUNCS = ("min", "max")
 
 class Expr:
     __slots__ = ()
+
+    @cached_property
+    def _code(self):
+        return _compile(self)
+
+    @cached_property
+    def _fn(self):
+        """The compiled function of x; see evaluate."""
+        return _as_fn(self._code)
 
 
 @dataclass(frozen=True)
@@ -364,66 +374,168 @@ def _eval_error(message: str, node: Expr, x: float) -> ExprEvalError:
 def evaluate(e: Expr, x: float) -> float:
     """Evaluate at x. Domain faults (log of a nonpositive value, division
     by zero, sqrt of a negative, 0 to a negative power, a fractional power
-    of a negative base, no matching piecewise branch) raise ExprEvalError.
-    Overflow saturates to inf."""
+    of a negative base, no matching piecewise branch) raise ExprEvalError
+    naming the faulting subexpression and x. Overflow saturates to inf.
+
+    A tree is compiled once, on its first evaluation, into nested closures
+    cached on its nodes (see _compile); later evaluations call them and do
+    not walk the tree. Values and faults are those of a walk of the tree.
+    """
+    try:
+        fn = e._fn
+    except AttributeError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+    return fn(x)
+
+
+# Compilation. Every node compiles to a code: a number for a subtree
+# without x whose evaluation does not fault (its value, folded once), or a
+# closure of x. A closure makes the math calls of a walk of its subtree in
+# the same order, so its value, its overflow saturation and its faults are
+# bit for bit those of the walk.
+
+
+def _var(x):
+    return x
+
+
+def _as_fn(code):
+    return code if callable(code) else (lambda x: code)
+
+
+_ARITH = {
+    "+": lambda f, g: lambda x: f(x) + g(x),
+    "-": lambda f, g: lambda x: f(x) - g(x),
+    "*": lambda f, g: lambda x: f(x) * g(x),
+}
+
+
+def _divide(e: BinOp, f, g):
+    def divide(x):
+        num = f(x)
+        den = g(x)
+        if den == 0:
+            raise _eval_error("division by zero", e, x)
+        return num / den
+    return divide
+
+
+def _power(e: BinOp, f, g):
+    # math.pow, not **: ** yields a complex for (-2.0) ** 0.5
+    pow_, inf = math.pow, math.inf
+
+    def power(x):
+        base = f(x)
+        exponent = g(x)
+        try:
+            return pow_(base, exponent)
+        except OverflowError:
+            return inf
+        except ValueError:
+            if base == 0.0:
+                raise _eval_error(
+                    "zero raised to a negative power", e, x) from None
+            raise _eval_error(
+                "fractional power of a negative base", e, x) from None
+    return power
+
+
+def _exp(f):
+    exp, inf = math.exp, math.inf
+
+    def exp_f(x):
+        v = f(x)
+        try:
+            return exp(v)
+        except OverflowError:
+            return inf
+    return exp_f
+
+
+def _log(e: Call, f):
+    log = math.log
+
+    def log_f(x):
+        v = f(x)
+        if v <= 0:
+            raise _eval_error("log of a nonpositive value", e, x)
+        return log(v)
+    return log_f
+
+
+def _sqrt(e: Call, f):
+    sqrt = math.sqrt
+
+    def sqrt_f(x):
+        v = f(x)
+        if v < 0:
+            raise _eval_error("sqrt of a negative value", e, x)
+        return sqrt(v)
+    return sqrt_f
+
+
+def _piecewise(e: Piecewise):
+    branches = tuple((g.matches, body._fn) for g, body in e.branches)
+    otherwise = None if e.otherwise is None else e.otherwise._fn
+
+    def piecewise(x):
+        for matches, fn in branches:
+            if matches(x):
+                return fn(x)
+        if otherwise is not None:
+            return otherwise(x)
+        raise _eval_error("no piecewise branch matches", e, x)
+    return piecewise
+
+
+def _compile(e: Expr):
+    """The code of e (see above), compiling its children first.
+
+    A closure that can fault names a field-for-field copy of e in its
+    ExprEvalError: e itself caches the closure, and the cycle would keep
+    the tree alive until the garbage collector ran."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, x)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, x)
-        b = evaluate(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise _eval_error("division by zero", e, x)
-            return a / b
-        # math.pow, not **: ** yields a complex for (-2.0) ** 0.5
-        try:
-            return math.pow(a, b)
-        except OverflowError:
-            return math.inf
-        except ValueError:
-            if a == 0.0:
-                raise _eval_error("zero raised to a negative power", e, x) \
-                    from None
-            raise _eval_error(
-                "fractional power of a negative base", e, x) from None
-    if isinstance(e, Call):
-        args = [evaluate(arg, x) for arg in e.args]
-        if e.func == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                return math.inf
-        if e.func == "log":
-            if args[0] <= 0:
-                raise _eval_error("log of a nonpositive value", e, x)
-            return math.log(args[0])
-        if e.func == "abs":
-            return abs(args[0])
-        if e.func == "sqrt":
-            if args[0] < 0:
-                raise _eval_error("sqrt of a negative value", e, x)
-            return math.sqrt(args[0])
-        if e.func == "min":
-            return min(args)
-        return max(args)
+        return _var
     if isinstance(e, Piecewise):
-        for guard, body in e.branches:
-            if guard.matches(x):
-                return evaluate(body, x)
-        if e.otherwise is not None:
-            return evaluate(e.otherwise, x)
-        raise _eval_error("no piecewise branch matches", e, x)
-    raise TypeError(f"not an expression node: {e!r}")
+        return _piecewise(replace(e))
+    if isinstance(e, Neg):
+        operands = (e.operand._code,)
+    elif isinstance(e, BinOp):
+        operands = (e.left._code, e.right._code)
+    elif isinstance(e, Call):
+        operands = tuple(arg._code for arg in e.args)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    fns = tuple(map(_as_fn, operands))
+    f = fns[0]
+    if isinstance(e, Neg):
+        fn = lambda x: -f(x)
+    elif isinstance(e, BinOp):
+        if e.op == "/":
+            fn = _divide(replace(e), *fns)
+        elif e.op == "^":
+            fn = _power(replace(e), *fns)
+        else:
+            fn = _ARITH[e.op](*fns)
+    elif e.func == "exp":
+        fn = _exp(f)
+    elif e.func == "log":
+        fn = _log(replace(e), f)
+    elif e.func == "sqrt":
+        fn = _sqrt(replace(e), f)
+    elif e.func == "abs":
+        fn = lambda x: abs(f(x))
+    else:
+        pick = min if e.func == "min" else max
+        fn = lambda x: pick([g(x) for g in fns])
+    if not any(map(callable, operands)):
+        try:
+            return fn(0.0)  # no x below e: fold the value
+        except ExprEvalError:
+            pass  # a constant fault still reports the x it is evaluated at
+    return fn
 
 
 # ---------------------------------------------------------------------------

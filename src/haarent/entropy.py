@@ -96,10 +96,16 @@ def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator,
     """integral over s of h(f) dm, f a density or weight function.
 
     Where m's density is 0 the integrand is 0 without evaluating f, except
-    at atoms when evaluate_null_atoms is set.
+    at atoms when evaluate_null_atoms is set. A constant positive density
+    is never 0, and multiplies the integrand inline (or not at all for 1).
     """
     f_ev, w_ev = f.evaluator, m.density.evaluator
-    if evaluate_null_atoms and s.is_finite:
+    c = m.density.constant
+    if c == 1.0:
+        integrand = lambda x: h(f_ev(x))   # y * 1.0 == y
+    elif c is not None and c > 0:
+        integrand = lambda x: h(f_ev(x)) * c
+    elif evaluate_null_atoms and s.is_finite:
         integrand = lambda x: h(f_ev(x)) * w_ev(x)
     else:
         def integrand(x):

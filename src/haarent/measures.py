@@ -241,6 +241,8 @@ class Density:
         factor = float(factor)
         if factor < 0:
             raise DomainError(f"scale factor must be nonnegative: {factor!r}")
+        if factor == 1.0:
+            return self  # y * 1.0 == y: no wrapper
         if self.constant is not None:
             return Density.const(self.constant * factor)
         ev = self.evaluator
@@ -406,6 +408,15 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
             raise AbsoluteContinuityError(
                 "reference is the zero measure but the numerator is not")
         return Density.const(md.constant / rd.constant)
+    bps = merge_breakpoints(md.breakpoints, rd.breakpoints)
+    c = rd.constant
+    if c is not None and c > 0:
+        # a positive constant reference never vanishes, and y / 1.0 == y
+        # for a float y; an atom may be an int, which y / 1.0 makes a float
+        sup = None if md.sup is None else md.sup / c
+        if c == 1.0 and not m.space.is_finite:
+            return Density(md.evaluator, bps, sup=sup)
+        return Density(lambda x, _m=md.evaluator: _m(x) / c, bps, sup=sup)
 
     def quot(x, _m=md.evaluator, _r=rd.evaluator):
         den = _r(x)
@@ -418,11 +429,7 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
                 f"has density {num!r}")
         return num / den
 
-    bps = merge_breakpoints(md.breakpoints, rd.breakpoints)
-    sup = None
-    if rd.constant is not None and rd.constant > 0 and md.sup is not None:
-        sup = md.sup / rd.constant
-    return Density(quot, bps, sup=sup)
+    return Density(quot, bps)
 
 
 def weight_of(m: Measure, reference: Measure,

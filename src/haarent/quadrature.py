@@ -45,7 +45,9 @@ class Integrator:
     max_depth caps the bisections: a panel cut max_depth times from a
     panel seeded at the breakpoints is not split again. When no panel can
     be split and some panel's estimate is still above its rounding floor
-    while the sum exceeds the tolerance, integrate raises ConvergenceError.
+    while the sum exceeds the tolerance, integrate raises ConvergenceError;
+    it does so too when 2000 bisections of one integral (the module's cap,
+    as QUADPACK's limit) have not met the tolerance.
     """
 
     rel_tol: float = 1e-10
@@ -109,12 +111,11 @@ def _split_panels(intervals: Iterable[tuple[float, float]],
     return panels
 
 
-def _eval(f: Callable[[float], float], x: float, nudge: float) -> float:
-    """Evaluate f, stepping off integrable singularities that sit on a node."""
-    try:
-        v = f(x)
-    except (OverflowError, ZeroDivisionError):
-        v = math.nan
+def _step_off(f: Callable[[float], float], x: float, nudge: float,
+              v) -> float:
+    """The value at node x, given f's value v there (nan when f raised
+    OverflowError or ZeroDivisionError): v as a float when finite, else
+    f just off the node, stepping off an integrable singularity on it."""
     if isinstance(v, float) and math.isfinite(v):
         return v
     if not isinstance(v, float):
@@ -150,6 +151,14 @@ _WK = _WK7 + (0.209482141084727828012999174891714,) + _WK7[::-1]
 _WG = _WG7 + (0.417959183673469387755102040816327,) + _WG7[::-1]
 _WD = tuple(k - g for k, g in zip(_WK, _WG))
 _ROUNDOFF = 50.0 * 2.0 ** -52
+# Cap on the bisections of one integral, so on the panels it adds to
+# those seeded at the breakpoints (QUADPACK's limit). The largest
+# partition any caller needs today has 39 panels; without a cap an
+# integrand that oscillates without end near a point, such as sin(1/x)
+# on [0, 1], splits forever, because the panels near the point multiply
+# long before any of them reaches max_depth. 2000 bisections leave a
+# margin of fifty times and cost about 60,000 nodes.
+_MAX_SPLITS = 2000
 
 
 def _kronrod(f, a: float, b: float) -> tuple[float, float, bool]:
@@ -168,7 +177,19 @@ def _kronrod(f, a: float, b: float) -> tuple[float, float, bool]:
         lo, hi = math.nextafter(a, b), math.nextafter(b, a)
         xs = [min(max(x, lo), hi) for x in xs]
     nudge = (b - a) * 1e-12
-    fx = [_eval(f, x, nudge) for x in xs]
+    # one call of f per node; only a fault or a value that is not a finite
+    # float goes on to _step_off
+    isfinite = math.isfinite
+    fx = []
+    for x in xs:
+        try:
+            v = f(x)
+        except (OverflowError, ZeroDivisionError):
+            v = _step_off(f, x, nudge, math.nan)
+        else:
+            if type(v) is not float or not isfinite(v):
+                v = _step_off(f, x, nudge, v)
+        fx.append(v)
     resk = sum(map(mul, _WK, fx))
     resabs = h * sum(map(mul, _WK, map(abs, fx)))
     mean = 0.5 * resk
@@ -200,7 +221,7 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     # stop is confirmed, and the totals re-synced, with fsum over the panels
     value = bound = 0.0
     todo = [(a, b, 0) for a, b in _split_panels(s.intervals, breakpoints)]
-    count = 0
+    count = splits = 0
     while True:
         for a, b, depth in todo:
             v, err, final = _kronrod(f, a, b)
@@ -212,18 +233,21 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
             else:
                 heapq.heappush(heap, (-err, count, a, b, v, depth))
             count += 1
-        if not heap or not bound > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        full = splits >= _MAX_SPLITS
+        if (not heap or full
+                or not bound > max(cfg.abs_tol, cfg.rel_tol * abs(value))):
             parts = done + [(a, b, v, -e) for e, _, a, b, v, _ in heap]
             value = math.fsum(map(itemgetter(2), parts))
             bound = math.fsum(map(itemgetter(3), parts))
             met = bound <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            if met or not heap:
+            if met or not heap or full:
                 break
         e, _, a, b, v, depth = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if math.nextafter(a, b) < m < math.nextafter(b, a):
             value -= v
             bound += e
+            splits += 1
             todo = ((a, m, depth + 1), (m, b, depth + 1))
         else:  # a half would hold no float inside it
             done.append((a, b, v, -e))
@@ -231,11 +255,13 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
             todo = ()
 
     worst = max(parts, key=itemgetter(3), default=None)
-    if not met and capped:
+    if not met and (capped or heap):
         a, b, _, err = worst
+        why = (f"{_MAX_SPLITS} bisections did not suffice" if heap
+               else "no panel can be split further")
         raise ConvergenceError(
-            f"quadrature did not converge: no panel can be split further "
-            f"(best estimate {value!r}, error bound {bound!r}; worst panel "
+            f"quadrature did not converge: {why} (best estimate "
+            f"{value!r}, error bound {bound!r}; worst panel "
             f"[{a!r}, {b!r}] with error {err!r})",
             estimate=value, error_bound=bound)
     return IntegralResult(value, bound, 15 * count, len(parts),
@@ -253,6 +279,7 @@ def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     error estimates are reliable. Raises ConvergenceError (carrying the
     best estimate and error bound, and naming the worst panel) when no
     panel can be split further and the bound still exceeds both the
-    tolerance and the rounding floor.
+    tolerance and the rounding floor, or when the cap on bisections is
+    reached first.
     """
     return integrate_result(f, s, cfg, breakpoints).value

@@ -74,27 +74,32 @@ def _require_nonempty(s: MeasurableSet) -> None:
         raise DomainError("the set is empty; a sup over it is undefined")
 
 
-def _sup_and_argmax(m: Measure, reference: Measure, s: MeasurableSet) -> tuple:
+def _sup_and_argmax(m: Measure, reference: Measure, s: MeasurableSet,
+                    argmax: bool = True) -> tuple:
+    """(sup, argmax) of dm/dreference over s. A declared analytic sup
+    overrides the grid when s is the full space; the grid is then scanned
+    only when the argmax is asked for (else it is None)."""
     _require_nonempty(s)
     quot = radon_nikodym(m, reference)
     if quot.constant is not None:
         at = s.atoms[0] if s.is_finite else s.intervals[0][0]
         return quot.constant, at
+    declared = quot.sup is not None and s == MeasurableSet.full(s.space)
+    if declared and not argmax:
+        return quot.sup, None
     _, _, hi, at = _extrema_on_set(quot.evaluator, s, quot.breakpoints)
-    if quot.sup is not None and s == MeasurableSet.full(s.space):
-        return quot.sup, at
-    return hi, at
+    return (quot.sup if declared else hi), at
 
 
 def sup_density(m: Measure, reference: Measure, s: MeasurableSet) -> float:
     """Supremum of dm/dreference over s.
 
     Exact for finite spaces and constant quotients; a declared analytic sup
-    overrides the grid estimate when s is the full space. Otherwise this is
-    a grid lower bound of the true sup (refined around the incumbent).
+    is returned, without a scan, when s is the full space. Otherwise this
+    is a grid lower bound of the true sup (refined around the incumbent).
     Raises DomainError when s is empty.
     """
-    return _sup_and_argmax(m, reference, s)[0]
+    return _sup_and_argmax(m, reference, s, argmax=False)[0]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
+import gc
 import math
+import random
+import weakref
 
 import pytest
 
-from haarent.dsl import (BinOp, Call, Neg, Num, Piecewise, Var, breakpoints,
-                         density_from_expr, evaluate, format_expr, parse,
-                         parse_set, weight_from_expr)
+from haarent.dsl import (BinOp, Call, Guard, Neg, Num, Piecewise, Var,
+                         breakpoints, density_from_expr, evaluate,
+                         format_expr, parse, parse_set, weight_from_expr)
 from haarent.errors import ExprEvalError, ExprSyntaxError
 from haarent.measures import MeasurableSet, Space
 
@@ -149,6 +152,174 @@ class TestEvaluate:
     def test_no_matching_branch(self):
         with pytest.raises(ExprEvalError):
             evaluate(parse("piecewise {x < 0.5: 1}"), 0.75)
+
+
+# The tree walk that evaluate was before trees were compiled, verbatim
+# but for its name: the reference the compiled closures must match.
+
+
+def _eval_error(message, node, x):
+    return ExprEvalError(message, subexpression=format_expr(node), x=x)
+
+
+def reference_evaluate(e, x):
+    """Evaluate at x. Domain faults (log of a nonpositive value, division
+    by zero, sqrt of a negative, 0 to a negative power, a fractional power
+    of a negative base, no matching piecewise branch) raise ExprEvalError.
+    Overflow saturates to inf."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Neg):
+        return -reference_evaluate(e.operand, x)
+    if isinstance(e, BinOp):
+        a = reference_evaluate(e.left, x)
+        b = reference_evaluate(e.right, x)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0:
+                raise _eval_error("division by zero", e, x)
+            return a / b
+        # math.pow, not **: ** yields a complex for (-2.0) ** 0.5
+        try:
+            return math.pow(a, b)
+        except OverflowError:
+            return math.inf
+        except ValueError:
+            if a == 0.0:
+                raise _eval_error("zero raised to a negative power", e, x) \
+                    from None
+            raise _eval_error(
+                "fractional power of a negative base", e, x) from None
+    if isinstance(e, Call):
+        args = [reference_evaluate(arg, x) for arg in e.args]
+        if e.func == "exp":
+            try:
+                return math.exp(args[0])
+            except OverflowError:
+                return math.inf
+        if e.func == "log":
+            if args[0] <= 0:
+                raise _eval_error("log of a nonpositive value", e, x)
+            return math.log(args[0])
+        if e.func == "abs":
+            return abs(args[0])
+        if e.func == "sqrt":
+            if args[0] < 0:
+                raise _eval_error("sqrt of a negative value", e, x)
+            return math.sqrt(args[0])
+        if e.func == "min":
+            return min(args)
+        return max(args)
+    if isinstance(e, Piecewise):
+        for guard, body in e.branches:
+            if guard.matches(x):
+                return reference_evaluate(body, x)
+        if e.otherwise is not None:
+            return reference_evaluate(e.otherwise, x)
+        raise _eval_error("no piecewise branch matches", e, x)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+_FAULTS = ("division by zero", "log of a nonpositive value",
+           "sqrt of a negative value", "zero raised to a negative power",
+           "fractional power of a negative base",
+           "no piecewise branch matches")
+# constants that reach every fault and overflow, and exact guard bounds
+_CONSTS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 3.0, -2.5, 1e-300, 1e300,
+           710.0, -750.0)
+_POINTS = _CONSTS + (0.25, -3.75, 1e-9, 40.0, -1e308, math.inf, -math.inf,
+                     math.nan)
+
+
+def _random_tree(rng, depth):
+    """A random tree over every node kind, operator and function."""
+    if depth == 0 or rng.random() < 0.2:
+        return Var() if rng.random() < 0.55 else Num(rng.choice(_CONSTS))
+    kind = rng.randrange(5)
+    sub = lambda: _random_tree(rng, depth - 1)
+    if kind == 0:
+        return Neg(sub())
+    if kind == 1 or kind == 2:
+        return BinOp(rng.choice("+-*/^"), sub(), sub())
+    if kind == 3:
+        func = rng.choice(("exp", "log", "abs", "sqrt", "min", "max"))
+        nargs = rng.choice((2, 2, 3)) if func in ("min", "max") else 1
+        return Call(func, tuple(sub() for _ in range(nargs)))
+    cuts = sorted(rng.sample(_CONSTS[:10], 3))
+    closed = [rng.random() < 0.5 for _ in range(4)]
+    branches = ((Guard(-math.inf, False, cuts[0], closed[0]), sub()),
+                (Guard(cuts[1], closed[1], cuts[2], closed[2]), sub()))
+    return Piecewise(branches, sub() if rng.random() < 0.5 else None)
+
+
+def _outcome(fn, tree, x):
+    try:
+        return "value", type(v := fn(tree, x)), repr(v)
+    except ExprEvalError as exc:
+        return ("fault", str(exc), exc.subexpression, repr(exc.x))
+
+
+class TestCompiledMatchesTreeWalk:
+    def test_random_trees_bit_for_bit(self):
+        rng = random.Random(20240611)
+        seen = set()
+        for _ in range(3000):
+            tree = _random_tree(rng, rng.randrange(1, 6))
+            for x in rng.sample(_POINTS, 6):
+                ref = _outcome(reference_evaluate, tree, x)
+                assert _outcome(evaluate, tree, x) == ref, (tree, x)
+                seen.add(ref[1] if ref[0] == "fault" else ref[2])
+        # every fault kind and both saturations were exercised
+        assert set(_FAULTS) <= seen
+        assert {"inf", "-inf", "nan", "-0.0"} <= seen
+
+    def test_parsed_corpus_bit_for_bit(self):
+        for source in ROUND_TRIP_CORPUS:
+            tree = parse(source)
+            for x in _POINTS:
+                assert (_outcome(evaluate, tree, x)
+                        == _outcome(reference_evaluate, tree, x)), (source, x)
+
+    def test_constant_fault_reports_each_point(self):
+        tree = parse("x + log(1 - 2)")
+        for x in (0.5, 7.0):
+            with pytest.raises(ExprEvalError) as info:
+                evaluate(tree, x)
+            assert info.value.x == x
+            assert info.value.subexpression == "log(1.0 - 2.0)"
+
+    def test_compiled_once_and_kept_on_the_tree(self):
+        tree = parse("exp(-x^2) + 1/x")
+        evaluate(tree, 0.5)
+        fn = vars(tree)["_fn"]
+        evaluate(tree, 1.5)
+        assert vars(tree)["_fn"] is fn
+        assert parse("exp(-x^2) + 1/x") == tree
+
+    def test_compiled_tree_is_freed_without_the_collector(self):
+        # a closure that names its own node would make a reference cycle
+        source = ("sqrt(x) / (x^0.5 + piecewise {x < 1: log(x); "
+                  "x > 2: 1/x})")
+        gc.disable()
+        try:
+            tree = parse(source)
+            evaluate(tree, 0.5)
+            ref = weakref.ref(tree)
+            del tree
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_not_a_tree(self):
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate("x", 1.0)
 
 
 class TestBreakpoints:

@@ -9,6 +9,7 @@ from haarent import maxent
 from haarent.errors import DomainError, StepSizeError
 from haarent.maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
                             maximize_entropy)
+from haarent.report import le_report
 
 
 def full_run_maximize(nu_weights, mass=1.0, iters=500, step=0.1, seed=0,
@@ -227,7 +228,68 @@ class TestEarlyStopIsExact:
             outcome_bits(full_run_maximize, nu, **kwargs)
 
 
+def one_pair_at_a_time_probe(nu_weights, trials=1000, seed=0, tol=1e-10,
+                             trial=0):
+    """concavity_probe as it was before the batched objective: three 1-D
+    entropy_of_weights calls per sampled pair (trials >= 1). The
+    reference for the batch's exactness."""
+    nu = np.asarray(tuple(nu_weights), dtype=float)
+    n = len(nu)
+    rng = np.random.default_rng(seed)
+    worst = (-math.inf, 0)
+    violations = 0
+    for t in range(trials):
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        lam = rng.uniform()
+        chord = lam * entropy_of_weights(p, nu) \
+            + (1.0 - lam) * entropy_of_weights(q, nu)
+        mixed = entropy_of_weights(lam * p + (1.0 - lam) * q, nu)
+        gap = chord - mixed
+        if gap > tol:
+            violations += 1
+        if gap > worst[0]:
+            worst = (gap, t)
+    notes = (f"{trials} sampled pairs, {violations} violations; "
+             f"worst chord excess {worst[0]!r} at pair {worst[1]}")
+    return le_report("maxent-concavity", worst[0], 0.0, tol, seed, trial,
+                     scope_notes=notes)
+
+
 class TestConcavityProbe:
+    @pytest.mark.parametrize("n", [2, 3, 7, 10, 64])
+    def test_batch_matches_one_pair_at_a_time(self, n):
+        rng = np.random.default_rng([5, n])
+        for seed in range(40):
+            nu = tuple(float(v) for v in rng.uniform(0.2, 2.0, n))
+            trials = int(rng.integers(1, 60))
+            for tol in (1e-10, -1.0):  # -1.0: every pair a violation
+                got = concavity_probe(nu, trials, seed, tol, trial=seed)
+                want = one_pair_at_a_time_probe(nu, trials, seed, tol,
+                                                trial=seed)
+                assert repr(got) == repr(want)
+
+    def test_one_objective_call_per_probe(self, monkeypatch):
+        calls = []
+        original = maxent.entropy_of_weights
+
+        def counted(p, nu):
+            calls.append(np.shape(p))
+            return original(p, nu)
+
+        monkeypatch.setattr(maxent, "entropy_of_weights", counted)
+        concavity_probe([0.5, 1.0, 2.0], trials=40, seed=2)
+        assert calls == [(120, 3)]
+
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(9)
+        nu = rng.uniform(0.2, 2.0, 6)
+        batch = rng.dirichlet(np.ones(6), 5)
+        batch[1, 2] = 0.0  # 0 log 0 = 0 inside a batch too
+        got = entropy_of_weights(batch, nu)
+        assert [float(v) for v in got] == \
+            [entropy_of_weights(row, nu) for row in batch]
+
     def test_uniform_reference_concave(self):
         report = concavity_probe([1.0] * 5, trials=400, seed=0)
         assert report.passed

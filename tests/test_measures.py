@@ -150,6 +150,16 @@ class TestRadonNikodym:
         ref = Measure.from_density(UNIT, step_density([0.7], [2.0, 1.0]))
         assert radon_nikodym(m, ref).breakpoints == (0.3, 0.7)
 
+    def test_constant_references_add_no_wrapper(self):
+        m = interval_measure(UNIT, lambda x: 3.0 * x + 0.25)
+        leb = Measure.lebesgue(UNIT)
+        # against 1 the quotient is the numerator itself
+        assert radon_nikodym(m, leb).evaluator is m.density.evaluator
+        halved = radon_nikodym(m, leb.scaled(2.0))
+        for x in (0.0, 0.1, 1.0 / 3.0, 1.0):
+            assert halved(x) == (3.0 * x + 0.25) / 2.0
+        assert m.density.scaled(1.0) is m.density
+
     def test_nonnegative_at_samples(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

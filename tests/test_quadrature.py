@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -252,6 +253,25 @@ class TestContract:
         # the panel 10 bisections deep that holds the jump at 1/pi
         assert "worst panel [0.3173828125, 0.318359375]" in str(err.value)
         assert err.value.error_bound > 1e-10
+
+    def test_endless_oscillation_hits_the_bisection_cap(self):
+        # sin(1/x) doubles its oscillations at every level near 0, so the
+        # panels there multiply before any reaches max_depth
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError) as err:
+            integrate(lambda x: math.sin(1.0 / x), full(0.0, 1.0))
+        assert time.perf_counter() - t0 < 2.0
+        assert "2000 bisections did not suffice" in str(err.value)
+        assert "worst panel [" in str(err.value)
+        # the exact value is 0.504067061906928...
+        assert abs(err.value.estimate - 0.5040670619) < err.value.error_bound
+
+    def test_many_seeded_panels_do_not_count_against_the_cap(self):
+        edges = [i / 4096 for i in range(1, 4096)]
+        r = integrate_result(lambda x: 1.0 if int(x * 4096) % 2 else 2.0,
+                             full(0.0, 1.0), breakpoints=edges)
+        assert r.panels == 4096
+        assert r.value == pytest.approx(1.5, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
     def test_matches_scipy_quad(self):

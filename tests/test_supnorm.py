@@ -52,6 +52,29 @@ class TestSupDensity:
         m = density_measure(UNIT, lambda x: math.exp(-40.0 * (x - 0.37) ** 2))
         assert sup_density(m, LEB, FULL) == pytest.approx(1.0, abs=1e-6)
 
+    def test_declared_sup_needs_no_scan(self):
+        step = step_density([0.3, 0.6], [1.0, 3.0, 2.0])
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return step(x)
+
+        m = Measure(UNIT, Density(counted, step.breakpoints, sup=step.sup))
+        assert sup_density(m, LEB, FULL) == 3.0
+        assert calls == []
+        # off the full space the grid still runs
+        assert sup_density(m, LEB, MeasurableSet.of_interval(UNIT, 0.0, 0.5))\
+            == 3.0
+        assert calls
+
+    def test_integer_atoms_keep_a_float_quotient(self):
+        space = Space.finite([1, 2, 3])
+        m = Measure.from_density(space, Density(lambda x: x))
+        sup = sup_density(m, Measure.counting(space),
+                          MeasurableSet.full(space))
+        assert (type(sup), sup) == (float, 3.0)
+
 
 class TestSupNormalize:
     def test_pinned_pair(self):
