@@ -17,7 +17,8 @@ from .errors import (AbsoluteContinuityError, CatalogError, ConvergenceError,
                      DegenerateMeasureError, DomainError, ExprEvalError,
                      ExprSyntaxError, HaarentError, NormalizationError,
                      NotInformationMeasureError, StepSizeError,
-                     UnsupportedOperationError, WindowOverflowError)
+                     SumOverflowError, UnsupportedOperationError,
+                     WindowOverflowError)
 from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
                      Group, GroupElement, HaarMeasure,
                      MultiplicativePositiveReals, RestrictedGroup, Subgroup,
@@ -52,7 +53,7 @@ __all__ = [
     "MultiplicativePositiveReals", "NonUnitMassWarning",
     "NonnegativityCertificate", "NormalizationError",
     "NotInformationMeasureError", "RestrictedGroup", "RunSummary", "SCHEMA",
-    "SimplexPoint", "Space", "StepSizeError", "Subgroup",
+    "SimplexPoint", "Space", "StepSizeError", "Subgroup", "SumOverflowError",
     "SupNormalizationReport", "Symmetric", "UnsupportedOperationError",
     "Verdict", "VerificationReport", "WeightFunction", "WindowOverflowError",
     "catalog", "change_reference", "check_invariance",

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 from . import dsl, verifier
 from .entropy import entropy_finite
-from .errors import CatalogError, DomainError, ExprSyntaxError, HaarentError
+from .errors import (CatalogError, DomainError, ExprEvalError, ExprSyntaxError,
+                     HaarentError)
 from .groups import (Group, MultiplicativePositiveReals, generated_subgroup,
                      group_from_descriptor, haar)
 from .maxent import maximize_entropy
@@ -549,6 +550,10 @@ def main(argv=None) -> int:
     except (_UsageError, CatalogError, OSError) as exc:
         print(f"haarent: error: {exc}", file=sys.stderr)
         return 2
+    except ExprEvalError as exc:
+        print(f"haarent: error: {exc} (in {exc.subexpression} at "
+              f"x = {exc.x!r})", file=sys.stderr)
+        return 3
     except HaarentError as exc:
         print(f"haarent: error: {exc}", file=sys.stderr)
         return 3

@@ -114,7 +114,9 @@ def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator,
                 return 0.0
             return h(f_ev(x)) * wx
     bps = merge_breakpoints(f.breakpoints, m.density.breakpoints)
-    return quadrature.integrate(integrand, s, cfg, breakpoints=bps)
+    flat = f.piecewise_constant and m.density.piecewise_constant
+    return quadrature.integrate(integrand, s, cfg, breakpoints=bps,
+                                piecewise_constant=flat)
 
 
 def _xlogx_integral(quot: Density, reference: Measure, s: MeasurableSet,
@@ -131,6 +133,13 @@ def _weighted_integral(h, f, m: Measure, s: MeasurableSet,
                        cfg: Integrator) -> float:
     """integral over s of h(f) dm; f is not evaluated where m's density is 0."""
     return _integral(h, f, m, s, cfg, False)
+
+
+def _checked(check, quot: Density) -> Density:
+    """quot behind a wrapper that checks each of its values: a function of
+    quot's value, so constant wherever quot is."""
+    return Density(check, quot.breakpoints,
+                   piecewise_constant=quot.piecewise_constant)
 
 
 def _positive_mass(total: float, what: str) -> float:
@@ -213,8 +222,8 @@ def change_reference(rho: Measure, mu: Measure, nu: Measure,
                 f"dmu/dnu is {q!r} at {x!r} where rho has positive density")
         return q
 
-    corr = _weighted_integral(math.log, Density(positive_quot, quot.breakpoints),
-                              rho, s, cfg)
+    corr = _weighted_integral(math.log, _checked(positive_quot, quot), rho, s,
+                              cfg)
     return EntropyValue(base.nats - corr / base.mass,
                         EntropyForm.FINITE, base.mass)
 
@@ -244,8 +253,7 @@ def entropic_gap(rho: Measure, xi: Measure, haar_ref: Measure,
         return q
 
     corr = _weighted_integral(lambda q: math.log(min(q, 1.0)),
-                              Density(checked_quot, quot.breakpoints),
-                              rho, s, cfg)
+                              _checked(checked_quot, quot), rho, s, cfg)
     return -corr / total
 
 
@@ -277,8 +285,7 @@ def nonneg_certificate(m: Measure, reference: Measure, s: MeasurableSet,
         _scan_quotient(checked_quot, s, quot.breakpoints)
         return NonnegativityCertificate(Verdict.MASS_AT_LEAST_ONE, total, 1.0)
 
-    lhs = -_xlogx_integral(Density(checked_quot, quot.breakpoints),
-                           reference, s, cfg)
+    lhs = -_xlogx_integral(_checked(checked_quot, quot), reference, s, cfg)
     rhs = -total * math.log(total)
     if lhs >= rhs - tol:
         return NonnegativityCertificate(Verdict.CONDITION_HOLDS, lhs, rhs)

@@ -36,6 +36,10 @@ class ConvergenceError(HaarentError):
         self.error_bound = error_bound
 
 
+class SumOverflowError(HaarentError):
+    """An exact finite sum exceeds the float range."""
+
+
 class WindowOverflowError(HaarentError):
     """A translated set escapes the group's window.
 

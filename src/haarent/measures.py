@@ -220,19 +220,29 @@ class Density:
     panels are seeded there). sup: analytic supremum when known, consulted
     before any grid search. constant: set when the density is a known
     constant function, enabling exact quotient/sup arithmetic.
+    piecewise_constant: the evaluator is constant on each open interval
+    between consecutive breakpoints, so quadrature calls it once per
+    panel instead of 15 times. A wrong True gives wrong integrals with no
+    error, so only Density.const and step_density set it, and the
+    combinators below (scaled, times, restricted_to, radon_nikodym and
+    the weight conversions) keep it only when every operand has it.
     """
 
     evaluator: Callable
     breakpoints: tuple = ()
     sup: float | None = None
     constant: float | None = None
+    piecewise_constant: bool = False
 
     @classmethod
     def const(cls, c: float) -> "Density":
         c = float(c)
         if c < 0:
             raise DomainError(f"constant density must be nonnegative: {c!r}")
-        return cls(lambda x, _c=c: _c, (), sup=c, constant=c)
+        if not math.isfinite(c):
+            raise DomainError(f"constant density must be finite: {c!r}")
+        return cls(lambda x, _c=c: _c, (), sup=c, constant=c,
+                   piecewise_constant=True)
 
     def __call__(self, x) -> float:
         return self.evaluator(x)
@@ -241,13 +251,16 @@ class Density:
         factor = float(factor)
         if factor < 0:
             raise DomainError(f"scale factor must be nonnegative: {factor!r}")
+        if not math.isfinite(factor):
+            raise DomainError(f"scale factor must be finite: {factor!r}")
         if factor == 1.0:
             return self  # y * 1.0 == y: no wrapper
         if self.constant is not None:
             return Density.const(self.constant * factor)
         ev = self.evaluator
         return Density(lambda x: ev(x) * factor, self.breakpoints,
-                       sup=None if self.sup is None else self.sup * factor)
+                       sup=None if self.sup is None else self.sup * factor,
+                       piecewise_constant=self.piecewise_constant)
 
     def times(self, other: "Density") -> "Density":
         if self.constant is not None:
@@ -256,7 +269,9 @@ class Density:
             return self.scaled(other.constant)
         f, g = self.evaluator, other.evaluator
         return Density(lambda x: f(x) * g(x),
-                       merge_breakpoints(self.breakpoints, other.breakpoints))
+                       merge_breakpoints(self.breakpoints, other.breakpoints),
+                       piecewise_constant=(self.piecewise_constant
+                                           and other.piecewise_constant))
 
     def restricted_to(self, s: MeasurableSet) -> "Density":
         ev = self.evaluator
@@ -270,7 +285,8 @@ class Density:
                     return _ev(x)
             return 0.0
         return Density(gated, merge_breakpoints(self.breakpoints,
-                                                s.boundary_points()))
+                                                s.boundary_points()),
+                       piecewise_constant=self.piecewise_constant)
 
 
 def step_density(edges: Sequence[float], values: Sequence[float]) -> Density:
@@ -281,13 +297,16 @@ def step_density(edges: Sequence[float], values: Sequence[float]) -> Density:
         raise DomainError("need exactly one more value than edges")
     if any(v < 0 for v in values):
         raise DomainError("density values must be nonnegative")
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"density values must be finite: {values!r}")
     if list(edges) != sorted(edges):
         raise DomainError("edges must be sorted")
 
     def ev(x, _e=edges, _v=values):
         return _v[bisect_right(_e, x)]
 
-    return Density(ev, breakpoints=edges, sup=max(values))
+    return Density(ev, breakpoints=edges, sup=max(values),
+                   piecewise_constant=True)
 
 
 def table_density(space: Space, weights: Mapping) -> Density:
@@ -300,6 +319,8 @@ def table_density(space: Space, weights: Mapping) -> Density:
         w = float(w)
         if w < 0:
             raise DomainError(f"negative weight {w!r} for atom {atom!r}")
+        if not math.isfinite(w):
+            raise DomainError(f"weight {w!r} for atom {atom!r} is not finite")
         table[atom] = w
     sup = max(table.values(), default=0.0)
     return Density(lambda x, _t=table: _t.get(x, 0.0), sup=sup)
@@ -361,10 +382,15 @@ class Measure:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Pointwise weight in [0, +inf]; the measure it induces has density e^-phi."""
+    """Pointwise weight in [0, +inf]; the measure it induces has density e^-phi.
+
+    piecewise_constant has the meaning and the promise it has on Density;
+    WeightFunction.const sets it, and weight_of keeps its quotient's.
+    """
 
     evaluator: Callable
     breakpoints: tuple = ()
+    piecewise_constant: bool = False
 
     def __call__(self, x) -> float:
         return self.evaluator(x)
@@ -374,7 +400,7 @@ class WeightFunction:
         a = float(a)
         if a < 0 or math.isnan(a):
             raise DomainError(f"weight values must be in [0, +inf]: {a!r}")
-        return cls(lambda x, _a=a: _a)
+        return cls(lambda x, _a=a: _a, piecewise_constant=True)
 
 
 def mass(m: Measure, s: MeasurableSet,
@@ -382,8 +408,9 @@ def mass(m: Measure, s: MeasurableSet,
     """Total measure of s under m. Nonnegative; exact sums on finite spaces."""
     if s.space != m.space:
         raise DomainError("set lives outside the measure's space")
-    val = quadrature.integrate(m.density.evaluator, s, cfg,
-                               breakpoints=m.density.breakpoints)
+    d = m.density
+    val = quadrature.integrate(d.evaluator, s, cfg, breakpoints=d.breakpoints,
+                               piecewise_constant=d.piecewise_constant)
     if val < 0:
         if val < -1e-9 * (1.0 + abs(val)):
             raise DomainError(f"negative mass {val!r}: density is not nonnegative")
@@ -414,9 +441,11 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
         # a positive constant reference never vanishes, and y / 1.0 == y
         # for a float y; an atom may be an int, which y / 1.0 makes a float
         sup = None if md.sup is None else md.sup / c
+        flat = md.piecewise_constant
         if c == 1.0 and not m.space.is_finite:
-            return Density(md.evaluator, bps, sup=sup)
-        return Density(lambda x, _m=md.evaluator: _m(x) / c, bps, sup=sup)
+            return Density(md.evaluator, bps, sup=sup, piecewise_constant=flat)
+        return Density(lambda x, _m=md.evaluator: _m(x) / c, bps, sup=sup,
+                       piecewise_constant=flat)
 
     def quot(x, _m=md.evaluator, _r=rd.evaluator):
         den = _r(x)
@@ -429,7 +458,8 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
                 f"has density {num!r}")
         return num / den
 
-    return Density(quot, bps)
+    return Density(quot, bps, piecewise_constant=(md.piecewise_constant
+                                                  and rd.piecewise_constant))
 
 
 def weight_of(m: Measure, reference: Measure,
@@ -448,7 +478,8 @@ def weight_of(m: Measure, reference: Measure,
 
     for p in _validation_points(m.space, quot):
         phi(p)
-    return WeightFunction(phi, quot.breakpoints)
+    return WeightFunction(phi, quot.breakpoints,
+                          piecewise_constant=quot.piecewise_constant)
 
 
 def measure_of_weight(phi: WeightFunction, reference: Measure,
@@ -461,5 +492,5 @@ def measure_of_weight(phi: WeightFunction, reference: Measure,
         return math.exp(-v) if v != math.inf else 0.0
 
     bps = merge_breakpoints(phi.breakpoints, reference.density.breakpoints)
-    return Measure(reference.space,
-                   Density(dens, bps).times(reference.density), label)
+    own = Density(dens, bps, piecewise_constant=phi.piecewise_constant)
+    return Measure(reference.space, own.times(reference.density), label)

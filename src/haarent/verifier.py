@@ -146,7 +146,8 @@ def _check_weight_form(rng, tol, seed, trial):
         space = Cyclic(10).carrier
         nu = Measure.counting(space)
         d = _table(rng, space, 0.0, 3.0)
-    phi = WeightFunction(d.evaluator, breakpoints=d.breakpoints)
+    phi = WeightFunction(d.evaluator, breakpoints=d.breakpoints,
+                         piecewise_constant=d.piecewise_constant)
     s = MeasurableSet.full(space)
     lhs = entropy_weight(phi, nu, s, CFG)
     rhs = entropy_finite(measure_of_weight(phi, nu), nu, s, CFG)

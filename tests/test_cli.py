@@ -423,8 +423,41 @@ class TestExitCodes:
             "space": space,
             "density": {"kind": "builtin", "payload": "lebesgue"}})
         assert main(["entropy", "--measure", m, "--reference", ref]) == 3
-        assert capsys.readouterr().err == \
-            "haarent: error: log of a nonpositive value\n"
+        assert capsys.readouterr().err == (
+            "haarent: error: log of a nonpositive value "
+            "(in log(x) at x = 0.0)\n")
+
+    @pytest.mark.parametrize("command", ["entropy", "supnorm"])
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_table_weight_exits_two(self, tmp_path, capsys,
+                                               command, bad):
+        # json accepts these tokens; the weight must still be a number
+        path = tmp_path / "inf.json"
+        path.write_text('{"space": {"kind": "atoms", "atoms": ["a", "b"]}, '
+                        '"density": {"kind": "table", "payload": '
+                        '{"a": %s, "b": 1.0}}}' % bad, encoding="utf-8")
+        ref = write_spec(tmp_path, "counting.json", {
+            "space": {"kind": "atoms", "atoms": ["a", "b"]},
+            "density": {"kind": "builtin", "payload": "counting"}})
+        assert main([command, "--measure", str(path), "--reference",
+                     ref]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "for atom 'a'" in captured.err
+
+    def test_overflowing_mass_exits_three(self, tmp_path, capsys):
+        space = {"kind": "atoms", "atoms": ["a", "b", "c"]}
+        m = write_spec(tmp_path, "big.json", {
+            "space": space, "density": {"kind": "table", "payload": {
+                "a": 1e308, "b": 1e308, "c": 1e308}}})
+        ref = write_spec(tmp_path, "ref.json", {
+            "space": space,
+            "density": {"kind": "builtin", "payload": "counting"}})
+        assert main(["entropy", "--measure", m, "--reference", ref]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("haarent: error: the sum over 3 atoms "
+                                       "exceeds the float range")
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["entropy", "--bogus"]) == 2

@@ -393,3 +393,62 @@ def test_entropy_value_to_dict():
     got = entropy_finite(m, LEB, FULL).to_dict()
     assert set(got) == {"nats", "form", "mass"}
     assert got["form"] == "Finite"
+
+
+class TestQuadratureEntryPoint:
+    """mass and every entropy form reach the quadrature only through
+    quadrature.integrate, the one name a profiler or tracer has to wrap;
+    the evaluation counts it sees are then the whole work."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from haarent import quadrature
+        calls = {"integrate": 0, "inside": 0}
+        integrate, inner = quadrature.integrate, quadrature.integrate_result
+
+        def counting_integrate(*args, **kwargs):
+            calls["integrate"] += 1
+            calls["inside"] += 1
+            try:
+                return integrate(*args, **kwargs)
+            finally:
+                calls["inside"] -= 1
+
+        def guarded_result(*args, **kwargs):
+            assert calls["inside"] == 1, "integrate_result called directly"
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counting_integrate)
+        monkeypatch.setattr(quadrature, "integrate_result", guarded_result)
+        return calls
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["interval", "atoms"])
+    def test_every_form_calls_integrate(self, counted, finite):
+        rng = np.random.default_rng(3)
+        if finite:
+            nu = Measure.counting(DIE)
+            s = MeasurableSet.full(DIE)
+            weights = lambda lo, hi: table_density(
+                DIE, {a: float(rng.uniform(lo, hi)) for a in DIE.atoms})
+            m = Measure.from_density(DIE, weights(0.02, 0.15))
+            xi = Measure.from_density(DIE, weights(0.9, 1.0))
+        else:
+            nu, s = LEB, FULL
+            m = random_step_measure(rng, vmax=0.9)
+            xi = Measure.over(LEB, step_density([0.5], [0.95, 1.0]))
+        phi = weight_of(m, nu)
+        forms = [
+            (lambda: mass(m, s), 1),
+            (lambda: entropy_finite(m, nu, s), 2),
+            (lambda: entropy_prob(m.scaled(1.0 / mass(m, s)), nu, s), 3),
+            (lambda: entropy_weight(phi, nu, s), 2),
+            (lambda: change_reference(m, xi, nu, s), 3),
+            (lambda: entropic_gap(m, xi, nu, s), 2),
+            (lambda: nonneg_certificate(m, nu, s), 2),
+        ]
+        for run, integrals in forms:
+            counted["integrate"] = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonUnitMassWarning)
+                run()
+            assert counted["integrate"] == integrals

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarent.dsl import density_from_expr
+from haarent.entropy import _checked
 from haarent.errors import (AbsoluteContinuityError, DomainError,
                             NotInformationMeasureError)
+from haarent.groups import (AdditiveReals, MultiplicativePositiveReals, haar,
+                            translate_measure)
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               WeightFunction, mass, measure_of_weight,
                               radon_nikodym, step_density, table_density,
                               weight_of)
+from haarent.quadrature import Integrator
 
 UNIT = Space.interval(0.0, 1.0)
 WIDE = Space.interval(0.0, 2.0)
@@ -289,6 +294,114 @@ class TestDensityHelpers:
     def test_weight_function_rejects_negative_constant(self):
         with pytest.raises(DomainError):
             WeightFunction.const(-0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(DomainError, match="atom 2"):
+            table_density(DIE, {1: 0.5, 2: bad})
+        with pytest.raises(DomainError, match="finite"):
+            step_density([0.5], [1.0, bad])
+        with pytest.raises(DomainError):
+            Density.const(bad)
+        with pytest.raises(DomainError):
+            step_density([0.5], [1.0, 2.0]).scaled(bad)
+        with pytest.raises(DomainError):
+            Density.const(2.0).scaled(bad)
+        with pytest.raises(DomainError, match="-inf"):
+            table_density(DIE, {1: -math.inf})
+
+    def test_expression_endpoint_singularity_still_integrated(self):
+        # only built-in weights must be finite: quadrature never evaluates
+        # an endpoint, so x^-0.5 on [0, 1] keeps its finite mass
+        m = Measure(UNIT, density_from_expr("x^-0.5", UNIT))
+        got = mass(m, MeasurableSet.full(UNIT), Integrator(rel_tol=1e-6))
+        assert got == pytest.approx(2.0, rel=1e-6)
+
+
+class TestPiecewiseConstantFlag:
+    """Every density or weight flagged piecewise_constant is constant on
+    each open interval between consecutive breakpoints."""
+
+    LO, HI = 0.0, 2.0
+
+    def _assert_constant_between_breakpoints(self, f, rng):
+        cuts = sorted({self.LO, self.HI,
+                       *(b for b in f.breakpoints if self.LO < b < self.HI)})
+        for a, b in zip(cuts, cuts[1:]):
+            xs = [math.nextafter(a, b), math.nextafter(b, a),
+                  *(float(x) for x in rng.uniform(a, b, 64))]
+            values = {repr(f(x)) for x in xs if a < x < b}
+            assert len(values) == 1, (a, b, values)
+
+    def _flagged(self, rng):
+        space = Space.interval(self.LO, self.HI)
+        leb = Measure.lebesgue(space)
+
+        def step(vmin=0.05, vmax=1.0, pieces=5):
+            cuts = sorted(float(c) for c in rng.uniform(self.LO, self.HI,
+                                                        pieces - 1))
+            return step_density(cuts, [float(v) for v in
+                                       rng.uniform(vmin, vmax, pieces)])
+
+        d, e = step(), step(0.5, 1.0)
+        union = MeasurableSet.of_intervals(space, [(0.1, 0.7), (0.9, 1.6)])
+        m, ref = Measure(space, d), Measure(space, e)
+        phi = weight_of(m, leb)
+        quot = radon_nikodym(m, ref)
+        c = float(rng.uniform(0.1, 3.0))
+        return {
+            "const": Density.const(c),
+            "step": d,
+            "weight const": WeightFunction.const(c),
+            "scaled step": d.scaled(c),
+            "scaled const": Density.const(c).scaled(0.5),
+            "step times step": d.times(e),
+            "step times const": d.times(Density.const(c)),
+            "restricted step": d.restricted_to(union),
+            "restricted const": Density.const(c).restricted_to(union),
+            "quotient by lebesgue": radon_nikodym(m, leb),
+            "quotient by constant": radon_nikodym(
+                m, Measure(space, Density.const(c))),
+            "quotient by step": quot,
+            "constant quotient": radon_nikodym(leb, leb.scaled(c)),
+            "weight_of": phi,
+            "measure_of_weight": measure_of_weight(phi, ref).density,
+            "measure of a step weight": measure_of_weight(
+                WeightFunction(d.evaluator, d.breakpoints,
+                               piecewise_constant=True), leb).density,
+            "checked quotient": _checked(lambda x: min(quot(x), 1.0), quot),
+            "haar R+": haar(AdditiveReals((self.LO, self.HI)), 2.0).density,
+        }
+
+    def test_flagged_objects_are_constant_between_breakpoints(self):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            for name, f in self._flagged(rng).items():
+                assert f.piecewise_constant is True, name
+                self._assert_constant_between_breakpoints(f, rng)
+
+    def test_other_closures_are_not_flagged(self):
+        space = Space.interval(self.LO, self.HI)
+        step = step_density([0.5], [1.0, 2.0])
+        linear = Density(lambda x: x, ())
+        group = AdditiveReals((self.LO, self.HI))
+        unflagged = {
+            "closure": linear,
+            "step times closure": step.times(linear),
+            "closure restricted": linear.restricted_to(
+                MeasurableSet.full(space)),
+            "quotient by a closure": radon_nikodym(
+                Measure(space, step), Measure(space, linear.scaled(2.0))),
+            "constant expression": density_from_expr("0.5", space),
+            "step expression": density_from_expr(
+                "piecewise {x < 1: 0.5; else: 2}", space),
+            "haar R*": haar(MultiplicativePositiveReals((0.5, 2.0))).density,
+            "translated step": translate_measure(
+                group.element(0.25), Measure(space, step)).density,
+            "weight closure": WeightFunction(lambda x: x),
+        }
+        for name, f in unflagged.items():
+            assert f.piecewise_constant is False, name
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarent.errors import ConvergenceError, DomainError
-from haarent.measures import MeasurableSet, Space
+from haarent.errors import ConvergenceError, DomainError, SumOverflowError
+from haarent.measures import MeasurableSet, Space, step_density
 from haarent.quadrature import (DEFAULT_INTEGRATOR, IntegralResult,
-                                Integrator, integrate, integrate_result, xlogx)
+                                Integrator, _kronrod, integrate,
+                                integrate_result, xlogx)
 
 UNIT = Space.interval(0.0, 1.0)
 
@@ -281,6 +282,149 @@ class TestContract:
                               limit=500)
             got = integrate(f, full(*window))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), name
+
+
+def _counted(f):
+    """f with a list that receives every point it is called at."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+    return g, seen
+
+
+class TestPiecewiseConstant:
+    """The flagged rule calls f once per panel and returns, bit for bit,
+    what the 15-node rule returns for a function constant on the panel."""
+
+    @staticmethod
+    def _triples(rng, n):
+        """(a, b, v): panels from a few ulps to 1e3 wide at magnitudes up
+        to 1e3, values of every sign and magnitude from subnormal to 1e305,
+        and the edge values repeated."""
+        special = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                   2.2250738585072014e-308, 1e300, -1e300, 1e305, -1e305)
+        mags = 10.0 ** rng.uniform(-323.0, 305.0, n)
+        signs = rng.choice((-1.0, 1.0), n)
+        pick = rng.integers(len(special), size=n)
+        use_special = rng.random(n) < 0.1
+        starts = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.integers(-6, 1, n)
+        widths = 10.0 ** rng.uniform(-12.0, 3.0, n)
+        ulps = rng.integers(1, 8, n)
+        narrow = rng.random(n) < 0.1
+        for i in range(n):
+            a = float(starts[i])
+            if narrow[i]:
+                b = a
+                for _ in range(int(ulps[i])):
+                    b = math.nextafter(b, math.inf)
+            else:
+                b = a + float(widths[i])
+                if b <= a:
+                    b = math.nextafter(a, math.inf)
+            v = (special[pick[i]] if use_special[i]
+                 else float(signs[i] * mags[i]))
+            yield a, b, v
+
+    def test_flagged_rule_is_the_15_node_rule_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        bad = []
+        n = 0
+        for a, b, v in self._triples(rng, 100_000):
+            f15, seen15 = _counted(lambda x, v=v: v)
+            f1, seen1 = _counted(lambda x, v=v: v)
+            want = _kronrod(f15, a, b)
+            got = _kronrod(f1, a, b, True)
+            # repr tells -0.0 from 0.0 and matches nan with nan
+            if repr(got) != repr(want) or seen1 != seen15[:1]:
+                bad.append((a, b, v, got, want))
+            n += 1
+        assert n == 100_000
+        assert bad == []
+
+    def test_flagged_rule_calls_f_at_the_first_node_only(self):
+        f, seen = _counted(lambda x: 2.5)
+        _kronrod(f, 1.0, 3.0, True)
+        g, every = _counted(lambda x: 2.5)
+        _kronrod(g, 1.0, 3.0)
+        assert len(seen) == 1 and len(every) == 15
+        assert seen[0] == every[0] == min(every)
+
+    def test_step_densities_on_unions_match_the_unflagged_rule(self):
+        rng = np.random.default_rng(91)
+        loose = Integrator(rel_tol=1e-6)
+        for trial in range(300):
+            lo = float(rng.uniform(-50.0, 50.0))
+            hi = lo + float(10.0 ** rng.uniform(-3.0, 2.0))
+            space = Space.interval(lo, hi)
+            pieces = int(rng.integers(1, 9))
+            edges = sorted(float(e) for e in rng.uniform(lo, hi, pieces - 1))
+            if trial % 5 == 0 and edges:
+                edges[0] = lo  # an edge on the window's end
+            values = [float(v) for v in rng.uniform(0.0, 3.0, pieces)]
+            if trial % 3 == 0:
+                values[int(rng.integers(pieces))] = 0.0
+            d = step_density(edges, values)
+            ends = sorted(float(p) for p in rng.uniform(lo, hi, 2 * int(
+                rng.integers(1, 4))))
+            s = MeasurableSet.of_intervals(space, zip(ends[::2], ends[1::2]))
+            for f in (d.evaluator, lambda x: xlogx(d(x)),
+                      lambda x: -math.log(d(x) + 0.5)):
+                for cfg in (DEFAULT_INTEGRATOR, loose):
+                    flat = integrate_result(f, s, cfg, d.breakpoints, True)
+                    full_ = integrate_result(f, s, cfg, d.breakpoints)
+                    assert (flat.value, flat.error_bound, flat.panels,
+                            flat.worst_panel) == (
+                        full_.value, full_.error_bound, full_.panels,
+                        full_.worst_panel)
+                    assert full_.evals == 15 * flat.evals
+                    assert integrate(f, s, cfg, d.breakpoints, True) \
+                        == flat.value
+
+
+class TestEvalCounts:
+    """IntegralResult.evals is the number of integrand calls."""
+
+    def test_finite_path(self):
+        space = Space.finite(range(10))
+        s = MeasurableSet.of_atoms(space, [1, 4, 5, 9])
+        f, seen = _counted(lambda a: a * 0.5)
+        r = integrate_result(f, s)
+        assert r.evals == len(seen) == 4
+
+    @pytest.mark.parametrize("f,window,bps", [
+        (math.exp, (0.0, 1.0), ()),
+        (lambda x: 1.0 / x, (0.01, 1000.0), ()),
+        (lambda x: abs(x - 0.3), (0.0, 2.0), (0.3, 1.1)),
+    ])
+    def test_kronrod_path(self, f, window, bps):
+        g, seen = _counted(f)
+        r = integrate_result(g, full(*window), breakpoints=bps)
+        assert r.evals == len(seen)
+        assert len(seen) % 15 == 0 and len(seen) >= 15 * r.panels
+
+    def test_piecewise_constant_path(self):
+        d = step_density([0.2, 0.5, 0.9], [1.0, 0.0, 3.0, 0.25])
+        s = MeasurableSet.of_intervals(Space.interval(0.0, 1.0),
+                                       [(0.0, 0.3), (0.4, 1.0)])
+        g, seen = _counted(d.evaluator)
+        r = integrate_result(g, s, breakpoints=d.breakpoints,
+                             piecewise_constant=True)
+        assert r.evals == len(seen) == r.panels == 5
+
+
+class TestFiniteOverflow:
+    def test_overflowing_sum_is_a_typed_error(self):
+        space = Space.finite(["a", "b", "c"])
+        s = MeasurableSet.full(space)
+        with pytest.raises(SumOverflowError, match="exceeds the float range"):
+            integrate(lambda p: 1e308, s)
+
+    def test_sum_near_the_top_of_the_range_is_kept(self):
+        space = Space.finite(["a", "b"])
+        s = MeasurableSet.full(space)
+        assert integrate(lambda p: 8e307, s) == 1.6e308
 
 
 class TestIntegratorConfig:
