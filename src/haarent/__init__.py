@@ -22,14 +22,14 @@ from .errors import (AbsoluteContinuityError, CatalogError, ConvergenceError,
 from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
                      Group, GroupElement, HaarMeasure,
                      MultiplicativePositiveReals, RestrictedGroup, Subgroup,
-                     Symmetric, check_invariance, generated_subgroup,
-                     group_from_descriptor, haar, subgroup_chains, subgroups,
-                     translate_measure, translate_set, translation_samples)
+                     Symmetric, generated_subgroup, group_from_descriptor,
+                     haar, subgroup_chains, subgroups, translate_set,
+                     translation_samples)
 from .maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
                      maximize_entropy)
 from .measures import (Density, MeasurableSet, Measure, Space,
                        WeightFunction, mass, measure_of_weight,
-                       radon_nikodym, step_density, table_density, weight_of)
+                       radon_nikodym, step_density, table_density)
 from .quadrature import (DEFAULT_INTEGRATOR, IntegralResult, Integrator,
                          integrate, integrate_result, xlogx)
 from .report import (SCHEMA, VerificationReport, eq_report, le_report,
@@ -56,8 +56,8 @@ __all__ = [
     "SimplexPoint", "Space", "StepSizeError", "Subgroup", "SumOverflowError",
     "SupNormalizationReport", "Symmetric", "UnsupportedOperationError",
     "Verdict", "VerificationReport", "WeightFunction", "WindowOverflowError",
-    "catalog", "change_reference", "check_invariance",
-    "check_translate_bound", "claim_ids", "concavity_probe", "entropic_gap",
+    "catalog", "change_reference", "check_translate_bound", "claim_ids",
+    "concavity_probe", "entropic_gap",
     "entropy_finite", "entropy_of_weights", "entropy_prob", "entropy_weight",
     "eq_report", "generated_subgroup", "group_from_descriptor", "haar", "integrate",
     "integrate_result", "is_information_measure", "le_report", "mass",
@@ -66,5 +66,5 @@ __all__ = [
     "reports_to_json", "reports_to_table", "run_all", "run_examples",
     "skip_report", "step_density", "sup_density", "sup_normalize",
     "subgroup_chains", "subgroups", "summary_to_table", "table_density",
-    "translate_measure", "translate_set", "translation_samples",
-    "uniform_measure", "verify", "weight_of", "xlogx"]
+    "translate_set", "translation_samples", "uniform_measure", "verify",
+    "xlogx"]

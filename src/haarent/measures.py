@@ -15,13 +15,12 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import quadrature
-from .errors import (AbsoluteContinuityError, DomainError,
-                     NotInformationMeasureError)
+from .errors import AbsoluteContinuityError, DomainError
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
 
 __all__ = [
     "Space", "MeasurableSet", "Density", "Measure", "WeightFunction",
-    "mass", "radon_nikodym", "weight_of", "measure_of_weight",
+    "mass", "radon_nikodym", "measure_of_weight",
     "step_density", "table_density",
 ]
 
@@ -326,12 +325,6 @@ def table_density(space: Space, weights: Mapping) -> Density:
     return Density(lambda x, _t=table: _t.get(x, 0.0), sup=sup)
 
 
-def _validation_points(space: Space, density: Density):
-    if space.is_finite:
-        return space.atoms
-    return sample_grid(*space.bounds, 16, density.breakpoints)
-
-
 @dataclass(frozen=True)
 class Measure:
     """A nonnegative density over the base coordinate measure of its space."""
@@ -343,7 +336,9 @@ class Measure:
     @classmethod
     def from_density(cls, space: Space, density: Density,
                      label: str = "") -> "Measure":
-        for p in _validation_points(space, density):
+        points = (space.atoms if space.is_finite else
+                  sample_grid(*space.bounds, 16, density.breakpoints))
+        for p in points:
             v = density(p)
             if v < 0 or math.isnan(v):
                 raise DomainError(
@@ -385,7 +380,7 @@ class WeightFunction:
     """Pointwise weight in [0, +inf]; the measure it induces has density e^-phi.
 
     piecewise_constant has the meaning and the promise it has on Density;
-    WeightFunction.const sets it, and weight_of keeps its quotient's.
+    WeightFunction.const sets it.
     """
 
     evaluator: Callable
@@ -460,26 +455,6 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
 
     return Density(quot, bps, piecewise_constant=(md.piecewise_constant
                                                   and rd.piecewise_constant))
-
-
-def weight_of(m: Measure, reference: Measure,
-              tol: float = 1e-9) -> WeightFunction:
-    """Weight phi with dm/dreference = e^-phi; requires dm/dreference <= 1."""
-    quot = radon_nikodym(m, reference)
-
-    def phi(x, _q=quot.evaluator, _tol=tol):
-        q = _q(x)
-        if q > 1.0 + _tol:
-            raise NotInformationMeasureError(
-                f"density quotient {q!r} exceeds 1 at {x!r}")
-        if q <= 0.0:
-            return math.inf
-        return -math.log(min(q, 1.0))
-
-    for p in _validation_points(m.space, quot):
-        phi(p)
-    return WeightFunction(phi, quot.breakpoints,
-                          piecewise_constant=quot.piecewise_constant)
 
 
 def measure_of_weight(phi: WeightFunction, reference: Measure,

@@ -15,7 +15,8 @@ from haarent.errors import (AbsoluteContinuityError, DegenerateMeasureError,
 from haarent.groups import Dihedral, haar
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               WeightFunction, mass, measure_of_weight,
-                              step_density, table_density, weight_of)
+                              step_density, table_density)
+from haarent.supnorm import is_information_measure, sup_density
 
 UNIT = Space.interval(0.0, 1.0)
 LEB = Measure.lebesgue(UNIT)
@@ -33,6 +34,15 @@ def random_step_measure(rng, pieces=4, vmax=2.0):
     return Measure.from_density(
         UNIT, step_density([float(c) for c in cuts],
                            [float(v) for v in vals]))
+
+
+def neg_log_weight(m):
+    """phi = -log(dm/dnu) for nu the counting or Lebesgue measure, whose
+    density quotient is m's own density; phi keeps its breakpoints and
+    piecewise-constant flag."""
+    d = m.density
+    return WeightFunction(lambda x: -math.log(d(x)), d.breakpoints,
+                          piecewise_constant=d.piecewise_constant)
 
 
 class TestProbabilityForm:
@@ -163,7 +173,8 @@ class TestWeightForm:
         rng = np.random.default_rng(5)
         for _ in range(8):
             m = random_step_measure(rng, vmax=1.0)
-            phi = weight_of(m, LEB)
+            phi = neg_log_weight(m)
+            assert phi.piecewise_constant
             a = entropy_weight(phi, LEB, FULL)
             b = entropy_finite(m, LEB, FULL)
             assert a.nats == pytest.approx(b.nats, abs=1e-9)
@@ -314,6 +325,25 @@ class TestNonnegativityCertificate:
         with pytest.raises(NotInformationMeasureError):
             nonneg_certificate(m, nu, MeasurableSet.full(space))
 
+    @pytest.mark.parametrize("hi, f", [
+        # mass 1.8: the MassAtLeastOne branch
+        (2.0, lambda x: 0.9 + 0.5 * math.exp(-1e5 * (x - 0.7) ** 2)),
+        # mass 0.5: the integral branch
+        (1.0, lambda x: 0.5 + 0.6 * math.exp(-1e5 * (x - 0.3) ** 2))],
+        ids=["mass-1.8", "mass-0.5"])
+    def test_premise_is_decided_by_sup_density(self, hi, f):
+        # narrow peaks above 1 (sups 1.4 and 1.1); the certificate and
+        # is_information_measure both decide on sup_density's value
+        space = Space.interval(0.0, hi)
+        nu = Measure.lebesgue(space)
+        full = MeasurableSet.full(space)
+        m = density_measure(space, f)
+        sup = sup_density(m, nu, full)
+        assert sup > 1.05
+        assert not is_information_measure(m, nu, full)
+        with pytest.raises(NotInformationMeasureError, match=repr(sup)):
+            nonneg_certificate(m, nu, full)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_sound_for_random_information_measures(self, key):
@@ -349,7 +379,8 @@ class TestZeroWeightAtoms:
 
     @pytest.mark.parametrize("form, c_mass", [
         (entropy_finite, 0.1), (entropy_prob, 0.1),
-        (nonneg_certificate, 0.1),   # mass 1: the quotient-scan branch
+        # the premise check on sup_density's points comes first in both
+        (nonneg_certificate, 0.1),   # mass 1: the MassAtLeastOne branch
         (nonneg_certificate, 0.05)])  # mass < 1: the integral branch
     def test_xlogx_forms_reject_mass_where_reference_is_zero(self, form,
                                                               c_mass):
@@ -436,7 +467,7 @@ class TestQuadratureEntryPoint:
             nu, s = LEB, FULL
             m = random_step_measure(rng, vmax=0.9)
             xi = Measure.over(LEB, step_density([0.5], [0.95, 1.0]))
-        phi = weight_of(m, nu)
+        phi = neg_log_weight(m)
         forms = [
             (lambda: mass(m, s), 1),
             (lambda: entropy_finite(m, nu, s), 2),

@@ -10,14 +10,12 @@ from haarent.errors import (DomainError, UnsupportedOperationError,
 from haarent.groups import (AdditiveReals, Circle, Cyclic, Dihedral,
                             GroupElement, MultiplicativePositiveReals,
                             RestrictedGroup, Subgroup, Symmetric,
-                            check_invariance, generated_subgroup,
-                            group_from_descriptor, haar,
-                            subgroup_chains, subgroups, translate_measure,
-                            translate_set, translation_samples)
+                            generated_subgroup, group_from_descriptor, haar,
+                            subgroup_chains, subgroups, translate_set,
+                            translation_samples)
 from haarent.groups import (_extend, _is_prime_power, _mask, _members,
                             _subgroup)
-from haarent.measures import (Density, MeasurableSet, Measure, mass,
-                              table_density)
+from haarent.measures import MeasurableSet, mass
 
 TWO_PI = 2.0 * math.pi
 
@@ -202,50 +200,6 @@ class TestTranslateSet:
             translate_set(g.element(1), s)
 
 
-class TestTranslateMeasure:
-    def test_additive_pushforward_shifts_density(self):
-        g = AdditiveReals((0.0, 10.0))
-        m = Measure.from_density(g.carrier, Density(lambda x: 2.0 * x))
-        moved = translate_measure(g.element(1.0), m)
-        assert moved.density(3.0) == pytest.approx(4.0, abs=1e-12)
-        assert moved.density(1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_pushforward_preserves_mass_of_image(self):
-        g = AdditiveReals((0.0, 10.0))
-        m = Measure.from_density(g.carrier, Density(lambda x: 2.0 * x))
-        s = MeasurableSet.of_interval(g.carrier, 1.0, 4.0)
-        gs = translate_set(g.element(2.0), s)
-        moved = translate_measure(g.element(2.0), m)
-        assert mass(moved, gs) == pytest.approx(mass(m, s), abs=1e-9)
-
-    def test_multiplicative_jacobian(self):
-        g = MultiplicativePositiveReals((0.1, 100.0))
-        lebesgue = Measure.lebesgue(g.carrier)
-        moved = translate_measure(g.element(2.0), lebesgue)
-        assert moved.density(4.0) == pytest.approx(0.5, abs=1e-12)
-        s = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
-        gs = translate_set(g.element(2.0), s)
-        assert mass(moved, gs) == pytest.approx(1.0, abs=1e-9)
-
-    def test_haar_pushes_to_itself(self):
-        g = MultiplicativePositiveReals((0.1, 100.0))
-        nu = haar(g)
-        moved = translate_measure(g.element(5.0), nu)
-        for x in (0.5, 1.0, 12.0):
-            assert moved.density(x) == pytest.approx(nu.density(x),
-                                                     abs=1e-12)
-
-    def test_finite_pushforward_relabels(self):
-        g = Cyclic(3)
-        m = Measure.from_density(
-            g.carrier, table_density(g.carrier, {"0": 1.0, "1": 2.0,
-                                                 "2": 3.0}))
-        moved = translate_measure(g.element(1), m)
-        assert moved.density("1") == 1.0
-        assert moved.density("2") == 2.0
-        assert moved.density("0") == 3.0
-
-
 class TestTranslationSamples:
     def test_finite_returns_all_elements(self):
         g = Dihedral(3)
@@ -274,42 +228,6 @@ class TestTranslationSamples:
         a = [e.rep for e in translation_samples(g, 16)]
         b = [e.rep for e in translation_samples(g, 16)]
         assert a == b
-
-
-class TestCheckInvariance:
-    def test_haar_passes_on_finite_group(self):
-        g = Cyclic(6)
-        nu = haar(g)
-        sets = [MeasurableSet.of_atoms(g.carrier, ["0", "3"]),
-                MeasurableSet.full(g.carrier)]
-        report = check_invariance(nu, g, sets, translation_samples(g))
-        assert report.passed
-        assert not report.skipped
-
-    def test_skewed_measure_fails(self):
-        g = Cyclic(4)
-        m = Measure.from_density(
-            g.carrier, table_density(g.carrier, {"0": 2.0, "1": 1.0,
-                                                 "2": 1.0, "3": 1.0}))
-        sets = [MeasurableSet.of_atoms(g.carrier, ["0"])]
-        report = check_invariance(m, g, sets, translation_samples(g))
-        assert not report.passed
-
-    def test_haar_passes_on_window(self):
-        g = AdditiveReals((0.0, 10.0))
-        nu = haar(g)
-        s = MeasurableSet.of_interval(g.carrier, 2.0, 3.0)
-        report = check_invariance(nu, g, [s],
-                                  translation_samples(g, 16, for_set=s))
-        assert report.passed
-
-    def test_overflow_samples_become_skips(self):
-        g = AdditiveReals((0.0, 10.0))
-        nu = haar(g)
-        s = MeasurableSet.of_interval(g.carrier, 0.0, 1.0)
-        report = check_invariance(nu, g, [s], [g.element(50.0)])
-        assert report.skipped
-        assert "window overflow" in report.scope_notes
 
 
 class TestSubgroups:

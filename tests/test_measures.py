@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from haarent.dsl import density_from_expr
 from haarent.entropy import _checked
-from haarent.errors import (AbsoluteContinuityError, DomainError,
-                            NotInformationMeasureError)
-from haarent.groups import (AdditiveReals, MultiplicativePositiveReals, haar,
-                            translate_measure)
+from haarent.errors import AbsoluteContinuityError, DomainError
+from haarent.groups import AdditiveReals, MultiplicativePositiveReals, haar
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               WeightFunction, mass, measure_of_weight,
-                              radon_nikodym, step_density, table_density,
-                              weight_of)
+                              radon_nikodym, step_density, table_density)
 from haarent.quadrature import Integrator
 
 UNIT = Space.interval(0.0, 1.0)
@@ -177,37 +174,6 @@ class TestRadonNikodym:
 
 
 class TestWeightCorrespondence:
-    def test_unit_quotient_gives_zero_weight(self):
-        nu = Measure.lebesgue(UNIT)
-        phi = weight_of(nu, nu)
-        assert phi(0.5) == 0.0
-
-    def test_constant_quotient_gives_constant_weight(self):
-        nu = Measure.lebesgue(UNIT)
-        m = nu.scaled(math.exp(-2.0))
-        phi = weight_of(m, nu)
-        assert phi(0.25) == pytest.approx(2.0, abs=1e-12)
-
-    def test_exponential_quotient_gives_linear_weight(self):
-        nu = Measure.lebesgue(UNIT)
-        m = interval_measure(UNIT, lambda x: math.exp(-x))
-        phi = weight_of(m, nu)
-        for x in (0.0, 0.4, 1.0):
-            assert phi(x) == pytest.approx(x, abs=1e-12)
-
-    def test_quotient_above_one_rejected(self):
-        nu = Measure.lebesgue(UNIT)
-        m = interval_measure(UNIT, lambda x: 2.0 * x)
-        with pytest.raises(NotInformationMeasureError):
-            weight_of(m, nu)
-
-    def test_zero_quotient_gives_infinite_weight(self):
-        nu = Measure.counting(DIE)
-        m = Measure.from_density(DIE, table_density(DIE, {6: 1.0}))
-        phi = weight_of(m, nu)
-        assert phi(1) == math.inf
-        assert phi(6) == 0.0
-
     def test_zero_weight_recovers_reference(self):
         nu = Measure.lebesgue(WIDE)
         m = measure_of_weight(WeightFunction.const(0.0), nu)
@@ -240,7 +206,10 @@ class TestWeightCorrespondence:
             vals = rng.uniform(0.05, 1.0, 4)
             m = Measure.from_density(
                 UNIT, step_density([0.2, 0.5, 0.8], list(vals)))
-            back = measure_of_weight(weight_of(m, nu), nu)
+            d = m.density
+            phi = WeightFunction(lambda x: -math.log(d(x)), d.breakpoints,
+                                 piecewise_constant=True)
+            back = measure_of_weight(phi, nu)
             quot_m = radon_nikodym(m, nu)
             quot_b = radon_nikodym(back, nu)
             for x in rng.uniform(0.0, 1.0, 12):
@@ -346,7 +315,8 @@ class TestPiecewiseConstantFlag:
         d, e = step(), step(0.5, 1.0)
         union = MeasurableSet.of_intervals(space, [(0.1, 0.7), (0.9, 1.6)])
         m, ref = Measure(space, d), Measure(space, e)
-        phi = weight_of(m, leb)
+        phi = WeightFunction(lambda x: -math.log(d(x)), d.breakpoints,
+                             piecewise_constant=True)
         quot = radon_nikodym(m, ref)
         c = float(rng.uniform(0.1, 3.0))
         return {
@@ -364,7 +334,6 @@ class TestPiecewiseConstantFlag:
                 m, Measure(space, Density.const(c))),
             "quotient by step": quot,
             "constant quotient": radon_nikodym(leb, leb.scaled(c)),
-            "weight_of": phi,
             "measure_of_weight": measure_of_weight(phi, ref).density,
             "measure of a step weight": measure_of_weight(
                 WeightFunction(d.evaluator, d.breakpoints,
@@ -384,7 +353,6 @@ class TestPiecewiseConstantFlag:
         space = Space.interval(self.LO, self.HI)
         step = step_density([0.5], [1.0, 2.0])
         linear = Density(lambda x: x, ())
-        group = AdditiveReals((self.LO, self.HI))
         unflagged = {
             "closure": linear,
             "step times closure": step.times(linear),
@@ -396,8 +364,6 @@ class TestPiecewiseConstantFlag:
             "step expression": density_from_expr(
                 "piecewise {x < 1: 0.5; else: 2}", space),
             "haar R*": haar(MultiplicativePositiveReals((0.5, 2.0))).density,
-            "translated step": translate_measure(
-                group.element(0.25), Measure(space, step)).density,
             "weight closure": WeightFunction(lambda x: x),
         }
         for name, f in unflagged.items():

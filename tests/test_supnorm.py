@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from haarent.entropy import nonneg_certificate
 from haarent.errors import DomainError, NormalizationError
 from haarent.groups import AdditiveReals, Cyclic, haar, translation_samples
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
@@ -149,6 +150,8 @@ class TestEmptySet:
             sup_normalize(m, counting, counting, empty)
         with pytest.raises(DomainError):
             is_information_measure(m, counting, empty)
+        with pytest.raises(DomainError):
+            nonneg_certificate(m, counting, empty)
 
 
 class TestIsInformationMeasure:
