@@ -20,11 +20,10 @@ from .errors import (AbsoluteContinuityError, CatalogError, ConvergenceError,
                      SumOverflowError, UnsupportedOperationError,
                      WindowOverflowError)
 from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
-                     Group, GroupElement, HaarMeasure,
-                     MultiplicativePositiveReals, RestrictedGroup, Subgroup,
-                     Symmetric, generated_subgroup, group_from_descriptor,
-                     haar, subgroup_chains, subgroups, translate_set,
-                     translation_samples)
+                     Group, GroupElement, MultiplicativePositiveReals,
+                     RestrictedGroup, Subgroup, Symmetric, generated_subgroup,
+                     group_from_descriptor, haar, subgroup_chains, subgroups,
+                     translate_set, translation_samples)
 from .maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
                      maximize_entropy)
 from .measures import (Density, MeasurableSet, Measure, Space,
@@ -48,7 +47,7 @@ __all__ = [
     "ClaimSpec", "ClaimSummary", "ConvergenceError", "Cyclic",
     "DEFAULT_INTEGRATOR", "DegenerateMeasureError", "Density", "Dihedral",
     "DomainError", "EntropyForm", "EntropyValue", "ExprEvalError",
-    "ExprSyntaxError", "FiniteGroup", "Group", "GroupElement", "HaarMeasure",
+    "ExprSyntaxError", "FiniteGroup", "Group", "GroupElement",
     "HaarentError", "IntegralResult", "Integrator", "MeasurableSet", "Measure",
     "MultiplicativePositiveReals", "NonUnitMassWarning",
     "NonnegativityCertificate", "NormalizationError",

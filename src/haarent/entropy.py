@@ -36,9 +36,9 @@ from . import quadrature
 from .errors import (AbsoluteContinuityError, DegenerateMeasureError,
                      NotInformationMeasureError)
 from .measures import (Density, Measure, MeasurableSet, WeightFunction, mass,
-                       merge_breakpoints, radon_nikodym)
+                       merge_breakpoints, radon_nikodym, weight_density)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator, xlogx
-from .supnorm import sup_density
+from .supnorm import DEFAULT_TOL, sup_density
 
 __all__ = [
     "EntropyForm", "EntropyValue", "Verdict", "NonnegativityCertificate",
@@ -46,8 +46,6 @@ __all__ = [
     "uniform_measure", "change_reference", "entropic_gap",
     "nonneg_certificate", "DEFAULT_TOL",
 ]
-
-DEFAULT_TOL = 1e-8
 
 
 class EntropyForm(str, Enum):
@@ -183,14 +181,16 @@ def entropy_weight(phi: WeightFunction, reference: Measure, s: MeasurableSet,
                    cfg: Integrator = DEFAULT_INTEGRATOR) -> EntropyValue:
     """Weight-form entropy of the weight phi against reference.
 
-    Uses phi*e^-phi = -xlogx(e^-phi), which extends continuously by 0 to
-    phi = +inf, so infinite weights contribute nothing to either integral.
+    Both integrals are of w = e^-phi from measures.weight_density, which
+    checks phi's values as measure_of_weight does (DomainError where phi is
+    negative or NaN). Uses phi*e^-phi = -xlogx(w), which extends
+    continuously by 0 to phi = +inf, so infinite weights contribute nothing
+    to either integral.
     """
-    m0 = _positive_mass(
-        _weighted_integral(lambda v: math.exp(-v), phi, reference, s, cfg),
-        "weight measure")
-    num = _weighted_integral(lambda v: -xlogx(math.exp(-v)), phi, reference,
-                             s, cfg)
+    w = weight_density(phi, reference)
+    m0 = _positive_mass(_weighted_integral(lambda y: y, w, reference, s, cfg),
+                        "weight measure")
+    num = _weighted_integral(lambda y: -xlogx(y), w, reference, s, cfg)
     return EntropyValue(math.log(m0) + num / m0, EntropyForm.WEIGHT, m0)
 
 

@@ -5,6 +5,10 @@ elements as atoms of a finite space; continuous kinds live on a bounded
 window of the real line (or the circle). The only measures a group hands
 out are its Haar measures; everything else is built on top of them.
 
+Every kind has the interface of Group: `carrier`, `compose_reps` (also
+the action on the carrier, the one `translate_set` uses), `inverse_rep`,
+`identity_rep`, `label_of`, `element`, `haar_density` and `describe`.
+
 Every subgroup of a finite kind (in `subgroups`, `subgroup_chains` and
 `generated_subgroup`) comes from one closure routine, `_extend`: Dimino's
 walk over the right cosets of a subgroup H inside <H, x>, or is a
@@ -23,12 +27,11 @@ from typing import Iterable
 
 from .errors import (DomainError, UnsupportedOperationError,
                      WindowOverflowError)
-# mass is unused here but stays bound: bench/test_bench.py asserts that
-# the tracer wraps haarent.groups.mass like every binding of it
+# mass is unused; bench/test_bench.py asserts the tracer wraps it here too
 from .measures import Density, Measure, MeasurableSet, Space, mass
 
 __all__ = [
-    "Group", "GroupElement", "HaarMeasure", "Subgroup",
+    "Group", "GroupElement", "Subgroup",
     "Cyclic", "Dihedral", "Symmetric", "AdditiveReals",
     "MultiplicativePositiveReals", "Circle",
     "haar", "translate_set", "subgroups",
@@ -47,21 +50,20 @@ class GroupElement:
     group: "Group"
     rep: object
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
-            raise DomainError("cannot compose elements of different groups")
-        return GroupElement(self.group, self.group.compose_reps(self.rep, other.rep))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inverse_rep(self.rep))
-
     @property
     def label(self) -> str:
         return self.group.label_of(self.rep)
 
 
 class Group:
-    """Common interface; concrete kinds are frozen dataclasses below."""
+    """Common interface; concrete kinds are frozen dataclasses below.
+
+    The carrier is the group itself, so compose_reps(a, x) is both the law
+    and the left action of a on a carrier point x; inverse_rep and
+    identity_rep complete the law. label_of names a rep (the atom, on finite
+    kinds), element checks one in, haar_density is against the carrier's
+    base measure, and describe gives what group_from_descriptor parses.
+    """
 
     is_finite = False
 
@@ -75,7 +77,7 @@ class Group:
     def inverse_rep(self, a):
         raise NotImplementedError
 
-    def identity(self) -> GroupElement:
+    def identity_rep(self):
         raise NotImplementedError
 
     def label_of(self, rep) -> str:
@@ -84,12 +86,8 @@ class Group:
     def element(self, rep) -> GroupElement:
         raise NotImplementedError
 
-    # Left action of the group on its own carrier.
-    def act_point(self, g_rep, x):
-        raise NotImplementedError
-
     def haar_density(self) -> Density:
-        raise NotImplementedError
+        return Density.const(1.0)
 
     @property
     def order(self) -> int:
@@ -125,12 +123,6 @@ class FiniteGroup(Group):
     def order(self) -> int:
         return len(self.reps)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self.identity_rep())
-
-    def identity_rep(self):
-        raise NotImplementedError
-
     def element(self, rep) -> GroupElement:
         if isinstance(rep, str) and rep in self._rep_by_label:
             return GroupElement(self, self._rep_by_label[rep])
@@ -140,15 +132,6 @@ class FiniteGroup(Group):
 
     def elements(self) -> list[GroupElement]:
         return [GroupElement(self, r) for r in self.reps]
-
-    def act_point(self, g_rep, atom_label):
-        x = self._rep_by_label.get(atom_label)
-        if x is None:
-            raise DomainError(f"{atom_label!r} is not a carrier atom")
-        return self.label_of(self.compose_reps(g_rep, x))
-
-    def haar_density(self) -> Density:
-        return Density.const(1.0)
 
     @cached_property
     def _index(self) -> dict:
@@ -260,10 +243,9 @@ class Symmetric(FiniteGroup):
 
 
 class ContinuousGroup(Group):
-    is_finite = False
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self.identity_rep())
+    @cached_property
+    def carrier(self) -> Space:
+        return Space.interval(*self.window)
 
     def element(self, rep) -> GroupElement:
         return GroupElement(self, self.check_rep(float(rep)))
@@ -285,10 +267,6 @@ class AdditiveReals(ContinuousGroup):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"invalid window {self.window!r}")
 
-    @cached_property
-    def carrier(self) -> Space:
-        return Space.interval(*self.window)
-
     def identity_rep(self):
         return 0.0
 
@@ -297,12 +275,6 @@ class AdditiveReals(ContinuousGroup):
 
     def inverse_rep(self, a):
         return -a
-
-    def act_point(self, g_rep, x):
-        return x + g_rep
-
-    def haar_density(self) -> Density:
-        return Density.const(1.0)
 
     def describe(self) -> str:
         lo, hi = self.window
@@ -321,15 +293,6 @@ class MultiplicativePositiveReals(ContinuousGroup):
             raise DomainError(
                 f"multiplicative window must be strictly positive: {self.window!r}")
 
-    @classmethod
-    def from_log_window(cls, log_lo: float, log_hi: float) -> "MultiplicativePositiveReals":
-        """Numerically conditioned constructor: window given in log coordinates."""
-        return cls((math.exp(log_lo), math.exp(log_hi)))
-
-    @cached_property
-    def carrier(self) -> Space:
-        return Space.interval(*self.window)
-
     def identity_rep(self):
         return 1.0
 
@@ -345,9 +308,6 @@ class MultiplicativePositiveReals(ContinuousGroup):
             raise DomainError(f"multiplicative elements must be positive: {rep!r}")
         return rep
 
-    def act_point(self, g_rep, x):
-        return x * g_rep
-
     def haar_density(self) -> Density:
         lo = self.window[0]
         return Density(lambda x: 1.0 / x, sup=1.0 / lo)
@@ -361,9 +321,7 @@ class MultiplicativePositiveReals(ContinuousGroup):
 class Circle(ContinuousGroup):
     """Rotations of the circle, parameterized by angle in [0, 2*pi)."""
 
-    @cached_property
-    def carrier(self) -> Space:
-        return Space.interval(0.0, TWO_PI)
+    window = (0.0, TWO_PI)
 
     def identity_rep(self):
         return 0.0
@@ -372,36 +330,23 @@ class Circle(ContinuousGroup):
         return (a + b) % TWO_PI
 
     def inverse_rep(self, a):
-        return (-a) % TWO_PI
+        return (TWO_PI - a) % TWO_PI  # (-a) % TWO_PI is TWO_PI for tiny a
 
     def check_rep(self, rep: float) -> float:
-        return super().check_rep(rep) % TWO_PI
-
-    def act_point(self, g_rep, x):
-        return (x + g_rep) % TWO_PI
-
-    def haar_density(self) -> Density:
-        return Density.const(1.0)
+        # x % TWO_PI is TWO_PI for x in (-ulp, 0); the second % maps it to 0
+        return super().check_rep(rep) % TWO_PI % TWO_PI
 
     def describe(self) -> str:
         return "circle"
 
 
-@dataclass(frozen=True)
-class HaarMeasure(Measure):
-    """Translation-invariant measure of a group, up to a positive scale."""
-
-    group: Group = None
-    scale: float = 1.0
-
-
-def haar(group: Group, scale: float = 1.0) -> HaarMeasure:
+def haar(group: Group, scale: float = 1.0) -> Measure:
+    """The group's translation-invariant measure on its carrier, scaled by
+    a positive factor."""
     if scale <= 0 or not math.isfinite(scale):
         raise DomainError(f"Haar scale must be positive: {scale!r}")
     dens = group.haar_density().scaled(scale)
-    return HaarMeasure(group.carrier, dens,
-                       label=f"haar({group.describe()})",
-                       group=group, scale=scale)
+    return Measure(group.carrier, dens, label=f"haar({group.describe()})")
 
 
 def _group_of(g: GroupElement) -> Group:
@@ -411,7 +356,8 @@ def _group_of(g: GroupElement) -> Group:
 
 
 def translate_set(g: GroupElement, s: MeasurableSet) -> MeasurableSet:
-    """Image g*s of a carrier set under left translation.
+    """Image g*s of a carrier set under left translation: every atom or
+    interval end x moves to compose_reps(g.rep, x).
 
     Additive and multiplicative windows raise WindowOverflowError when the
     image escapes (recoverable: rebuild the group with a larger window);
@@ -420,16 +366,18 @@ def translate_set(g: GroupElement, s: MeasurableSet) -> MeasurableSet:
     group = _group_of(g)
     if s.space != group.carrier:
         raise DomainError("set does not live on the group's carrier")
+    move = group.compose_reps
     if group.is_finite:
-        return MeasurableSet.of_atoms(
-            s.space, [group.act_point(g.rep, a) for a in s.atoms])
+        return MeasurableSet.of_atoms(s.space, [
+            group.label_of(move(g.rep, group._rep_by_label[a]))
+            for a in s.atoms])
     if isinstance(group, Circle):
         arcs = []
         for a, b in s.intervals:
             width = b - a
             if width >= TWO_PI:
                 return MeasurableSet.full(s.space)
-            a2 = (a + g.rep) % TWO_PI
+            a2 = move(g.rep, a)
             b2 = a2 + width
             if b2 <= TWO_PI:
                 arcs.append((a2, b2))
@@ -440,8 +388,8 @@ def translate_set(g: GroupElement, s: MeasurableSet) -> MeasurableSet:
     lo, hi = group.window
     moved = []
     for a, b in s.intervals:
-        a2 = group.act_point(g.rep, a)
-        b2 = group.act_point(g.rep, b)
+        a2 = move(g.rep, a)
+        b2 = move(g.rep, b)
         if a2 < lo or b2 > hi:
             raise WindowOverflowError(
                 f"translate of [{a!r}, {b!r}] by {g.rep!r} gives "
@@ -704,9 +652,9 @@ def translation_samples(group: Group, count: int = 64,
     """
     if group.is_finite:
         return group.elements()
+    u = [_GOLDEN * (i + 1) % 1.0 for i in range(count)]
     if isinstance(group, Circle):
-        return [GroupElement(group, (_GOLDEN * (i + 1) % 1.0) * TWO_PI)
-                for i in range(count)]
+        return [GroupElement(group, x * TWO_PI) for x in u]
     if for_set is None or not for_set.intervals:
         raise DomainError("windowed kinds need for_set to bound translations")
     lo, hi = group.window
@@ -716,14 +664,12 @@ def translation_samples(group: Group, count: int = 64,
         glo, ghi = lo - mn, hi - mx
         if glo > ghi:
             return []
-        return [GroupElement(group, glo + (_GOLDEN * (i + 1) % 1.0) * (ghi - glo))
-                for i in range(count)]
+        return [GroupElement(group, glo + x * (ghi - glo)) for x in u]
     glo, ghi = lo / mn, hi / mx
     if glo > ghi:
         return []
     llo, lhi = math.log(glo), math.log(ghi)
-    return [GroupElement(group, math.exp(llo + (_GOLDEN * (i + 1) % 1.0) * (lhi - llo)))
-            for i in range(count)]
+    return [GroupElement(group, math.exp(llo + x * (lhi - llo))) for x in u]
 
 
 _DESCRIPTOR_RE = re.compile(

@@ -457,9 +457,10 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
                                                   and rd.piecewise_constant))
 
 
-def measure_of_weight(phi: WeightFunction, reference: Measure,
-                      label: str = "") -> Measure:
-    """The measure with density e^-phi against reference (e^-inf = 0 exactly)."""
+def weight_density(phi: WeightFunction, reference: Measure) -> Density:
+    """e^-phi (e^-inf = 0 exactly): the density against reference of the
+    measure phi induces. The one check of a weight's values: DomainError
+    naming x where phi(x) is negative or NaN."""
     def dens(x, _p=phi.evaluator):
         v = _p(x)
         if v < 0 or math.isnan(v):
@@ -467,5 +468,11 @@ def measure_of_weight(phi: WeightFunction, reference: Measure,
         return math.exp(-v) if v != math.inf else 0.0
 
     bps = merge_breakpoints(phi.breakpoints, reference.density.breakpoints)
-    own = Density(dens, bps, piecewise_constant=phi.piecewise_constant)
+    return Density(dens, bps, piecewise_constant=phi.piecewise_constant)
+
+
+def measure_of_weight(phi: WeightFunction, reference: Measure,
+                      label: str = "") -> Measure:
+    """The measure with density e^-phi against reference (e^-inf = 0 exactly)."""
+    own = weight_density(phi, reference)
     return Measure(reference.space, own.times(reference.density), label)

@@ -23,8 +23,12 @@ from .report import VerificationReport, le_report, skip_report
 
 __all__ = [
     "SupNormalizationReport", "sup_density", "sup_normalize",
-    "is_information_measure", "check_translate_bound",
+    "is_information_measure", "check_translate_bound", "DEFAULT_TOL",
 ]
+
+# default tolerance of the premise test (a quotient <= 1 + tol passes) and
+# of entropy's other comparisons
+DEFAULT_TOL = 1e-8
 
 _GRID = 256
 _REFINE_ROUNDS = 3
@@ -133,7 +137,8 @@ def sup_normalize(rho: Measure, xi: Measure, reference: Measure,
 
 
 def is_information_measure(rho: Measure, reference: Measure,
-                           s: MeasurableSet, tol: float = 1e-9) -> bool:
+                           s: MeasurableSet,
+                           tol: float = DEFAULT_TOL) -> bool:
     """True iff sup_density(rho, reference, s) <= 1 + tol: the one test of
     the information-measure premise drho/dreference <= 1.
 

@@ -11,7 +11,7 @@ from haarent.entropy import (EntropyForm, NonUnitMassWarning, Verdict,
                              entropy_prob, entropy_weight, nonneg_certificate,
                              uniform_measure)
 from haarent.errors import (AbsoluteContinuityError, DegenerateMeasureError,
-                            NotInformationMeasureError)
+                            DomainError, NotInformationMeasureError)
 from haarent.groups import Dihedral, haar
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               WeightFunction, mass, measure_of_weight,
@@ -168,6 +168,20 @@ class TestWeightForm:
     def test_everywhere_infinite_weight_rejected(self):
         with pytest.raises(DegenerateMeasureError):
             entropy_weight(WeightFunction.const(math.inf), LEB, FULL)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("space", [UNIT, DIE], ids=["interval", "atoms"])
+    def test_invalid_weight_values_rejected(self, bad, space):
+        # the weight form and the measure phi induces run one check of
+        # phi's values, which names the point
+        nu = Measure.counting(space) if space.is_finite \
+            else Measure.lebesgue(space)
+        s = MeasurableSet.full(space)
+        phi = WeightFunction(lambda x: bad)
+        with pytest.raises(DomainError, match=r"weight value .+ at "):
+            entropy_weight(phi, nu, s)
+        with pytest.raises(DomainError, match=r"weight value .+ at "):
+            entropy_finite(measure_of_weight(phi, nu), nu, s)
 
     def test_agrees_with_finite_form_through_correspondence(self):
         rng = np.random.default_rng(5)
@@ -343,6 +357,18 @@ class TestNonnegativityCertificate:
         assert not is_information_measure(m, nu, full)
         with pytest.raises(NotInformationMeasureError, match=repr(sup)):
             nonneg_certificate(m, nu, full)
+
+    @pytest.mark.parametrize("excess, ok", [(5e-9, True), (2e-8, False)])
+    def test_premise_has_one_default_tolerance(self, excess, ok):
+        # is_information_measure and the certificate share DEFAULT_TOL
+        m = LEB.scaled(1.0 + excess)
+        assert is_information_measure(m, LEB, FULL) is ok
+        if ok:
+            assert nonneg_certificate(m, LEB, FULL).verdict is \
+                Verdict.MASS_AT_LEAST_ONE
+        else:
+            with pytest.raises(NotInformationMeasureError):
+                nonneg_certificate(m, LEB, FULL)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -62,6 +62,42 @@ class TestFiniteGroupAxioms:
             Symmetric(0)
 
 
+class TestContinuousGroupLaw:
+    # fixed sample points, and how far a*a^-1 may land from the identity
+    # (for the circle: around the circle, where the identity 0 is also
+    # 2*pi); the circle's points include angles so small that -a % 2*pi
+    # rounds to 2*pi itself
+    CASES = [
+        (AdditiveReals((0.0, 10.0)), [-3.5, -1e-300, 0.0, 0.1, 2.5, 1e6],
+         math.ulp(0.0)),
+        (MultiplicativePositiveReals((0.1, 100.0)),
+         [1e-300, 0.1, 1.0 / 3.0, 1.0, 7.5, 1e3, 1e300], math.ulp(1.0)),
+        (Circle(), [0.0, 5e-324, 1e-20, 0.1, 3.0, math.pi, 6.2,
+                    TWO_PI - 1e-15], math.ulp(TWO_PI)),
+    ]
+
+    @pytest.mark.parametrize("group, points, ulp", CASES,
+                             ids=["R+add", "R*mul", "circle"])
+    def test_identity_and_inverse(self, group, points, ulp):
+        e = group.identity_rep()
+        for a in points:
+            assert group.compose_reps(a, e) == a
+            assert group.compose_reps(e, a) == a
+            r = group.compose_reps(a, group.inverse_rep(a))
+            if isinstance(group, Circle):
+                r = min(r, TWO_PI - r)
+            assert abs(r - e) <= ulp, a
+
+    def test_circle_reps_stay_in_range(self):
+        g = Circle()
+        angles = self.CASES[2][1]
+        for a in angles + [-1e-20, -0.1, 7.0, -7.0]:
+            rep = g.element(a).rep
+            for r in (rep, g.inverse_rep(rep),
+                      *(g.compose_reps(rep, b) for b in angles)):
+                assert 0.0 <= r < TWO_PI, (a, r)
+
+
 class TestElementsAndLabels:
     def test_cyclic_labels(self):
         g = Cyclic(6)
@@ -72,16 +108,16 @@ class TestElementsAndLabels:
         g = Dihedral(3)
         labels = {e.label for e in g.elements()}
         assert labels == {"r0", "r1", "r2", "s0", "s1", "s2"}
-        s1 = g.element("s1")
-        assert s1.compose(s1).label == "r0"
+        s1 = g.element("s1").rep
+        assert g.label_of(g.compose_reps(s1, s1)) == "r0"
 
     def test_symmetric_labels_are_words(self):
         g = Symmetric(3)
         labels = {e.label for e in g.elements()}
         assert "012" in labels
         assert len(labels) == 6
-        swap = g.element("102")
-        assert swap.compose(swap).label == "012"
+        swap = g.element("102").rep
+        assert g.label_of(g.compose_reps(swap, swap)) == "012"
 
     @pytest.mark.parametrize("group, atoms", [
         (Symmetric(5), tuple("".join(map(str, w))
@@ -97,19 +133,14 @@ class TestElementsAndLabels:
         with pytest.raises(DomainError):
             Cyclic(6).element("6")
 
-    def test_element_compose_and_inverse(self):
-        g = Cyclic(6)
-        a = g.element(2)
-        b = g.element(5)
-        assert a.compose(b).rep == 1
-        assert a.inverse().rep == 4
-
     def test_finite_action_is_left_translation(self):
         g = Cyclic(6)
-        assert g.act_point(2, "3") == "5"
+        one = MeasurableSet.of_atoms(g.carrier, ["3"])
+        assert translate_set(g.element(2), one).atoms == ("5",)
+        # in D3, s0*r1 = s2 while r1*s0 = s1
         d = Dihedral(3)
-        assert d.act_point(d.element("s0").rep, "r1") == \
-            d.element("s0").compose(d.element("r1")).label
+        one = MeasurableSet.of_atoms(d.carrier, ["r1"])
+        assert translate_set(d.element("s0"), one).atoms == ("s2",)
 
 
 class TestHaar:
@@ -192,6 +223,46 @@ class TestTranslateSet:
         g = Circle()
         s = MeasurableSet.full(g.carrier)
         assert translate_set(g.element(1.0), s) == s
+
+    @pytest.mark.parametrize("group, atoms, label", [
+        (Cyclic(6), ["0", "1", "4"], "5"),
+        (Dihedral(4), ["r1", "s0", "s3"], "s1"),
+        (Symmetric(3), ["012", "120", "201", "021"], "102"),
+    ], ids=["Z6", "D4", "S3"])
+    def test_atoms_move_by_compose_reps(self, group, atoms, label):
+        g = group.element(label)
+        moved = translate_set(g, MeasurableSet.of_atoms(group.carrier, atoms))
+        want = {group.label_of(group.compose_reps(
+            g.rep, group._rep_by_label[a])) for a in atoms}
+        assert set(moved.atoms) == want
+        assert len(moved.atoms) == len(atoms)
+
+    @pytest.mark.parametrize("group, intervals, rep", [
+        (AdditiveReals((0.0, 10.0)), [(0.5, 1.25), (3.0, 4.1)], 2.7),
+        (MultiplicativePositiveReals((0.1, 100.0)),
+         [(0.3, 0.7), (1.1, 2.9)], 3.3),
+        # the second arc wraps past 2*pi and splits in two
+        (Circle(), [(1.0, 2.0), (6.0, 6.2)], 0.2),
+    ], ids=["R+add", "R*mul", "circle"])
+    def test_interval_ends_move_by_compose_reps(self, group, intervals, rep):
+        g = group.element(rep)
+        moved = translate_set(
+            g, MeasurableSet.of_intervals(group.carrier, intervals))
+        lefts = {group.compose_reps(g.rep, a) for a, _ in intervals}
+        rights = {group.compose_reps(g.rep, b) for _, b in intervals}
+        got_lefts = {a for a, _ in moved.intervals}
+        got_rights = {b for _, b in moved.intervals}
+        if isinstance(group, Circle):
+            # the wrap adds the cut ends 0 and 2*pi; a moved arc keeps its
+            # width, so its right end is compose_reps up to rounding
+            assert len(moved.intervals) == len(intervals) + 1
+            got_lefts.remove(0.0)
+            got_rights.remove(TWO_PI)
+            assert sorted(got_rights) == pytest.approx(sorted(rights),
+                                                       abs=1e-12)
+        else:
+            assert got_rights == rights
+        assert got_lefts == lefts
 
     def test_wrong_carrier_rejected(self):
         g = Cyclic(6)
@@ -330,8 +401,9 @@ class TestLattice:
 
     def test_identity_alone_is_trivial(self):
         g = Symmetric(4)
-        sub = generated_subgroup(g, [g.identity()])
-        assert sub.elements == (g.identity().label,)
+        e = g.element(g.identity_rep())
+        sub = generated_subgroup(g, [e])
+        assert sub.elements == (e.label,)
 
     def test_foreign_element_rejected(self):
         with pytest.raises(DomainError):
@@ -514,11 +586,6 @@ class TestWindowValidation:
             MultiplicativePositiveReals((0.0, 10.0))
         with pytest.raises(DomainError):
             MultiplicativePositiveReals((-1.0, 10.0))
-
-    def test_multiplicative_log_window(self):
-        g = MultiplicativePositiveReals.from_log_window(-1.0, 2.0)
-        assert g.window[0] == pytest.approx(math.exp(-1.0))
-        assert g.window[1] == pytest.approx(math.exp(2.0))
 
     def test_continuous_rep_must_be_finite(self):
         g = AdditiveReals((0.0, 10.0))
