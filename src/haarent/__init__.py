@@ -20,7 +20,7 @@ from .errors import (AbsoluteContinuityError, CatalogError, ConvergenceError,
                      SumOverflowError, UnsupportedOperationError,
                      WindowOverflowError)
 from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
-                     Group, GroupElement, MultiplicativePositiveReals,
+                     Group, MultiplicativePositiveReals,
                      RestrictedGroup, Subgroup, Symmetric, generated_subgroup,
                      group_from_descriptor, haar, subgroup_chains, subgroups,
                      translate_set, translation_samples)
@@ -47,7 +47,7 @@ __all__ = [
     "ClaimSpec", "ClaimSummary", "ConvergenceError", "Cyclic",
     "DEFAULT_INTEGRATOR", "DegenerateMeasureError", "Density", "Dihedral",
     "DomainError", "EntropyForm", "EntropyValue", "ExprEvalError",
-    "ExprSyntaxError", "FiniteGroup", "Group", "GroupElement",
+    "ExprSyntaxError", "FiniteGroup", "Group",
     "HaarentError", "IntegralResult", "Integrator", "MeasurableSet", "Measure",
     "MultiplicativePositiveReals", "NonUnitMassWarning",
     "NonnegativityCertificate", "NormalizationError",

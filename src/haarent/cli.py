@@ -36,7 +36,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import dsl, verifier
 from .entropy import entropy_finite
@@ -51,46 +50,15 @@ from .report import reports_to_csv, reports_to_json, reports_to_table
 from .supnorm import sup_density, sup_normalize
 from .verifier import summary_to_table
 
-__all__ = ["RunConfig", "main", "measure_from_spec"]
+__all__ = ["main", "measure_from_spec"]
 
 _DEFAULT_TOL = 1e-8
-_COMMANDS = ("entropy", "supnorm", "verify", "examples", "maxent")
 _FORMATS = ("table", "json", "csv")
 _BUILTINS = ("lebesgue", "counting", "uniform", "haar:R*")
 
 
 class _UsageError(Exception):
     """Invocation or input-file problem; reported on stderr with exit 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved common options of one invocation.
-
-    tol is None only for verify without --tol or HAARENT_TOL, where each
-    claim keeps its own pass threshold.
-    """
-
-    command: str
-    input_paths: tuple = ()
-    tol: float | None = _DEFAULT_TOL
-    seed: int = 0
-    output_format: str = "table"
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if self.tol is not None and not (self.tol > 0
-                                         and math.isfinite(self.tol)):
-            raise DomainError(f"tolerance must be positive, got {self.tol!r}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
-        if self.output_format not in _FORMATS:
-            raise DomainError(f"unknown format {self.output_format!r}")
-        for p in self.input_paths:
-            if not os.path.isfile(p):
-                raise DomainError(f"input path does not exist: {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +181,20 @@ def _env_tol() -> float | None:
     return v
 
 
+def _tol(args) -> float | None:
+    """The run's tolerance: --tol, else HAARENT_TOL, else the default.
+    None for verify without either, where each claim keeps its own pass
+    threshold, and for the commands that take no tolerance."""
+    if "tol" not in args:
+        return None
+    tol = args.tol if args.tol is not None else _env_tol()
+    if tol is None:
+        return None if args.command == "verify" else _DEFAULT_TOL
+    if not (tol > 0 and math.isfinite(tol)):
+        raise _UsageError(f"tolerance must be positive, got {tol!r}")
+    return tol
+
+
 def _integrator_for(tol: float) -> Integrator:
     rel = min(tol, 1e-3)
     abs_ = max(min(tol * 1e-2, 1e-10), 1e-300)
@@ -237,9 +219,9 @@ def _reference_from_args(args) -> tuple[Measure, Group | None]:
     return _load_measure(args.reference), None
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+def _emit(args, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -278,7 +260,7 @@ def _render_reports(fmt: str, reports) -> str:
 # Subcommands
 
 
-def _cmd_entropy(cfg: RunConfig, args) -> int:
+def _cmd_entropy(args, tol: float) -> int:
     reference, group = _reference_from_args(args)
     m = _load_measure(args.measure, default_space=reference.space)
     if m.space != reference.space:
@@ -293,19 +275,18 @@ def _cmd_entropy(cfg: RunConfig, args) -> int:
         if not labels:
             raise _UsageError("--subgroup needs at least one element label")
         try:
-            gens = [group.element(lab) for lab in labels]
+            s = generated_subgroup(group, labels).as_set()
         except DomainError as exc:
             raise _UsageError(str(exc)) from exc
-        s = generated_subgroup(group, gens).as_set()
     else:
         s = dsl.parse_set(args.set if args.set is not None else "full",
                           m.space)
-    value = entropy_finite(m, reference, s, _integrator_for(cfg.tol))
-    _emit(cfg, _render_record(cfg.output_format, value.to_dict()))
+    value = entropy_finite(m, reference, s, _integrator_for(tol))
+    _emit(args, _render_record(args.format, value.to_dict()))
     return 0
 
 
-def _cmd_supnorm(cfg: RunConfig, args) -> int:
+def _cmd_supnorm(args, tol: float | None) -> int:
     reference, _ = _reference_from_args(args)
     paths = args.measure
     if not 1 <= len(paths) <= 2:
@@ -323,38 +304,40 @@ def _cmd_supnorm(cfg: RunConfig, args) -> int:
     else:
         _, _, report = sup_normalize(measures[0], measures[1], reference, s)
         rec = report.to_dict()
-    _emit(cfg, _render_record(cfg.output_format, rec))
+    _emit(args, _render_record(args.format, rec))
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args, tol: float | None) -> int:
+    if args.trials < 0:
+        raise _UsageError(f"--trials must be >= 0, got {args.trials!r}")
     if args.all:
-        summary = verifier.run_all(seed=cfg.seed, trials=args.trials,
-                                   tol=cfg.tol)
-        if cfg.output_format == "json":
+        summary = verifier.run_all(seed=args.seed, trials=args.trials,
+                                   tol=tol)
+        if args.format == "json":
             doc = {"schema": "haarent-run/1", **summary.to_dict()}
             text = json.dumps(doc, indent=2) + "\n"
-        elif cfg.output_format == "csv":
+        elif args.format == "csv":
             text = reports_to_csv(summary.reports)
         else:
             text = summary_to_table(summary) + "\n"
-        _emit(cfg, text)
+        _emit(args, text)
         return 0 if summary.ok else 1
     reports = []
     for cid in args.claim:
         reports.extend(verifier.verify(cid, trials=args.trials,
-                                       seed=cfg.seed, tol=cfg.tol))
-    _emit(cfg, _render_reports(cfg.output_format, reports))
+                                       seed=args.seed, tol=tol))
+    _emit(args, _render_reports(args.format, reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_examples(cfg: RunConfig, args) -> int:
+def _cmd_examples(args, tol: float | None) -> int:
     reports = verifier.run_examples()
-    _emit(cfg, _render_reports(cfg.output_format, reports))
+    _emit(args, _render_reports(args.format, reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_maxent(cfg: RunConfig, args) -> int:
+def _cmd_maxent(args, tol: float | None) -> int:
     if args.nu is not None:
         try:
             nu = [float(t) for t in args.nu.split(",") if t.strip()]
@@ -381,26 +364,28 @@ def _cmd_maxent(cfg: RunConfig, args) -> int:
         raise _UsageError(f"--step must be positive and finite, "
                           f"got {args.step!r}")
     point, value = maximize_entropy(nu, mass=args.mass, iters=args.iters,
-                                    step=args.step, seed=cfg.seed)
+                                    step=args.step, seed=args.seed)
     total = math.fsum(nu)
     maximizer = [args.mass * v / total for v in nu]
     sup_distance = max(abs(w - o)
                        for w, o in zip(point.weights, maximizer))
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["index", "nu", "weight", "maximizer"])
         for i, (v, w, o) in enumerate(zip(nu, point.weights, maximizer)):
             writer.writerow([i, repr(v), repr(w), repr(o)])
-        _emit(cfg, buf.getvalue())
+        _emit(args, buf.getvalue())
         return 0
     rec = {"n": len(nu), "mass": args.mass, "entropy": value,
            "sup_distance": sup_distance, "weights": list(point.weights),
            "maximizer": maximizer}
-    _emit(cfg, _render_record(cfg.output_format, rec))
+    _emit(args, _render_record(args.format, rec))
     return 0
 
 
+# each runner takes the parsed args and the tolerance _tol resolved for
+# them (None for the commands that take no tolerance)
 _RUNNERS = {"entropy": _cmd_entropy, "supnorm": _cmd_supnorm,
             "verify": _cmd_verify, "examples": _cmd_examples,
             "maxent": _cmd_maxent}
@@ -494,28 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None and "tol" in args:  # only entropy and verify take a tol
-        tol = _env_tol()
-    if tol is None and args.command != "verify":
-        tol = _DEFAULT_TOL
-    paths = []
-    measure = getattr(args, "measure", None)
-    if isinstance(measure, str):
-        paths.append(measure)
-    elif isinstance(measure, list):
-        paths.extend(measure)
-    if getattr(args, "reference", None) is not None:
-        paths.append(args.reference)
-    return RunConfig(command=args.command,
-                     input_paths=tuple(paths),
-                     tol=tol,
-                     seed=getattr(args, "seed", 0),
-                     output_format=args.format,
-                     output_path=args.output)
-
-
 _built = None  # (build_parser as bound when it ran, its parser)
 
 
@@ -537,12 +500,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _config_from(args)
-    except (_UsageError, DomainError) as exc:
-        print(f"haarent: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _RUNNERS[cfg.command](cfg, args)
+        tol = _tol(args)
+        if getattr(args, "seed", 0) < 0:
+            raise _UsageError(f"seed must be >= 0, got {args.seed!r}")
+        return _RUNNERS[args.command](args, tol)
     except ExprSyntaxError as exc:
         print(f"haarent: error: {exc} (at position {exc.position})",
               file=sys.stderr)

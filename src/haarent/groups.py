@@ -7,7 +7,11 @@ out are its Haar measures; everything else is built on top of them.
 
 Every kind has the interface of Group: `carrier`, `compose_reps` (also
 the action on the carrier, the one `translate_set` uses), `inverse_rep`,
-`identity_rep`, `label_of`, `element`, `haar_density` and `describe`.
+`identity_rep`, `label_of`, `check_rep`, `haar_density` and `describe`.
+A group element is its rep; `check_rep` is the one check that lets one
+in, and every function taking elements (`translate_set`,
+`generated_subgroup`, the samples of `supnorm.check_translate_bound`)
+calls it.
 
 Every subgroup of a finite kind (in `subgroups`, `subgroup_chains` and
 `generated_subgroup`) comes from one closure routine, `_extend`: Dimino's
@@ -31,7 +35,7 @@ from .errors import (DomainError, UnsupportedOperationError,
 from .measures import Density, Measure, MeasurableSet, Space, mass
 
 __all__ = [
-    "Group", "GroupElement", "Subgroup",
+    "Group", "Subgroup",
     "Cyclic", "Dihedral", "Symmetric", "AdditiveReals",
     "MultiplicativePositiveReals", "Circle",
     "haar", "translate_set", "subgroups",
@@ -43,26 +47,15 @@ TWO_PI = 2.0 * math.pi
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of a specific group, stored in canonical representation."""
-
-    group: "Group"
-    rep: object
-
-    @property
-    def label(self) -> str:
-        return self.group.label_of(self.rep)
-
-
 class Group:
     """Common interface; concrete kinds are frozen dataclasses below.
 
     The carrier is the group itself, so compose_reps(a, x) is both the law
     and the left action of a on a carrier point x; inverse_rep and
     identity_rep complete the law. label_of names a rep (the atom, on finite
-    kinds), element checks one in, haar_density is against the carrier's
-    base measure, and describe gives what group_from_descriptor parses.
+    kinds), check_rep checks one in and returns the group's own rep,
+    haar_density is against the carrier's base measure, and describe gives
+    what group_from_descriptor parses.
     """
 
     is_finite = False
@@ -83,7 +76,7 @@ class Group:
     def label_of(self, rep) -> str:
         return str(rep)
 
-    def element(self, rep) -> GroupElement:
+    def check_rep(self, rep):
         raise NotImplementedError
 
     def haar_density(self) -> Density:
@@ -123,15 +116,14 @@ class FiniteGroup(Group):
     def order(self) -> int:
         return len(self.reps)
 
-    def element(self, rep) -> GroupElement:
-        if isinstance(rep, str) and rep in self._rep_by_label:
-            return GroupElement(self, self._rep_by_label[rep])
-        if rep in self._rep_by_label.values() or rep in self.reps:
-            return GroupElement(self, rep)
-        raise DomainError(f"{rep!r} is not an element of {self.describe()}")
-
-    def elements(self) -> list[GroupElement]:
-        return [GroupElement(self, r) for r in self.reps]
+    def check_rep(self, rep):
+        """The group's own rep of `rep`, given as a label or a rep (so
+        Cyclic(6).check_rep(2.0) is the int 2)."""
+        try:
+            return self.reps[self._index[self._rep_by_label.get(rep, rep)]]
+        except (KeyError, TypeError):
+            raise DomainError(f"{rep!r} is not an element of "
+                              f"{self.describe()}") from None
 
     @cached_property
     def _index(self) -> dict:
@@ -247,10 +239,12 @@ class ContinuousGroup(Group):
     def carrier(self) -> Space:
         return Space.interval(*self.window)
 
-    def element(self, rep) -> GroupElement:
-        return GroupElement(self, self.check_rep(float(rep)))
-
-    def check_rep(self, rep: float) -> float:
+    def check_rep(self, rep) -> float:
+        try:
+            rep = float(rep)
+        except (TypeError, ValueError):
+            raise DomainError(f"translation amount must be a number: "
+                              f"{rep!r}") from None
         if not math.isfinite(rep):
             raise DomainError(f"translation amount must be finite: {rep!r}")
         return rep
@@ -302,8 +296,8 @@ class MultiplicativePositiveReals(ContinuousGroup):
     def inverse_rep(self, a):
         return 1.0 / a
 
-    def check_rep(self, rep: float) -> float:
-        super().check_rep(rep)
+    def check_rep(self, rep) -> float:
+        rep = super().check_rep(rep)
         if rep <= 0:
             raise DomainError(f"multiplicative elements must be positive: {rep!r}")
         return rep
@@ -332,7 +326,7 @@ class Circle(ContinuousGroup):
     def inverse_rep(self, a):
         return (TWO_PI - a) % TWO_PI  # (-a) % TWO_PI is TWO_PI for tiny a
 
-    def check_rep(self, rep: float) -> float:
+    def check_rep(self, rep) -> float:
         # x % TWO_PI is TWO_PI for x in (-ulp, 0); the second % maps it to 0
         return super().check_rep(rep) % TWO_PI % TWO_PI
 
@@ -349,27 +343,22 @@ def haar(group: Group, scale: float = 1.0) -> Measure:
     return Measure(group.carrier, dens, label=f"haar({group.describe()})")
 
 
-def _group_of(g: GroupElement) -> Group:
-    if not isinstance(g, GroupElement):
-        raise DomainError(f"expected a GroupElement, got {type(g).__name__}")
-    return g.group
-
-
-def translate_set(g: GroupElement, s: MeasurableSet) -> MeasurableSet:
-    """Image g*s of a carrier set under left translation: every atom or
-    interval end x moves to compose_reps(g.rep, x).
+def translate_set(group: Group, rep, s: MeasurableSet) -> MeasurableSet:
+    """Image g*s of a carrier set under left translation by the element
+    g = group.check_rep(rep): every atom or interval end x moves to
+    compose_reps(g, x).
 
     Additive and multiplicative windows raise WindowOverflowError when the
     image escapes (recoverable: rebuild the group with a larger window);
     the circle wraps, possibly splitting one arc into two.
     """
-    group = _group_of(g)
+    g = group.check_rep(rep)
     if s.space != group.carrier:
         raise DomainError("set does not live on the group's carrier")
     move = group.compose_reps
     if group.is_finite:
         return MeasurableSet.of_atoms(s.space, [
-            group.label_of(move(g.rep, group._rep_by_label[a]))
+            group.label_of(move(g, group._rep_by_label[a]))
             for a in s.atoms])
     if isinstance(group, Circle):
         arcs = []
@@ -377,7 +366,7 @@ def translate_set(g: GroupElement, s: MeasurableSet) -> MeasurableSet:
             width = b - a
             if width >= TWO_PI:
                 return MeasurableSet.full(s.space)
-            a2 = move(g.rep, a)
+            a2 = move(g, a)
             b2 = a2 + width
             if b2 <= TWO_PI:
                 arcs.append((a2, b2))
@@ -388,11 +377,11 @@ def translate_set(g: GroupElement, s: MeasurableSet) -> MeasurableSet:
     lo, hi = group.window
     moved = []
     for a, b in s.intervals:
-        a2 = move(g.rep, a)
-        b2 = move(g.rep, b)
+        a2 = move(g, a)
+        b2 = move(g, b)
         if a2 < lo or b2 > hi:
             raise WindowOverflowError(
-                f"translate of [{a!r}, {b!r}] by {g.rep!r} gives "
+                f"translate of [{a!r}, {b!r}] by {g!r} gives "
                 f"[{a2!r}, {b2!r}], escaping window [{lo!r}, {hi!r}]; "
                 f"enlarge the window and retry")
         moved.append((a2, b2))
@@ -510,23 +499,18 @@ def _closure(group: FiniteGroup, xs: Iterable[int]) -> tuple[bytes, tuple]:
     return mask, gens
 
 
-def generated_subgroup(group: FiniteGroup,
-                       elements: Iterable[GroupElement]) -> Subgroup:
-    """Smallest subgroup containing `elements` (the trivial subgroup when
-    they are all the identity, or none are given).
+def generated_subgroup(group: FiniteGroup, xs: Iterable) -> Subgroup:
+    """Smallest subgroup containing the elements xs, labels or reps (the
+    trivial subgroup when they are all the identity, or none are given).
 
     The elements are added one at a time, each by one coset walk.
     """
     if not group.is_finite:
         raise UnsupportedOperationError(
             f"generated subgroups need a finite kind, got {group.describe()}")
-    xs = []
-    for g in elements:
-        if _group_of(g) != group:
-            raise DomainError(
-                f"{g.label} is not an element of {group.describe()}")
-        xs.append(group._index[g.rep])
-    return _subgroup(group, _closure(group, xs)[0])
+    index = group._index
+    return _subgroup(group, _closure(
+        group, [index[group.check_rep(x)] for x in xs])[0])
 
 
 def _conjugation(group: FiniteGroup, g: int) -> list[int]:
@@ -642,19 +626,19 @@ def subgroup_chains(group: FiniteGroup) -> list[list[Subgroup]]:
 
 
 def translation_samples(group: Group, count: int = 64,
-                        for_set: MeasurableSet | None = None) -> list[GroupElement]:
-    """Deterministic sample of group elements for invariance checks.
+                        for_set: MeasurableSet | None = None) -> list:
+    """Deterministic sample of group elements (reps) for invariance checks.
 
-    Finite kinds return every element. Continuous kinds return a golden-ratio
+    Finite kinds return every rep, in canonical order. Continuous kinds return a golden-ratio
     low-discrepancy sequence over the window of translations that keep
     `for_set` inside the carrier window (log-spaced for the multiplicative
     kind); the circle needs no constraint.
     """
     if group.is_finite:
-        return group.elements()
+        return list(group.reps)
     u = [_GOLDEN * (i + 1) % 1.0 for i in range(count)]
     if isinstance(group, Circle):
-        return [GroupElement(group, x * TWO_PI) for x in u]
+        return [x * TWO_PI for x in u]
     if for_set is None or not for_set.intervals:
         raise DomainError("windowed kinds need for_set to bound translations")
     lo, hi = group.window
@@ -664,12 +648,12 @@ def translation_samples(group: Group, count: int = 64,
         glo, ghi = lo - mn, hi - mx
         if glo > ghi:
             return []
-        return [GroupElement(group, glo + x * (ghi - glo)) for x in u]
+        return [glo + x * (ghi - glo) for x in u]
     glo, ghi = lo / mn, hi / mx
     if glo > ghi:
         return []
     llo, lhi = math.log(glo), math.log(ghi)
-    return [GroupElement(group, math.exp(llo + x * (lhi - llo))) for x in u]
+    return [math.exp(llo + x * (lhi - llo)) for x in u]
 
 
 _DESCRIPTOR_RE = re.compile(

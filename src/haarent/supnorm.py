@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NormalizationError, WindowOverflowError
-from .groups import Group, GroupElement, translate_set, translation_samples
+from .groups import Group, translate_set, translation_samples
 from .measures import (Measure, MeasurableSet, mass, radon_nikodym,
                        sample_grid)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
@@ -149,7 +149,7 @@ def is_information_measure(rho: Measure, reference: Measure,
 
 def check_translate_bound(rho: Measure, nu: Measure, group: Group,
                           a_set: MeasurableSet,
-                          samples: list[GroupElement] | None = None,
+                          samples: list | None = None,
                           count: int = 64, tol: float = 1e-8,
                           cfg: Integrator = DEFAULT_INTEGRATOR,
                           seed: int = 0, trial: int = 0,
@@ -157,7 +157,8 @@ def check_translate_bound(rho: Measure, nu: Measure, group: Group,
                           ) -> VerificationReport:
     """Check sup_g rho(gA) <= c * inf_g nu(gA), c = sup drho/dnu over the carrier.
 
-    g runs over `samples` (finite kinds: every element; continuous kinds: a
+    g runs over `samples`, elements that group.check_rep accepts (by default
+    translation_samples: on finite kinds every rep; on continuous kinds a
     low-discrepancy sequence of translations keeping A inside the window).
     Window overflows are skipped samples, recorded in scope notes.
     """
@@ -171,7 +172,7 @@ def check_translate_bound(rho: Measure, nu: Measure, group: Group,
     skipped = 0
     for g in samples:
         try:
-            moved = translate_set(g, a_set)
+            moved = translate_set(group, g, a_set)
         except WindowOverflowError:
             skipped += 1
             continue
@@ -183,9 +184,10 @@ def check_translate_bound(rho: Measure, nu: Measure, group: Group,
             best_nu = (n, g)
     if worst_rho[1] is None:
         return skip_report(claim, "no admissible translates", tol, seed, trial)
+    worst_g, best_g = (group.label_of(group.check_rep(g))
+                       for g in (worst_rho[1], best_nu[1]))
     notes = (f"sampled translates only ({len(samples) - skipped} used"
              f"{f', {skipped} overflowed' if skipped else ''}); "
-             f"max rho at g={group.label_of(worst_rho[1].rep)}, "
-             f"min nu at g={group.label_of(best_nu[1].rep)}, c={c!r}")
+             f"max rho at g={worst_g}, min nu at g={best_g}, c={c!r}")
     return le_report(claim, worst_rho[0], c * best_nu[0], tol, seed, trial,
                      scope_notes=notes)

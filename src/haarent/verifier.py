@@ -25,7 +25,7 @@ import numpy as np
 from .entropy import (NonUnitMassWarning, Verdict, change_reference,
                       entropic_gap, entropy_finite, entropy_prob,
                       entropy_weight, nonneg_certificate, uniform_measure)
-from .errors import CatalogError
+from .errors import CatalogError, DomainError
 from .groups import (AdditiveReals, Cyclic, Dihedral, FiniteGroup,
                      MultiplicativePositiveReals, haar, subgroups,
                      translate_set)
@@ -257,7 +257,7 @@ def _check_invariance(rng, tol, seed, trial):
     base = MeasurableSet.of_interval(group.carrier, a, b)
     worst = (-1.0, None, target)
     for g in gs:
-        moved = translate_set(group.element(g), base)
+        moved = translate_set(group, g, base)
         value = entropy_finite(nu, nu, moved, CFG).nats
         if abs(value - target) > worst[0]:
             worst = (abs(value - target), g, value)
@@ -507,7 +507,7 @@ _CATALOG = (
     ClaimSpec("lem-nonnegativity",
               "entropy is nonnegative for information measures of total "
               "mass at least one",
-              _check_nonnegativity, default_tol=1e-10, exact="never"),
+              _check_nonnegativity, default_tol=1e-10),
     ClaimSpec("lem-change-of-reference",
               "entropy against a new reference equals the old entropy "
               "minus the mean log density quotient",
@@ -588,11 +588,14 @@ def verify(claim_id: str, trials: int = 20, seed: int = 0,
 
     Each report is reproducible from (claim_id, seed, trial index). With
     tol=None the claim's default applies (1e-12 on exact finite instances).
+    Raises DomainError for trials < 0.
     """
     spec = _BY_ID.get(claim_id)
     if spec is None:
         raise CatalogError(f"unknown claim id {claim_id!r}; known: "
                            f"{', '.join(claim_ids())}")
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials!r}")
     reports = []
     for t in range(trials):
         rng = _trial_rng(claim_id, seed, t)
@@ -665,7 +668,7 @@ def run_examples() -> list:
         at_rest = entropy_prob(mu_h, leb_mul, base, CFG).nats
         shifted = MeasurableSet.of_interval(mul.carrier, a + 2.0, b + 2.0)
         add_moved = entropy_prob(mu_h, leb_mul, shifted, CFG).nats
-        scaled = translate_set(mul.element(2.0), base)
+        scaled = translate_set(mul, 2.0, base)
         mul_moved = entropy_prob(mu_h, leb_mul, scaled, CFG).nats
     for t, (kind, moved) in enumerate(
             (("addition of 2", add_moved), ("multiplication by 2",
@@ -750,7 +753,8 @@ def run_all(seed: int = 0, trials: int = 20,
     """Run every catalog claim plus the worked examples.
 
     With trials=0 everything is skipped (vacuous run, counts as success)
-    and a warning is emitted.
+    and a warning is emitted; trials < 0 raises DomainError (from the first
+    verify call).
     """
     if trials == 0:
         warnings.warn("trials=0: all claims skipped, nothing verified",

@@ -56,7 +56,7 @@ def test_criterion_01_flat_reference_scores_log_length():
         got = entropy_finite(nu, nu, s).nats
         assert got == pytest.approx(want, abs=1e-8)
         for g in (-2.0, 0.5, 3.0):
-            moved = translate_set(add.element(g), s)
+            moved = translate_set(add, g, s)
             assert entropy_finite(nu, nu, moved).nats == pytest.approx(
                 want, abs=1e-8)
     assert time.perf_counter() - t0 < 1.0
@@ -73,7 +73,7 @@ def test_criterion_02_scale_reference_scores_loglog():
         got = entropy_finite(nu, nu, s).nats
         assert got == pytest.approx(want, abs=1e-8)
         for g in (0.5, 2.0, 10.0):
-            moved = translate_set(mul.element(g), s)
+            moved = translate_set(mul, g, s)
             assert entropy_finite(nu, nu, moved).nats == pytest.approx(
                 want, abs=1e-8)
 
@@ -103,7 +103,7 @@ def test_criterion_03_mixed_reference_value_and_non_invariance():
     at_rest = value(base)
     shifted = MeasurableSet.of_interval(mul.carrier, 4.0, 7.0)
     assert abs(value(shifted) - at_rest) > 1e-3
-    scaled = translate_set(mul.element(2.0), base)
+    scaled = translate_set(mul, 2.0, base)
     assert abs(value(scaled) - at_rest) > 1e-3
 
 

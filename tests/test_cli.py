@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from haarent import cli
-from haarent.cli import RunConfig, main, measure_from_spec
-from haarent.errors import DomainError
+from haarent.cli import main, measure_from_spec
 from haarent.measures import MeasurableSet, Space, mass
 
 
@@ -131,6 +130,14 @@ class TestEntropyCommand:
         code = main(["entropy", "--measure", spaceless_uniform,
                      "--group", "R+add:[0,10]", "--subgroup", "1"])
         assert code == 2
+
+    def test_subgroup_unknown_label_exits_two(self, spaceless_uniform,
+                                              capsys):
+        code = main(["entropy", "--measure", spaceless_uniform,
+                     "--group", "D6", "--subgroup", "r2,x9"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "haarent: error: 'x9' is not an element of D6\n"
 
     def test_reference_and_group_exclusive(self, interval_specs, capsys):
         uniform, lebesgue = interval_specs
@@ -255,6 +262,25 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("claim_id,trial,passed")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("which", [["--claim", "lem-finite-form"],
+                                       ["--all"]], ids=["claim", "all"])
+    @pytest.mark.parametrize("trials", ["-1", "-3"])
+    def test_negative_trials_exit_two(self, capsys, which, trials):
+        assert main(["verify", *which, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("haarent: error: --trials must be >= 0, "
+                                f"got {trials}\n")
+
+    def test_zero_trials_still_skips(self, capsys):
+        with pytest.warns(UserWarning):
+            assert main(["verify", "--all", "--trials", "0"]) == 0
+        assert capsys.readouterr().out.rstrip().splitlines()[-1] \
+            .startswith("PASS")
+        assert main(["verify", "--claim", "lem-finite-form", "--trials",
+                     "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"] == []
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--claim", "lem-weight-form", "--trials", "3",
@@ -592,32 +618,44 @@ class TestMeasureFromSpec:
                  "density": {"kind": "expr", "payload": "x-0.5"}})
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig(command="examples")
-        assert cfg.tol == 1e-8
-        assert cfg.seed == 0
-        assert cfg.output_format == "table"
+class TestCommonOptions:
+    """Checks main() makes beyond argparse's: tol, seed and input files."""
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="explode")
+    @pytest.mark.parametrize("tol", ["0", "inf"])
+    def test_bad_tol_exits_two(self, spaceless_uniform, capsys, tol):
+        assert main(["entropy", "--measure", spaceless_uniform,
+                     "--group", "Z6", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("haarent: error: tolerance must be "
+                                f"positive, got {float(tol)!r}\n")
 
-    def test_bad_tol_rejected(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="entropy", tol=0.0)
-        with pytest.raises(DomainError):
-            RunConfig(command="entropy", tol=math.inf)
+    def test_unknown_format_exits_two(self, capsys):
+        assert main(["examples", "--format", "yaml"]) == 2
+        assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="verify", seed=-1)
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(["verify", "--claim", "lem-finite-form",
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "haarent: error: seed must be >= 0, got -1\n"
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="verify", output_format="yaml")
+    def test_missing_file_names_the_path(self, capsys):
+        assert main(["entropy", "--measure", "/does/not/exist.json",
+                     "--group", "Z6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "haarent: error: cannot read /does/not/exist.json: ")
 
-    def test_missing_input_rejected(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="entropy",
-                      input_paths=("/does/not/exist.json",))
+    def test_entropy_default_tol(self, spaceless_uniform, monkeypatch,
+                                 capsys):
+        seen = []
+        integrator_for = cli._integrator_for
+        monkeypatch.setattr(cli, "_integrator_for",
+                            lambda tol: seen.append(tol)
+                            or integrator_for(tol))
+        assert main(["entropy", "--measure", spaceless_uniform,
+                     "--group", "Z6"]) == 0
+        assert seen == [1e-8]
+        capsys.readouterr()

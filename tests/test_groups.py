@@ -8,7 +8,7 @@ from haarent import groups
 from haarent.errors import (DomainError, UnsupportedOperationError,
                              WindowOverflowError)
 from haarent.groups import (AdditiveReals, Circle, Cyclic, Dihedral,
-                            GroupElement, MultiplicativePositiveReals,
+                            MultiplicativePositiveReals,
                             RestrictedGroup, Subgroup, Symmetric,
                             generated_subgroup, group_from_descriptor, haar,
                             subgroup_chains, subgroups, translate_set,
@@ -92,7 +92,7 @@ class TestContinuousGroupLaw:
         g = Circle()
         angles = self.CASES[2][1]
         for a in angles + [-1e-20, -0.1, 7.0, -7.0]:
-            rep = g.element(a).rep
+            rep = g.check_rep(a)
             for r in (rep, g.inverse_rep(rep),
                       *(g.compose_reps(rep, b) for b in angles)):
                 assert 0.0 <= r < TWO_PI, (a, r)
@@ -101,22 +101,22 @@ class TestContinuousGroupLaw:
 class TestElementsAndLabels:
     def test_cyclic_labels(self):
         g = Cyclic(6)
-        assert [e.label for e in g.elements()] == [str(k) for k in range(6)]
-        assert g.element("4").rep == 4
+        assert [g.label_of(r) for r in g.reps] == [str(k) for k in range(6)]
+        assert g.check_rep("4") == 4
 
     def test_dihedral_labels(self):
         g = Dihedral(3)
-        labels = {e.label for e in g.elements()}
+        labels = {g.label_of(r) for r in g.reps}
         assert labels == {"r0", "r1", "r2", "s0", "s1", "s2"}
-        s1 = g.element("s1").rep
+        s1 = g.check_rep("s1")
         assert g.label_of(g.compose_reps(s1, s1)) == "r0"
 
     def test_symmetric_labels_are_words(self):
         g = Symmetric(3)
-        labels = {e.label for e in g.elements()}
+        labels = {g.label_of(r) for r in g.reps}
         assert "012" in labels
         assert len(labels) == 6
-        swap = g.element("102").rep
+        swap = g.check_rep("102")
         assert g.label_of(g.compose_reps(swap, swap)) == "012"
 
     @pytest.mark.parametrize("group, atoms", [
@@ -131,16 +131,37 @@ class TestElementsAndLabels:
 
     def test_unknown_label_rejected(self):
         with pytest.raises(DomainError):
-            Cyclic(6).element("6")
+            Cyclic(6).check_rep("6")
+
+    @pytest.mark.parametrize("group, given", [
+        (Cyclic(6), 2.0), (Cyclic(6), "2"),
+        (Dihedral(3), "s1"), (Symmetric(3), (1, 0, 2)),
+    ], ids=["Z6-float", "Z6-label", "D3-label", "S3-tuple"])
+    def test_check_rep_returns_the_groups_own_rep(self, group, given):
+        got = group.check_rep(given)
+        assert any(got is r for r in group.reps)
+        assert got == group._rep_by_label.get(given, given)
+
+    @pytest.mark.parametrize("bad", ["r0", 6, -1, 2.5, math.nan,
+                                     math.inf, None, (0, 0), [1]],
+                             ids=repr)
+    def test_check_rep_rejects_what_is_not_an_element(self, bad):
+        with pytest.raises(DomainError):
+            Cyclic(6).check_rep(bad)
+
+    def test_float_rep_translates_as_its_int(self):
+        g = Cyclic(6)
+        one = MeasurableSet.of_atoms(g.carrier, ["1"])
+        assert translate_set(g, 2.0, one).atoms == ("3",)
 
     def test_finite_action_is_left_translation(self):
         g = Cyclic(6)
         one = MeasurableSet.of_atoms(g.carrier, ["3"])
-        assert translate_set(g.element(2), one).atoms == ("5",)
+        assert translate_set(g, 2, one).atoms == ("5",)
         # in D3, s0*r1 = s2 while r1*s0 = s1
         d = Dihedral(3)
         one = MeasurableSet.of_atoms(d.carrier, ["r1"])
-        assert translate_set(d.element("s0"), one).atoms == ("s2",)
+        assert translate_set(d, "s0", one).atoms == ("s2",)
 
 
 class TestHaar:
@@ -182,39 +203,39 @@ class TestTranslateSet:
     def test_finite_translation(self):
         g = Cyclic(6)
         s = MeasurableSet.of_atoms(g.carrier, ["0", "1"])
-        assert translate_set(g.element(2), s).atoms == ("2", "3")
+        assert translate_set(g, 2, s).atoms == ("2", "3")
 
     def test_additive_shift(self):
         g = AdditiveReals((0.0, 10.0))
         s = MeasurableSet.of_interval(g.carrier, 0.0, 1.0)
-        assert translate_set(g.element(2.0), s).intervals == ((2.0, 3.0),)
+        assert translate_set(g, 2.0, s).intervals == ((2.0, 3.0),)
 
     def test_additive_overflow_raises(self):
         g = AdditiveReals((0.0, 10.0))
         s = MeasurableSet.of_interval(g.carrier, 8.0, 9.0)
         with pytest.raises(WindowOverflowError):
-            translate_set(g.element(3.0), s)
+            translate_set(g, 3.0, s)
 
     def test_overflow_recoverable_with_wider_window(self):
         g = AdditiveReals((0.0, 15.0))
         s = MeasurableSet.of_interval(g.carrier, 8.0, 9.0)
-        assert translate_set(g.element(3.0), s).intervals == ((11.0, 12.0),)
+        assert translate_set(g, 3.0, s).intervals == ((11.0, 12.0),)
 
     def test_multiplicative_scaling(self):
         g = MultiplicativePositiveReals((0.1, 100.0))
         s = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
-        assert translate_set(g.element(3.0), s).intervals == ((3.0, 6.0),)
+        assert translate_set(g, 3.0, s).intervals == ((3.0, 6.0),)
 
     def test_multiplicative_overflow_raises(self):
         g = MultiplicativePositiveReals((0.1, 100.0))
         s = MeasurableSet.of_interval(g.carrier, 10.0, 20.0)
         with pytest.raises(WindowOverflowError):
-            translate_set(g.element(10.0), s)
+            translate_set(g, 10.0, s)
 
     def test_circle_wraps_and_splits(self):
         g = Circle()
         s = MeasurableSet.of_interval(g.carrier, 6.0, 6.2)
-        moved = translate_set(g.element(0.2), s)
+        moved = translate_set(g, 0.2, s)
         assert len(moved.intervals) == 2
         total = sum(b - a for a, b in moved.intervals)
         assert total == pytest.approx(0.2, abs=1e-12)
@@ -222,7 +243,7 @@ class TestTranslateSet:
     def test_circle_full_stays_full(self):
         g = Circle()
         s = MeasurableSet.full(g.carrier)
-        assert translate_set(g.element(1.0), s) == s
+        assert translate_set(g, 1.0, s) == s
 
     @pytest.mark.parametrize("group, atoms, label", [
         (Cyclic(6), ["0", "1", "4"], "5"),
@@ -230,10 +251,11 @@ class TestTranslateSet:
         (Symmetric(3), ["012", "120", "201", "021"], "102"),
     ], ids=["Z6", "D4", "S3"])
     def test_atoms_move_by_compose_reps(self, group, atoms, label):
-        g = group.element(label)
-        moved = translate_set(g, MeasurableSet.of_atoms(group.carrier, atoms))
+        g = group.check_rep(label)
+        moved = translate_set(group, label,
+                              MeasurableSet.of_atoms(group.carrier, atoms))
         want = {group.label_of(group.compose_reps(
-            g.rep, group._rep_by_label[a])) for a in atoms}
+            g, group._rep_by_label[a])) for a in atoms}
         assert set(moved.atoms) == want
         assert len(moved.atoms) == len(atoms)
 
@@ -245,11 +267,10 @@ class TestTranslateSet:
         (Circle(), [(1.0, 2.0), (6.0, 6.2)], 0.2),
     ], ids=["R+add", "R*mul", "circle"])
     def test_interval_ends_move_by_compose_reps(self, group, intervals, rep):
-        g = group.element(rep)
         moved = translate_set(
-            g, MeasurableSet.of_intervals(group.carrier, intervals))
-        lefts = {group.compose_reps(g.rep, a) for a, _ in intervals}
-        rights = {group.compose_reps(g.rep, b) for _, b in intervals}
+            group, rep, MeasurableSet.of_intervals(group.carrier, intervals))
+        lefts = {group.compose_reps(rep, a) for a, _ in intervals}
+        rights = {group.compose_reps(rep, b) for _, b in intervals}
         got_lefts = {a for a, _ in moved.intervals}
         got_rights = {b for _, b in moved.intervals}
         if isinstance(group, Circle):
@@ -268,27 +289,27 @@ class TestTranslateSet:
         g = Cyclic(6)
         s = MeasurableSet.full(Cyclic(5).carrier)
         with pytest.raises(DomainError):
-            translate_set(g.element(1), s)
+            translate_set(g, 1, s)
 
 
 class TestTranslationSamples:
     def test_finite_returns_all_elements(self):
         g = Dihedral(3)
         samples = translation_samples(g)
-        assert len(samples) == 6
+        assert samples == list(g.reps)
 
     def test_additive_samples_stay_legal(self):
         g = AdditiveReals((0.0, 10.0))
         s = MeasurableSet.of_interval(g.carrier, 2.0, 3.0)
         for e in translation_samples(g, 32, for_set=s):
-            moved = translate_set(e, s)
+            moved = translate_set(g, e, s)
             assert moved.intervals
 
     def test_multiplicative_samples_stay_legal(self):
         g = MultiplicativePositiveReals((0.1, 100.0))
         s = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
         for e in translation_samples(g, 32, for_set=s):
-            assert translate_set(e, s).intervals
+            assert translate_set(g, e, s).intervals
 
     def test_windowed_kind_requires_set(self):
         with pytest.raises(DomainError):
@@ -296,9 +317,10 @@ class TestTranslationSamples:
 
     def test_deterministic(self):
         g = Circle()
-        a = [e.rep for e in translation_samples(g, 16)]
-        b = [e.rep for e in translation_samples(g, 16)]
-        assert a == b
+        a = translation_samples(g, 16)
+        assert a == translation_samples(g, 16)
+        # samples are reps that check_rep passes unchanged
+        assert [g.check_rep(x) for x in a] == a
 
 
 class TestSubgroups:
@@ -394,20 +416,26 @@ class TestLattice:
         lattice = subgroups(group)  # sorted by order
         rng = random.Random(group.order)
         for _ in range(20):
-            gens = rng.sample(group.elements(), rng.randint(1, 3))
-            labels = {g.label for g in gens}
+            gens = rng.sample(group.reps, rng.randint(1, 3))
+            labels = {group.label_of(g) for g in gens}
             want = next(h for h in lattice if labels <= set(h.elements))
             assert generated_subgroup(group, gens) == want
 
     def test_identity_alone_is_trivial(self):
         g = Symmetric(4)
-        e = g.element(g.identity_rep())
+        e = g.identity_rep()
         sub = generated_subgroup(g, [e])
-        assert sub.elements == (e.label,)
+        assert sub.elements == (g.label_of(e),)
+
+    def test_labels_and_reps_generate_alike(self):
+        d = Dihedral(6)
+        assert generated_subgroup(d, ["r2", "s0"]) == \
+            generated_subgroup(d, [(2, 0), (0, 1)])
 
     def test_foreign_element_rejected(self):
+        # a bare rep does not name its group, so the test is membership
         with pytest.raises(DomainError):
-            generated_subgroup(Cyclic(6), [Cyclic(4).element(1)])
+            generated_subgroup(Cyclic(6), ["6"])
 
     def test_needs_finite_group(self):
         with pytest.raises(UnsupportedOperationError):
@@ -590,16 +618,19 @@ class TestWindowValidation:
     def test_continuous_rep_must_be_finite(self):
         g = AdditiveReals((0.0, 10.0))
         with pytest.raises(DomainError):
-            g.element(math.nan)
+            g.check_rep(math.nan)
         with pytest.raises(DomainError):
-            g.element(math.inf)
+            g.check_rep(math.inf)
+        for bad in ("two", None, (1.0,)):
+            with pytest.raises(DomainError):
+                Circle().check_rep(bad)
 
     def test_multiplicative_rep_must_be_positive(self):
         g = MultiplicativePositiveReals((0.1, 100.0))
         with pytest.raises(DomainError):
-            g.element(0.0)
+            g.check_rep(0.0)
         with pytest.raises(DomainError):
-            g.element(-2.0)
+            g.check_rep(-2.0)
 
 
 def test_subgroup_is_frozen_value():

@@ -212,7 +212,7 @@ class TestTranslateBound:
         rho = density_measure(g.carrier, lambda x: math.exp(-x))
         a = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
         report = check_translate_bound(rho, nu, g, a,
-                                       samples=[g.element(100.0)])
+                                       samples=[100.0])
         assert report.skipped
         assert report.passed
 
@@ -222,7 +222,7 @@ class TestTranslateBound:
         rho = density_measure(g.carrier, lambda x: math.exp(-x))
         a = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
         report = check_translate_bound(
-            rho, nu, g, a, samples=[g.element(0.5), g.element(100.0)])
+            rho, nu, g, a, samples=[0.5, 100.0])
         assert not report.skipped
         assert "overflowed" in report.scope_notes
 

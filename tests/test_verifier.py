@@ -5,7 +5,7 @@ import pytest
 
 from haarent import report
 from haarent.entropy import entropy_finite
-from haarent.errors import CatalogError
+from haarent.errors import CatalogError, DomainError
 from haarent.groups import (AdditiveReals, Dihedral, haar, subgroup_chains)
 from haarent.measures import MeasurableSet, Measure
 from haarent.verifier import (catalog, claim_ids, run_all, run_examples,
@@ -71,6 +71,16 @@ class TestVerify:
     def test_tolerance_override_recorded(self):
         for r in verify("lem-nonnegativity", trials=2, seed=0, tol=0.5):
             assert r.tolerance == 0.5
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(DomainError, match="trials must be >= 0"):
+            verify("lem-finite-form", trials=-1)
+        assert verify("lem-finite-form", trials=0) == []
+
+    def test_exact_trials_tighten_to_1e_12(self):
+        # the odd trials of lem-nonnegativity are sums over Z12
+        reports = verify("lem-nonnegativity", trials=4, seed=0)
+        assert [r.tolerance for r in reports] == [1e-10, 1e-12] * 2
 
     def test_impossible_tolerance_fails_quadrature_claims(self):
         reports = verify("lem-finite-form", trials=6, seed=0, tol=1e-20)
@@ -159,6 +169,10 @@ class TestRunAll:
         assert summary.ok
         assert summary.total_skipped == 18
         assert summary.total_passed == 0
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(DomainError, match="trials must be >= 0"):
+            run_all(seed=0, trials=-3)
 
     def test_table_rendering(self):
         summary = run_all(seed=0, trials=1)
