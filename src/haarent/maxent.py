@@ -168,12 +168,13 @@ def concavity_probe(nu_weights, trials: int = 1000, seed: int = 0,
                            seed, trial)
     n = len(nu)
     rng = np.random.default_rng(seed)
-    # rows p_t, q_t and their mixture, drawn in the order p, q, lambda
+    # rows p_t, q_t and their mixture, drawn in the order p, q, lambda;
+    # one dirichlet call of size 2 draws what two calls of size 1 draw
     batch = np.empty((trials, 3, n))
     lam = np.empty((trials, 1))
+    ones = np.ones(n)
     for t in range(trials):
-        batch[t, 0] = rng.dirichlet(np.ones(n))
-        batch[t, 1] = rng.dirichlet(np.ones(n))
+        batch[t, :2] = rng.dirichlet(ones, size=2)
         lam[t] = rng.uniform()
     batch[:, 2] = lam * batch[:, 0] + (1.0 - lam) * batch[:, 1]
     s_p, s_q, mixed = entropy_of_weights(

@@ -62,8 +62,18 @@ def skip_report(claim_id: str, reason: str, tolerance: float, seed: int,
 
 
 def reports_to_json(reports) -> str:
-    doc = {"schema": SCHEMA, "reports": [r.to_dict() for r in reports]}
-    return json.dumps(doc, indent=2)
+    """{"schema": ..., "reports": [...]}, laid out as json.dumps(doc,
+    indent=2) lays it out, but by one call of json's C encoder (indent
+    selects the pure-Python one). A report dict is flat and ensure_ascii
+    escapes every newline inside a string, so the separator "},\n      {"
+    occurs only between two reports."""
+    dicts = [r.to_dict() for r in reports]
+    if not dicts:
+        return json.dumps({"schema": SCHEMA, "reports": dicts}, indent=2)
+    body = json.dumps(dicts, separators=(",\n      ", ": "))[2:-2]
+    body = body.replace("},\n      {", "\n    },\n    {\n      ")
+    return (f'{{\n  "schema": {json.dumps(SCHEMA)},\n  "reports": [\n'
+            f'    {{\n      {body}\n    }}\n  ]\n}}')
 
 
 def reports_to_csv(reports) -> str:

@@ -79,13 +79,16 @@ def _linear(rng, lo: float, hi: float, vmin: float, vmax: float,
     return Density(ev, breakpoints=edges[1:-1])
 
 
+# _table and _subset make one batched draw each: the same doubles, and the
+# same stream state after, as one scalar draw per atom
 def _table(rng, space: Space, vmin: float, vmax: float) -> Density:
-    return table_density(space, {a: float(rng.uniform(vmin, vmax))
-                                 for a in space.atoms})
+    values = rng.uniform(vmin, vmax, len(space.atoms)).tolist()
+    return table_density(space, dict(zip(space.atoms, values)))
 
 
 def _subset(rng, space: Space) -> MeasurableSet:
-    picks = [a for a in space.atoms if rng.random() < 0.5]
+    picks = [a for a, u in zip(space.atoms, rng.random(len(space.atoms)))
+             if u < 0.5]
     if not picks:
         picks = [space.atoms[int(rng.integers(len(space.atoms)))]]
     return MeasurableSet.of_atoms(space, picks)
@@ -315,9 +318,9 @@ def _check_translated_bound(rng, tol, seed, trial):
         nu = haar(group)
         rho = Measure.from_density(space, _table(rng, space, 0.05, 0.95))
         a_set = _subset(rng, space)
-    return check_translate_bound(rho, nu, group, a_set, count=32, tol=tol,
-                                 cfg=CFG, seed=seed, trial=trial,
-                                 claim_id=claim)
+    # step rho against Haar, or a finite group: every translation is checked
+    return check_translate_bound(rho, nu, group, a_set, tol=tol, cfg=CFG,
+                                 seed=seed, trial=trial, claim_id=claim)
 
 
 def _check_entropic_gap(rng, tol, seed, trial):

@@ -269,6 +269,32 @@ class TestConcavityProbe:
                                                 trial=seed)
                 assert repr(got) == repr(want)
 
+    def test_pair_draws_match_scalar_loop(self, monkeypatch):
+        # each (p, q) is one dirichlet call of size 2; the old loop made
+        # two calls of size 1. Same doubles, same stream state after.
+        made = []
+        default_rng = np.random.default_rng
+
+        def spy(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(maxent.np.random, "default_rng", spy)
+        for n in (1, 3, 8, 12, 16, 24):
+            nu = [1.0 + 0.1 * i for i in range(n)]
+            for seed in range(300):
+                trials = 1 + seed % 4
+                got = concavity_probe(nu, trials, seed)
+                rng = default_rng(seed)
+                for _ in range(trials):
+                    rng.dirichlet(np.ones(n))
+                    rng.dirichlet(np.ones(n))
+                    rng.uniform()
+                assert made[-1].bit_generator.state == \
+                    rng.bit_generator.state
+                assert repr(got) == repr(
+                    one_pair_at_a_time_probe(nu, trials, seed))
+
     def test_one_objective_call_per_probe(self, monkeypatch):
         calls = []
         original = maxent.entropy_of_weights

@@ -1,14 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
+from haarent.dsl import density_from_expr
 from haarent.entropy import nonneg_certificate
 from haarent.errors import DomainError, NormalizationError
-from haarent.groups import AdditiveReals, Cyclic, haar, translation_samples
+from haarent.groups import (TWO_PI, AdditiveReals, Circle, Cyclic,
+                            MultiplicativePositiveReals, haar, translate_set,
+                            translation_samples)
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               step_density, table_density)
-from haarent.supnorm import (check_translate_bound, is_information_measure,
-                             sup_density, sup_normalize)
+from haarent.supnorm import (_translation_knots, check_translate_bound,
+                             is_information_measure, sup_density,
+                             sup_normalize)
 
 UNIT = Space.interval(0.0, 1.0)
 LEB = Measure.lebesgue(UNIT)
@@ -235,3 +240,182 @@ class TestTranslateBound:
         report = check_translate_bound(rho, nu, g, a, samples=samples)
         assert report.passed
         assert "8 used" in report.scope_notes
+
+
+def cumulative(edges, values, lo, hi):
+    """x -> exact mass of [lo, x] under step_density(edges, values) on
+    [lo, hi] (edges inside the window): sum of v_k * |[lo, x] & cell_k|,
+    linear between the cuts. Vectorised over x."""
+    cuts = np.array([lo, *edges, hi])
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(cuts) * values)))
+    return lambda x: np.interp(x, cuts, cum)
+
+
+def random_step(rng, lo, hi, pieces=5):
+    edges = tuple(float(e) for e in np.sort(rng.uniform(lo, hi, pieces - 1)))
+    values = tuple(float(v) for v in rng.uniform(0.05, 0.95, pieces))
+    return edges, values
+
+
+class TestTranslateBoundKnots:
+    """Piecewise-constant rho and nu on a continuous group: the check runs
+    over the knots of g -> rho(gA), where both extremes are attained."""
+
+    G = AdditiveReals((0.0, 10.0))
+
+    def test_finds_the_max_the_samples_miss(self):
+        g = self.G
+        rho = Measure.from_density(g.carrier, step_density(
+            [5.0, 5.05], [0.1, 0.9, 0.1]))
+        a = MeasurableSet.of_interval(g.carrier, 1.0, 1.05)
+        exact = check_translate_bound(rho, haar(g), g, a)
+        sampled = check_translate_bound(
+            rho, haar(g), g, a, samples=translation_samples(g, 32, for_set=a))
+        # gA = [5, 5.05], the spike, at g = 4 alone; and the bound is tight
+        assert exact.lhs == pytest.approx(0.9 * 0.05, rel=1e-12)
+        assert exact.slack == pytest.approx(0.0, abs=1e-12)
+        assert sampled.lhs < 0.5 * exact.lhs
+        assert exact.scope_notes.startswith("every translation (")
+        assert "knots)" in exact.scope_notes
+        assert sampled.scope_notes.startswith("sampled translates only")
+
+    @staticmethod
+    def _additive_instance(i):
+        rng = np.random.default_rng([13, i])
+        rho = random_step(rng, 0.0, 10.0)
+        nu = random_step(rng, 0.0, 10.0) if i % 2 else ((), (1.0,))
+        if i % 4 == 3:  # a union of two intervals
+            a, b, c, d = (float(x) for x in np.sort(rng.uniform(0, 10, 4)))
+            ends = ((a, b), (c, d))
+        else:
+            a = float(rng.uniform(0.0, 9.7))
+            ends = ((a, float(rng.uniform(a + 0.3, 10.0))),)
+        return rho, nu, ends
+
+    def test_knot_extremes_bracket_10k_translates(self):
+        g = self.G
+        for i in range(200):
+            rho_sv, nu_sv, ends = self._additive_instance(i)
+            rho = Measure.from_density(g.carrier, step_density(*rho_sv))
+            nu = Measure.from_density(g.carrier, step_density(*nu_sv))
+            a_set = MeasurableSet.of_intervals(g.carrier, ends)
+            report = check_translate_bound(rho, nu, g, a_set)
+            assert report.scope_notes.startswith("every translation (")
+            # closed-form rho(gA), nu(gA) over 10^4 admissible translates
+            mn, mx = ends[0][0], ends[-1][1]
+            gs = np.linspace(-mn, 10.0 - mx, 10_000)
+            r_cum = cumulative(*rho_sv, 0.0, 10.0)
+            n_cum = cumulative(*nu_sv, 0.0, 10.0)
+            r = sum(r_cum(gs + b) - r_cum(gs + a) for a, b in ends)
+            n = sum(n_cum(gs + b) - n_cum(gs + a) for a, b in ends)
+            # |d/dg m(gA)| <= 2 * len(ends) * sup density, so the true
+            # extremes lie within half a grid step of it from the grid's
+            lip = 2 * len(ends) * max(max(rho_sv[1]), max(nu_sv[1]))
+            reach = lip * (gs[1] - gs[0]) / 2 + 1e-12
+            assert r.max() - 1e-12 <= report.lhs <= r.max() + reach, i
+            c = sup_density(rho, nu, MeasurableSet.full(g.carrier))
+            inf_nu = report.rhs / c
+            assert n.min() - reach <= inf_nu <= n.min() + 1e-12, i
+
+    def test_multiplicative_knots(self):
+        g = MultiplicativePositiveReals((0.1, 100.0))
+        rho_sv = ((3.0, 7.5, 20.0, 41.0), (0.2, 0.9, 0.05, 0.6, 0.3))
+        nu_sv = ((12.0, 60.0), (0.5, 0.1, 0.8))
+        rho = Measure.from_density(g.carrier, step_density(*rho_sv))
+        nu = Measure.from_density(g.carrier, step_density(*nu_sv))
+        a, b = 2.0, 5.0
+        a_set = MeasurableSet.of_interval(g.carrier, a, b)
+        report = check_translate_bound(rho, nu, g, a_set)
+        assert report.scope_notes.startswith("every translation (")
+        gs = np.linspace(0.1 / a, 100.0 / b, 10_000)
+        r_cum = cumulative(*rho_sv, 0.1, 100.0)
+        n_cum = cumulative(*nu_sv, 0.1, 100.0)
+        r = r_cum(gs * b) - r_cum(gs * a)
+        n = n_cum(gs * b) - n_cum(gs * a)
+        reach = 2 * b * 0.9 * (gs[1] - gs[0]) / 2 + 1e-12
+        assert r.max() - 1e-12 <= report.lhs <= r.max() + reach
+        c = sup_density(rho, nu, MeasurableSet.full(g.carrier))
+        assert n.min() - reach <= report.rhs / c <= n.min() + 1e-12
+
+    def test_circle_knots_with_wrap_around(self):
+        g = Circle()
+        rho_sv = ((1.0, 1.3, 4.0, 5.5), (0.1, 0.9, 0.1, 0.3, 0.05))
+        rho = Measure.from_density(g.carrier, step_density(*rho_sv))
+        # an arc of width 0.3 across 0, and one more; the max needs the
+        # first on the spike [1, 1.3], at g = 1.2 alone
+        ends = ((0.0, 0.1), (3.0, 3.2), (TWO_PI - 0.2, TWO_PI))
+        a_set = MeasurableSet.of_intervals(g.carrier, ends)
+        report = check_translate_bound(rho, haar(g), g, a_set)
+        sampled = check_translate_bound(
+            rho, haar(g), g, a_set, samples=translation_samples(g, 64))
+        assert report.scope_notes.startswith("every translation (")
+        assert sampled.lhs < report.lhs - 1e-3
+        r_cum = cumulative(*rho_sv, 0.0, TWO_PI)
+
+        def arc_mass(x, w):  # the arc [x, x + w] of the circle, x in [0, 2pi)
+            over = np.maximum(x + w - TWO_PI, 0.0)
+            return (r_cum(np.minimum(x + w, TWO_PI)) - r_cum(x)
+                    + r_cum(over))
+
+        gs = np.linspace(0.0, TWO_PI, 10_000, endpoint=False)
+        r = sum(arc_mass((gs + a) % TWO_PI, b - a) for a, b in ends)
+        reach = 2 * len(ends) * 0.9 * (gs[1] - gs[0]) / 2 + 1e-12
+        assert r.max() - 1e-12 <= report.lhs <= r.max() + reach
+        # haar is rotation invariant, and c = sup rho = 0.9
+        width = sum(b - a for a, b in ends)
+        assert report.rhs == pytest.approx(0.9 * width, rel=1e-12)
+
+    @pytest.mark.parametrize("group, a, b", [
+        # fl(fl(0.1 - a) + a) < 0.1 and fl(fl(7.3 - b) + b) > 7.3
+        (AdditiveReals((0.1, 7.3)), 0.4128263596016052, 2.270156510358175),
+        # fl(fl(0.1 / a) * a) < 0.1 and fl(fl(100 / b) * b) > 100
+        (MultiplicativePositiveReals((0.1, 100.0)),
+         18.57641382711301, 89.99960645091213),
+    ])
+    def test_window_limits_are_admissible(self, group, a, b):
+        lo, hi = group.window
+        move, solve = ((lambda g, x: g + x, lambda p, x: p - x)
+                       if isinstance(group, AdditiveReals) else
+                       (lambda g, x: g * x, lambda p, x: p / x))
+        # the naive limits escape the window by rounding
+        assert move(solve(lo, a), a) < lo and move(solve(hi, b), b) > hi
+        a_set = MeasurableSet.of_interval(group.carrier, a, b)
+        knots = _translation_knots(group, a_set, (1.0, 2.0, 5.0))
+        for k in knots:
+            translate_set(group, k, a_set)  # no WindowOverflowError
+        # the limits are kept: they move A onto the window's ends
+        assert move(knots[0], a) == pytest.approx(lo, rel=1e-15)
+        assert move(knots[-1], b) == pytest.approx(hi, rel=1e-15)
+        leb = Measure.lebesgue(group.carrier)
+        report = check_translate_bound(leb, leb, group, a_set)
+        assert report.scope_notes.startswith("every translation (2 knots)")
+
+    def test_empty_set_has_one_translate(self):
+        g = self.G
+        empty = MeasurableSet.of_intervals(g.carrier, [])
+        report = check_translate_bound(haar(g), haar(g), g, empty)
+        assert report.passed
+        assert (report.lhs, report.rhs) == (0.0, 0.0)
+        assert report.scope_notes.startswith("every translation (1 knots)")
+
+    def test_finite_groups_use_every_element(self):
+        g = Cyclic(6)
+        rho = Measure.from_density(g.carrier, table_density(
+            g.carrier, {"0": 0.2, "1": 0.9, "4": 0.7}))
+        a = MeasurableSet.of_atoms(g.carrier, ["0", "2"])
+        report = check_translate_bound(rho, haar(g), g, a)
+        assert report.scope_notes.startswith("every translation (6 elements)")
+
+    def test_unflagged_densities_keep_the_samples(self):
+        g = self.G
+        a = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
+        step = Measure.from_density(g.carrier, step_density([5.0], [0.2, 0.8]))
+        closure = density_measure(g.carrier, lambda x: 0.5, ())
+        dsl = Measure.from_density(g.carrier, density_from_expr(
+            "piecewise {x < 5: 0.2; else: 0.8}", g.carrier))
+        for rho, nu in ((step, closure), (closure, haar(g)),
+                        (dsl, haar(g))):
+            report = check_translate_bound(rho, nu, g, a, count=32)
+            assert report.passed
+            assert report.scope_notes.startswith(
+                "sampled translates only (32 used)")

@@ -1,13 +1,15 @@
+import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from haarent import report
+from haarent import report, verifier
 from haarent.entropy import entropy_finite
 from haarent.errors import CatalogError, DomainError
 from haarent.groups import (AdditiveReals, Dihedral, haar, subgroup_chains)
-from haarent.measures import MeasurableSet, Measure
+from haarent.measures import MeasurableSet, Measure, Space, table_density
 from haarent.verifier import (catalog, claim_ids, run_all, run_examples,
                               summary_to_table, verify)
 
@@ -218,3 +220,52 @@ class TestReportRecords:
         assert rendered == [render(self.REPORTS) for render in (
             report.reports_to_json, report.reports_to_csv,
             report.reports_to_table)]
+
+    def test_json_is_the_indent_2_layout(self):
+        # reports_to_json lays out json.dumps(doc, indent=2) by hand;
+        # strings holding the separator it splits on, newlines and
+        # non-ASCII text must not move a byte
+        tricky = report.le_report("lem-v\n", 1.0, 2.0, 1e-9, seed=1,
+                                  scope_notes='},\n      {"x": 1} \u00e9')
+        for reports in ([], self.REPORTS[:1], self.REPORTS,
+                        [tricky] + self.REPORTS + [tricky]):
+            doc = {"schema": report.SCHEMA,
+                   "reports": [r.to_dict() for r in reports]}
+            assert report.reports_to_json(reports) == \
+                json.dumps(doc, indent=2)
+
+
+def scalar_table(rng, space, vmin, vmax):
+    """verifier._table as it was: one scalar draw per atom."""
+    return table_density(space, {a: float(rng.uniform(vmin, vmax))
+                                 for a in space.atoms})
+
+
+def scalar_subset(rng, space):
+    """verifier._subset as it was: one scalar draw per atom."""
+    picks = [a for a in space.atoms if rng.random() < 0.5]
+    if not picks:
+        picks = [space.atoms[int(rng.integers(len(space.atoms)))]]
+    return MeasurableSet.of_atoms(space, picks)
+
+
+class TestBatchedDraws:
+    """One batched draw per instance gives the doubles, and leaves the
+    stream where, one scalar draw per atom did."""
+
+    SIZES = (1, 3, 8, 12, 16, 24)
+
+    def test_table_and_subset_match_scalar_draws(self):
+        for n in self.SIZES:
+            space = Space.finite(range(n))
+            for seed in range(300):
+                got_rng = np.random.default_rng([seed, n])
+                want_rng = np.random.default_rng([seed, n])
+                got = verifier._table(got_rng, space, 0.05, 0.95)
+                want = scalar_table(want_rng, space, 0.05, 0.95)
+                assert [got(a) for a in space.atoms] == \
+                    [want(a) for a in space.atoms]
+                assert verifier._subset(got_rng, space) == \
+                    scalar_subset(want_rng, space)
+                assert got_rng.bit_generator.state == \
+                    want_rng.bit_generator.state
