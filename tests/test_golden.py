@@ -52,6 +52,12 @@ def _cases() -> list:
         cases.append((f"verify/{cid}",
                       ["verify", "--claim", cid, "--trials", "4",
                        "--seed", "7", "--format", "json"], {}))
+    # the worked examples in both renderings, and the haarent-run/1
+    # summary document of the whole catalog
+    cases.append(("examples/json", ["examples", "--format", "json"], {}))
+    cases.append(("examples/table", ["examples"], {}))
+    cases.append(("verify/all", ["verify", "--all", "--trials", "2",
+                                 "--seed", "7", "--format", "json"], {}))
     for name, expr, group in _EXPR_SPECS + (_FAULTING,):
         specs = {name: expr}
         for tol in ("1e-6", "1e-10"):
