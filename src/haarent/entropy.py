@@ -151,16 +151,16 @@ def _positive_mass(total: float, what: str) -> float:
 
 
 def entropy_prob(m: Measure, reference: Measure, s: MeasurableSet,
-                 cfg: Integrator = DEFAULT_INTEGRATOR,
-                 mass_tol: float = DEFAULT_TOL) -> EntropyValue:
+                 cfg: Integrator = DEFAULT_INTEGRATOR) -> EntropyValue:
     """Probability-form entropy of m over s against reference.
 
-    Warns (NonUnitMassWarning) instead of erroring when m(s) != 1: the
+    Warns (NonUnitMassWarning) instead of erroring when m(s) is more than
+    DEFAULT_TOL away from 1: the
     integrand is well-defined regardless, and the classical closed forms
     for non-probability measures use exactly this reading.
     """
     total = mass(m, s, cfg)
-    if abs(total - 1.0) > mass_tol:
+    if abs(total - 1.0) > DEFAULT_TOL:
         warnings.warn(
             f"probability-form entropy of a measure with mass {total!r}",
             NonUnitMassWarning, stacklevel=2)

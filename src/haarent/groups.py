@@ -303,8 +303,7 @@ class MultiplicativePositiveReals(ContinuousGroup):
         return rep
 
     def haar_density(self) -> Density:
-        lo = self.window[0]
-        return Density(lambda x: 1.0 / x, sup=1.0 / lo)
+        return Density(lambda x: 1.0 / x)
 
     def describe(self) -> str:
         lo, hi = self.window

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StepSizeError
-from .report import VerificationReport, le_report, skip_report
 
 __all__ = ["SimplexPoint", "entropy_of_weights", "maximize_entropy",
            "concavity_probe"]
@@ -159,13 +158,15 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
 
 
 def concavity_probe(nu_weights, trials: int = 1000, seed: int = 0,
-                    tol: float = 1e-10, trial: int = 0) -> VerificationReport:
-    """Sample pairs (p, q) and mixing weights, checking
-    S(lp + (1-l)q) >= l S(p) + (1-l) S(q). Reports the worst pair."""
+                    tol: float = 1e-10) -> tuple:
+    """Sample `trials` pairs (p, q) and mixing weights l, checking
+    S(lp + (1-l)q) >= l S(p) + (1-l) S(q). Returns (worst chord excess,
+    notes): concavity holds on the sample when the excess is <= 0, and
+    the notes count the pairs whose excess is above tol. Raises
+    DomainError for trials < 1."""
     nu = _validate_nu(nu_weights)
     if trials < 1:
-        return skip_report("maxent-concavity", "no trials requested", tol,
-                           seed, trial)
+        raise DomainError(f"trials must be at least 1, got {trials!r}")
     n = len(nu)
     rng = np.random.default_rng(seed)
     # rows p_t, q_t and their mixture, drawn in the order p, q, lambda;
@@ -184,7 +185,5 @@ def concavity_probe(nu_weights, trials: int = 1000, seed: int = 0,
     violations = int(np.count_nonzero(gaps > tol))
     worst = int(np.argmax(gaps))  # the first of equal gaps
     gap = float(gaps[worst])
-    notes = (f"{trials} sampled pairs, {violations} violations; "
-             f"worst chord excess {gap!r} at pair {worst}")
-    return le_report("maxent-concavity", gap, 0.0, tol, seed, trial,
-                     scope_notes=notes)
+    return gap, (f"{trials} sampled pairs, {violations} violations; "
+                 f"worst chord excess {gap!r} at pair {worst}")

@@ -216,8 +216,7 @@ class Density:
     """Pointwise nonnegative weight against a reference measure.
 
     breakpoints: points where the evaluator may be non-smooth (quadrature
-    panels are seeded there). sup: analytic supremum when known, consulted
-    before any grid search. constant: set when the density is a known
+    panels are seeded there). constant: set when the density is a known
     constant function, enabling exact quotient/sup arithmetic.
     piecewise_constant: the evaluator is constant on each open interval
     between consecutive breakpoints, so quadrature calls it once per
@@ -229,7 +228,6 @@ class Density:
 
     evaluator: Callable
     breakpoints: tuple = ()
-    sup: float | None = None
     constant: float | None = None
     piecewise_constant: bool = False
 
@@ -240,7 +238,7 @@ class Density:
             raise DomainError(f"constant density must be nonnegative: {c!r}")
         if not math.isfinite(c):
             raise DomainError(f"constant density must be finite: {c!r}")
-        return cls(lambda x, _c=c: _c, (), sup=c, constant=c,
+        return cls(lambda x, _c=c: _c, (), constant=c,
                    piecewise_constant=True)
 
     def __call__(self, x) -> float:
@@ -258,7 +256,6 @@ class Density:
             return Density.const(self.constant * factor)
         ev = self.evaluator
         return Density(lambda x: ev(x) * factor, self.breakpoints,
-                       sup=None if self.sup is None else self.sup * factor,
                        piecewise_constant=self.piecewise_constant)
 
     def times(self, other: "Density") -> "Density":
@@ -304,8 +301,7 @@ def step_density(edges: Sequence[float], values: Sequence[float]) -> Density:
     def ev(x, _e=edges, _v=values):
         return _v[bisect_right(_e, x)]
 
-    return Density(ev, breakpoints=edges, sup=max(values),
-                   piecewise_constant=True)
+    return Density(ev, breakpoints=edges, piecewise_constant=True)
 
 
 def table_density(space: Space, weights: Mapping) -> Density:
@@ -321,8 +317,7 @@ def table_density(space: Space, weights: Mapping) -> Density:
         if not math.isfinite(w):
             raise DomainError(f"weight {w!r} for atom {atom!r} is not finite")
         table[atom] = w
-    sup = max(table.values(), default=0.0)
-    return Density(lambda x, _t=table: _t.get(x, 0.0), sup=sup)
+    return Density(lambda x, _t=table: _t.get(x, 0.0))
 
 
 @dataclass(frozen=True)
@@ -364,9 +359,8 @@ class Measure:
         return cls.from_density(reference.space,
                                 density.times(reference.density), label)
 
-    def scaled(self, factor: float, label: str | None = None) -> "Measure":
-        return Measure(self.space, self.density.scaled(factor),
-                       self.label if label is None else label)
+    def scaled(self, factor: float) -> "Measure":
+        return Measure(self.space, self.density.scaled(factor), self.label)
 
     def restricted(self, s: MeasurableSet, label: str | None = None) -> "Measure":
         if s.space != self.space:
@@ -435,11 +429,10 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
     if c is not None and c > 0:
         # a positive constant reference never vanishes, and y / 1.0 == y
         # for a float y; an atom may be an int, which y / 1.0 makes a float
-        sup = None if md.sup is None else md.sup / c
         flat = md.piecewise_constant
         if c == 1.0 and not m.space.is_finite:
-            return Density(md.evaluator, bps, sup=sup, piecewise_constant=flat)
-        return Density(lambda x, _m=md.evaluator: _m(x) / c, bps, sup=sup,
+            return Density(md.evaluator, bps, piecewise_constant=flat)
+        return Density(lambda x, _m=md.evaluator: _m(x) / c, bps,
                        piecewise_constant=flat)
 
     def quot(x, _m=md.evaluator, _r=rd.evaluator):

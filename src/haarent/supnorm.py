@@ -2,11 +2,13 @@
 
 Two measures are sup-normalized (to c) against a reference when both
 density quotients have supremum c; with c = 1 the quotient lives in [0, 1]
-and the measure is an information measure. Suprema are estimated on a
-breakpoint-seeded grid with three refinement rounds around the max
-incumbent, overridden by an analytic sup when the density declares one.
-sup_density is the one place where the premise "quotient <= 1" is
-decided: is_information_measure and entropy.nonneg_certificate both ask it.
+and the measure is an information measure. Suprema are exact on finite
+sets, for constant quotients, and for piecewise-constant quotients on an
+interval (one point inside each piece that meets the set); otherwise they
+are estimated on a breakpoint-seeded grid with three refinement rounds
+around the max incumbent. sup_density is the one place where the premise
+"quotient <= 1" is decided: is_information_measure and
+entropy.nonneg_certificate both ask it.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NormalizationError, WindowOverflowError
 from .groups import Circle, Group, translate_set, translation_samples
-from .measures import (Measure, MeasurableSet, mass, merge_breakpoints,
-                       radon_nikodym, sample_grid)
+from .measures import (Density, Measure, MeasurableSet, mass,
+                       merge_breakpoints, radon_nikodym, sample_grid)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
-from .report import VerificationReport, le_report, skip_report
 
 __all__ = [
     "SupNormalizationReport", "sup_density", "sup_normalize",
@@ -35,8 +36,11 @@ _REFINE_ROUNDS = 3
 _REFINE_POINTS = 64
 
 
-def _max_on_set(evaluator, s: MeasurableSet, breakpoints) -> tuple:
-    """(max, argmax) of evaluator over sampled points of s."""
+def _max_on_set(quot: Density, s: MeasurableSet) -> tuple:
+    """(max, argmax) of quot over sampled points of s: every atom; one
+    point inside each piece of s between breakpoints when quot is
+    piecewise constant; else the refined grid."""
+    evaluator, breakpoints = quot.evaluator, quot.breakpoints
     best = (-math.inf, None)
 
     def scan(points):
@@ -50,6 +54,11 @@ def _max_on_set(evaluator, s: MeasurableSet, breakpoints) -> tuple:
         scan(s.iter_atoms())
         return best
     for a, b in s.intervals:
+        if quot.piecewise_constant:
+            cuts = [a, *sorted(p for p in breakpoints if a < p < b), b]
+            scan([(x + y) / 2 for x, y in zip(cuts, cuts[1:]) if x < y]
+                 or [a])
+            continue
         scan(sample_grid(a, b, _GRID, breakpoints))
         h = (b - a) / _GRID
         for _ in range(_REFINE_ROUNDS):
@@ -64,37 +73,28 @@ def _max_on_set(evaluator, s: MeasurableSet, breakpoints) -> tuple:
     return best
 
 
-def _require_nonempty(s: MeasurableSet) -> None:
+def _sup_and_argmax(m: Measure, reference: Measure,
+                    s: MeasurableSet) -> tuple:
+    """(sup, argmax) of dm/dreference over s."""
     if s.is_empty:
         raise DomainError("the set is empty; a sup over it is undefined")
-
-
-def _sup_and_argmax(m: Measure, reference: Measure, s: MeasurableSet,
-                    argmax: bool = True) -> tuple:
-    """(sup, argmax) of dm/dreference over s. A declared analytic sup
-    overrides the grid when s is the full space; the grid is then scanned
-    only when the argmax is asked for (else it is None)."""
-    _require_nonempty(s)
     quot = radon_nikodym(m, reference)
     if quot.constant is not None:
         at = s.atoms[0] if s.is_finite else s.intervals[0][0]
         return quot.constant, at
-    declared = quot.sup is not None and s == MeasurableSet.full(s.space)
-    if declared and not argmax:
-        return quot.sup, None
-    hi, at = _max_on_set(quot.evaluator, s, quot.breakpoints)
-    return (quot.sup if declared else hi), at
+    return _max_on_set(quot, s)
 
 
 def sup_density(m: Measure, reference: Measure, s: MeasurableSet) -> float:
     """Supremum of dm/dreference over s.
 
-    Exact for finite spaces and constant quotients; a declared analytic sup
-    is returned, without a scan, when s is the full space. Otherwise this
-    is a grid lower bound of the true sup (refined around the incumbent).
-    Raises DomainError when s is empty.
+    Exact for finite spaces, constant quotients and piecewise-constant
+    quotients on an interval (one evaluation per piece of s, so a piece
+    outside s does not count). Otherwise this is a grid lower bound of the
+    true sup (refined around the incumbent). Raises DomainError when s is
+    empty.
     """
-    return _sup_and_argmax(m, reference, s, argmax=False)[0]
+    return _sup_and_argmax(m, reference, s)[0]
 
 
 @dataclass(frozen=True)
@@ -187,26 +187,24 @@ def _translation_knots(group: Group, a_set: MeasurableSet,
 
 
 def check_translate_bound(rho: Measure, nu: Measure, group: Group,
-                          a_set: MeasurableSet,
-                          samples: list | None = None,
-                          count: int = 64, tol: float = 1e-8,
+                          a_set: MeasurableSet, samples: list | None = None,
                           cfg: Integrator = DEFAULT_INTEGRATOR,
-                          seed: int = 0, trial: int = 0,
-                          claim_id: str = "supnorm-translate-bound",
-                          ) -> VerificationReport:
-    """Check sup_g rho(gA) <= c * inf_g nu(gA), c = sup drho/dnu over the carrier.
+                          ) -> tuple | None:
+    """Compare sup_g rho(gA) with c * inf_g nu(gA), c = sup drho/dnu over
+    the carrier: returns (max rho(gA), c * min nu(gA), notes), or None when
+    no g is admissible. The bound holds when the first is at most the
+    second.
 
     g runs over `samples`, elements that group.check_rep accepts. By
     default the check covers every translation where that is exact: on
     finite kinds g runs over every rep ("every translation (n elements)"),
     and on continuous kinds, when both densities are piecewise_constant,
     over the knots of _translation_knots, where both extremes are attained
-    ("every translation (k knots)"; `count` is then unused). Otherwise g
-    runs over `count` translation_samples, a low-discrepancy sequence of
-    translations keeping A inside the window ("sampled translates only").
-    Window overflows of given samples are skipped, recorded in scope notes.
+    ("every translation (k knots)"). Otherwise g runs over 64
+    translation_samples, a low-discrepancy sequence of translations keeping
+    A inside the window ("sampled translates only"). Window overflows of
+    given samples are skipped and counted in the notes.
     """
-    claim = claim_id
     full = MeasurableSet.full(rho.space)
     c = sup_density(rho, nu, full)
     unit = None  # what g runs over when that is every translation
@@ -218,7 +216,7 @@ def check_translate_bound(rho: Measure, nu: Measure, group: Group,
             samples, unit = _translation_knots(group, a_set, merge_breakpoints(
                 rho.density.breakpoints, nu.density.breakpoints)), "knots"
         else:
-            samples = translation_samples(group, count, for_set=a_set)
+            samples = translation_samples(group, 64, for_set=a_set)
     worst_rho = (-math.inf, None)
     best_nu = (math.inf, None)
     skipped = 0
@@ -235,7 +233,7 @@ def check_translate_bound(rho: Measure, nu: Measure, group: Group,
         if n < best_nu[0]:
             best_nu = (n, g)
     if worst_rho[1] is None:
-        return skip_report(claim, "no admissible translates", tol, seed, trial)
+        return None
     worst_g, best_g = (group.label_of(group.check_rep(g))
                        for g in (worst_rho[1], best_nu[1]))
     if unit:
@@ -243,7 +241,6 @@ def check_translate_bound(rho: Measure, nu: Measure, group: Group,
     else:
         scope = (f"sampled translates only ({len(samples) - skipped} used"
                  f"{f', {skipped} overflowed' if skipped else ''})")
-    notes = (f"{scope}; max rho at g={worst_g}, min nu at g={best_g}, "
-             f"c={c!r}")
-    return le_report(claim, worst_rho[0], c * best_nu[0], tol, seed, trial,
-                     scope_notes=notes)
+    return (worst_rho[0], c * best_nu[0],
+            f"{scope}; max rho at g={worst_g}, min nu at g={best_g}, "
+            f"c={c!r}")

@@ -2,13 +2,20 @@
 
 Every checkable statement the library implements gets a catalog entry:
 a stable claim id, a plain-language statement, a generator of random
-instances, and a checker producing one VerificationReport per trial.
-Reports are reproducible from (claim id, seed, trial index). Finite-group
-instances are exact (finite sums), so their tolerance tightens to 1e-12.
+instances, and a checker. Reports are reproducible from (claim id, seed,
+trial index). Finite-group instances are exact (finite sums), so their
+tolerance tightens to 1e-12.
 
-Strict inequalities are encoded with a negative tolerance: a report with
-tolerance -t passes only when slack >= t, preserving the invariant that
-passed means slack >= -tolerance.
+A checker is called as checker(rng, trial, tol, seed) with the trial's own
+generator and returns what it compared, never a report: a tuple
+(relation, lhs, rhs, notes) with relation "=" (equal within the
+tolerance), "<=" (lhs at most rhs within it) or "<" (strict: rhs - lhs must
+reach the tolerance), or a str, the reason the trial was skipped. verify
+alone stamps the claim id, tolerance, seed and trial index on it as a
+VerificationReport, and run_examples does the same for the worked
+examples. A strict inequality is recorded with a negative tolerance: such
+a report passes only when slack >= tol, keeping the invariant that passed
+means slack >= -tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .measures import (Density, MeasurableSet, Measure, Space,
                        WeightFunction, mass, measure_of_weight,
                        step_density, table_density)
 from .quadrature import DEFAULT_INTEGRATOR as CFG
-from .report import eq_report, le_report, skip_report
+from .report import VerificationReport, eq_report, le_report, skip_report
 from .supnorm import check_translate_bound, sup_density
 
 __all__ = ["ClaimSpec", "ClaimSummary", "RunSummary", "catalog", "claim_ids",
@@ -94,14 +101,32 @@ def _subset(rng, space: Space) -> MeasurableSet:
     return MeasurableSet.of_atoms(space, picks)
 
 
-def _subinterval(rng, lo: float, hi: float,
-                 min_width: float = 0.2) -> MeasurableSet:
+def _density(rng, space: Space, vmin: float, vmax: float) -> Density:
+    """Random values in [vmin, vmax): a weight per atom, or five steps."""
+    if space.is_finite:
+        return _table(rng, space, vmin, vmax)
+    return _step(rng, *space.bounds, vmin, vmax)
+
+
+def _set(rng, space: Space, min_width: float = 0.2) -> MeasurableSet:
+    """A random subset of the atoms, or a subinterval at least min_width
+    wide."""
+    if space.is_finite:
+        return _subset(rng, space)
+    lo, hi = space.bounds
     a = float(rng.uniform(lo, hi - min_width))
     b = float(rng.uniform(a + min_width, hi))
-    space = Space.interval(lo, hi)
     return MeasurableSet.of_interval(space, a, b)
 
 
+def _base(space: Space) -> Measure:
+    """The base coordinate measure: counting, or Lebesgue on an interval."""
+    if space.is_finite:
+        return Measure.counting(space)
+    return Measure.lebesgue(space)
+
+
+_Z10, _Z12, _Z16 = (Cyclic(n).carrier for n in (10, 12, 16))
 _FINITE_POOL = (Cyclic(8), Cyclic(12), Cyclic(16), Dihedral(3), Dihedral(4))
 _SYMMETRY_POOL = (Cyclic(8), Cyclic(10), Cyclic(12), Cyclic(16), Dihedral(6))
 _SUBGROUPS: dict = {}
@@ -119,85 +144,59 @@ def _pick(rng, seq):
 
 
 # ---------------------------------------------------------------------------
-# Claim checkers. Each takes (rng, tol, seed, trial) and returns one report.
+# Claim checkers: what each compares, in the form the module docstring
+# gives. The alternating ones sample an interval on even trials and a
+# finite carrier on odd ones.
 
 
-def _check_finite_form(rng, tol, seed, trial):
-    claim = "lem-finite-form"
-    if trial % 2 == 0:
-        space = Space.interval(0.0, 2.0)
-        nu = Measure.lebesgue(space)
-        mu = Measure.from_density(space, _step(rng, 0.0, 2.0, 0.05, 1.5))
-    else:
-        space = Cyclic(12).carrier
-        nu = Measure.counting(space)
-        mu = Measure.from_density(space, _table(rng, space, 0.05, 1.5))
+def _check_finite_form(rng, trial, tol, seed):
+    space = _Z12 if trial % 2 else Space.interval(0.0, 2.0)
+    nu = _base(space)
+    mu = Measure.from_density(space, _density(rng, space, 0.05, 1.5))
     s = MeasurableSet.full(space)
     fin = entropy_finite(mu, nu, s, CFG)
     prob = entropy_prob(mu.scaled(1.0 / fin.mass), nu, s, CFG)
-    return eq_report(claim, fin.nats, prob.nats, tol, seed, trial,
-                     scope_notes=f"mass {fin.mass!r} before normalizing")
+    return "=", fin.nats, prob.nats, f"mass {fin.mass!r} before normalizing"
 
 
-def _check_weight_form(rng, tol, seed, trial):
-    claim = "lem-weight-form"
-    if trial % 2 == 0:
-        space = Space.interval(0.0, 1.0)
-        nu = Measure.lebesgue(space)
-        d = _step(rng, 0.0, 1.0, 0.0, 3.0)
-    else:
-        space = Cyclic(10).carrier
-        nu = Measure.counting(space)
-        d = _table(rng, space, 0.0, 3.0)
+def _check_weight_form(rng, trial, tol, seed):
+    space = _Z10 if trial % 2 else Space.interval(0.0, 1.0)
+    nu = _base(space)
+    d = _density(rng, space, 0.0, 3.0)
     phi = WeightFunction(d.evaluator, breakpoints=d.breakpoints,
                          piecewise_constant=d.piecewise_constant)
     s = MeasurableSet.full(space)
     lhs = entropy_weight(phi, nu, s, CFG)
     rhs = entropy_finite(measure_of_weight(phi, nu), nu, s, CFG)
-    return eq_report(claim, lhs.nats, rhs.nats, tol, seed, trial,
-                     scope_notes=f"weight mass {lhs.mass!r}")
+    return "=", lhs.nats, rhs.nats, f"weight mass {lhs.mass!r}"
 
 
-def _check_nonnegativity(rng, tol, seed, trial):
-    claim = "lem-nonnegativity"
-    if trial % 2 == 0:
-        space = Space.interval(0.0, 2.0)
-        nu = Measure.lebesgue(space)
-        m = Measure.from_density(space, _step(rng, 0.0, 2.0, 0.5, 1.0))
-    else:
-        space = Cyclic(12).carrier
-        nu = Measure.counting(space)
-        m = Measure.from_density(space, _table(rng, space, 0.5, 1.0))
+def _check_nonnegativity(rng, trial, tol, seed):
+    space = _Z12 if trial % 2 else Space.interval(0.0, 2.0)
+    nu = _base(space)
+    m = Measure.from_density(space, _density(rng, space, 0.5, 1.0))
     s = MeasurableSet.full(space)
     cert = nonneg_certificate(m, nu, s, CFG)
     value = entropy_finite(m, nu, s, CFG)
-    return le_report(claim, 0.0, value.nats, tol, seed, trial,
-                     scope_notes=(f"certificate {cert.verdict.value}, "
-                                  f"mass {value.mass!r}"))
+    return ("<=", 0.0, value.nats,
+            f"certificate {cert.verdict.value}, mass {value.mass!r}")
 
 
-def _check_change_reference(rng, tol, seed, trial):
-    claim = "lem-change-of-reference"
-    if trial % 2 == 0:
-        space = Space.interval(0.0, 1.0)
-        nu = Measure.lebesgue(space)
-        mu = Measure.from_density(space, _linear(rng, 0.0, 1.0, 0.2, 1.2))
-        f = _step(rng, 0.0, 1.0, 0.05, 1.0)
-    else:
-        space = Cyclic(10).carrier
-        nu = Measure.counting(space)
-        mu = Measure.from_density(space, _table(rng, space, 0.2, 1.2))
-        f = _table(rng, space, 0.05, 1.0)
-    rho = Measure.over(mu, f)
+def _check_change_reference(rng, trial, tol, seed):
+    space = _Z10 if trial % 2 else Space.interval(0.0, 1.0)
+    nu = _base(space)
+    mu = Measure.from_density(space, (
+        _table(rng, space, 0.2, 1.2) if space.is_finite
+        else _linear(rng, 0.0, 1.0, 0.2, 1.2)))
+    rho = Measure.over(mu, _density(rng, space, 0.05, 1.0))
     s = MeasurableSet.full(space)
     direct = entropy_finite(rho, nu, s, CFG)
     via = change_reference(rho, mu, nu, s, CFG)
-    return eq_report(claim, via.nats, direct.nats, tol, seed, trial,
-                     scope_notes="rebuilt through an intermediate reference")
+    return ("=", via.nats, direct.nats,
+            "rebuilt through an intermediate reference")
 
 
-def _check_discrete_counting(rng, tol, seed, trial):
-    claim = "lem-discrete-counting"
+def _check_discrete_counting(rng, trial, tol, seed):
     group = _pick(rng, _FINITE_POOL)
     space = group.carrier
     nu = Measure.counting(space)
@@ -209,54 +208,45 @@ def _check_discrete_counting(rng, tol, seed, trial):
     shannon = -math.fsum(w / total * math.log(w / total) for w in weights)
     card = entropy_finite(nu, nu, a_set, CFG).nats
     card_resid = abs(card - math.log(len(a_set.atoms)))
-    return eq_report(claim, value, shannon, tol, seed, trial,
-                     scope_notes=(f"{group.describe()}, |A|={len(a_set.atoms)}; "
-                                  f"cardinality case residual {card_resid!r}"))
+    return ("=", value, shannon,
+            f"{group.describe()}, |A|={len(a_set.atoms)}; "
+            f"cardinality case residual {card_resid!r}")
 
 
-def _check_uniform_maximizer(rng, tol, seed, trial):
-    claim = "prop-uniform-maximizer"
-    if trial % 2 == 0:
-        space = Space.interval(0.0, 2.0)
-        nu = Measure.lebesgue(space)
-        s = _subinterval(rng, 0.0, 2.0)
-        raw = Measure.from_density(space, _step(rng, 0.0, 2.0, 0.05, 2.0))
-    else:
-        space = Cyclic(16).carrier
-        nu = Measure.counting(space)
-        s = _subset(rng, space)
-        raw = Measure.from_density(space, _table(rng, space, 0.05, 2.0))
+def _check_uniform_maximizer(rng, trial, tol, seed):
+    space = _Z16 if trial % 2 else Space.interval(0.0, 2.0)
+    nu = _base(space)
+    s = _set(rng, space)
+    raw = Measure.from_density(space, _density(rng, space, 0.05, 2.0))
     eta = raw.scaled(1.0 / mass(raw, s, CFG))
     value = entropy_prob(eta, nu, s, CFG).nats
     bound = math.log(mass(nu, s, CFG))
     attained = entropy_prob(uniform_measure(nu, s, CFG), nu, s, CFG).nats
-    return le_report(claim, value, bound, tol, seed, trial,
-                     scope_notes=(f"uniform attains the bound within "
-                                  f"{abs(attained - bound)!r}"))
+    return ("<=", value, bound,
+            f"uniform attains the bound within {abs(attained - bound)!r}")
 
 
-def _check_concavity(rng, tol, seed, trial):
+def _check_concavity(rng, trial, tol, seed):
     n = int(rng.integers(2, 11))
     nu = tuple(float(v) for v in rng.uniform(0.2, 2.0, n))
-    return concavity_probe(nu, trials=40, seed=seed, tol=tol, trial=trial)
+    gap, notes = concavity_probe(nu, trials=40, seed=seed, tol=tol)
+    return "<=", gap, 0.0, notes
 
 
-def _check_invariance(rng, tol, seed, trial):
-    claim = "prop-invariance"
+def _check_invariance(rng, trial, tol, seed):
     if trial % 2 == 0:
         group = AdditiveReals((-10.0, 15.0))
-        nu = haar(group)
         a = float(rng.uniform(-4.0, 4.0))
         b = a + float(rng.uniform(0.5, 6.0))
         target = math.log(b - a)
         gs = [-2.0, 0.5, 3.0, float(rng.uniform(-2.0, 3.0))]
     else:
         group = MultiplicativePositiveReals((0.01, 1000.0))
-        nu = haar(group)
         a = float(rng.uniform(0.05, 3.0))
         b = a * float(rng.uniform(1.3, 12.0))
         target = math.log(math.log(b / a))
         gs = [0.5, 2.0, 10.0, float(rng.uniform(0.3, 8.0))]
+    nu = haar(group)
     base = MeasurableSet.of_interval(group.carrier, a, b)
     worst = (-1.0, None, target)
     for g in gs:
@@ -264,13 +254,12 @@ def _check_invariance(rng, tol, seed, trial):
         value = entropy_finite(nu, nu, moved, CFG).nats
         if abs(value - target) > worst[0]:
             worst = (abs(value - target), g, value)
-    return eq_report(claim, worst[2], target, tol, seed, trial,
-                     scope_notes=(f"{group.describe()}, A=[{a!r},{b!r}], "
-                                  f"worst g={worst[1]!r} of {len(gs)} sampled"))
+    return ("=", worst[2], target,
+            f"{group.describe()}, A=[{a!r},{b!r}], "
+            f"worst g={worst[1]!r} of {len(gs)} sampled")
 
 
-def _check_nested_haar(rng, tol, seed, trial):
-    claim = "prop-nested-haar"
+def _check_nested_haar(rng, trial, tol, seed):
     group = _pick(rng, _FINITE_POOL)
     scale = float(rng.uniform(0.5, 2.0))
     nu = haar(group, scale)
@@ -279,72 +268,51 @@ def _check_nested_haar(rng, tol, seed, trial):
     value = entropy_finite(nu.restricted(h_set), nu, h_set, CFG).nats
     target = math.log(scale * sub.order)
     whole = math.log(scale * group.order)
-    return eq_report(claim, value, target, tol, seed, trial,
-                     scope_notes=(f"{group.describe()}, |H|={sub.order}, "
-                                  f"log nu(H)={target!r} <= log nu(G)={whole!r}"))
+    return ("=", value, target,
+            f"{group.describe()}, |H|={sub.order}, "
+            f"log nu(H)={target!r} <= log nu(G)={whole!r}")
 
 
-def _check_supnorm_bounds(rng, tol, seed, trial):
-    claim = "prop-supnorm-bounds"
-    if trial % 2 == 0:
-        space = Space.interval(0.0, 10.0)
-        nu = Measure.lebesgue(space)
-        rho = Measure.from_density(space, _step(rng, 0.0, 10.0, 0.05, 0.95))
-        a_set = _subinterval(rng, 0.0, 10.0)
-    else:
-        space = _pick(rng, _FINITE_POOL).carrier
-        nu = Measure.counting(space)
-        rho = Measure.from_density(space, _table(rng, space, 0.05, 0.95))
-        a_set = _subset(rng, space)
+def _check_supnorm_bounds(rng, trial, tol, seed):
+    space = (_pick(rng, _FINITE_POOL).carrier if trial % 2
+             else Space.interval(0.0, 10.0))
+    nu = _base(space)
+    rho = Measure.from_density(space, _density(rng, space, 0.05, 0.95))
+    a_set = _set(rng, space)
     c = sup_density(rho, nu, MeasurableSet.full(space))
     lhs = mass(rho, a_set, CFG)
     rhs = c * mass(nu, a_set, CFG)
-    return le_report(claim, lhs, rhs, tol, seed, trial,
-                     scope_notes=(f"c={c!r}; equivalently rho(A) <= xi(A) "
-                                  f"for the dominating xi = c*nu"))
+    return ("<=", lhs, rhs,
+            f"c={c!r}; equivalently rho(A) <= xi(A) for the dominating "
+            f"xi = c*nu")
 
 
-def _check_translated_bound(rng, tol, seed, trial):
-    claim = "cor-translated-bound"
-    if trial % 2 == 0:
-        group = AdditiveReals((0.0, 10.0))
-        space = group.carrier
-        nu = haar(group)
-        rho = Measure.from_density(space, _step(rng, 0.0, 10.0, 0.05, 0.95))
-        a_set = _subinterval(rng, 0.0, 10.0, min_width=0.3)
-    else:
-        group = _pick(rng, _FINITE_POOL)
-        space = group.carrier
-        nu = haar(group)
-        rho = Measure.from_density(space, _table(rng, space, 0.05, 0.95))
-        a_set = _subset(rng, space)
-    # step rho against Haar, or a finite group: every translation is checked
-    return check_translate_bound(rho, nu, group, a_set, tol=tol, cfg=CFG,
-                                 seed=seed, trial=trial, claim_id=claim)
+def _check_translated_bound(rng, trial, tol, seed):
+    group = (_pick(rng, _FINITE_POOL) if trial % 2
+             else AdditiveReals((0.0, 10.0)))
+    space = group.carrier
+    rho = Measure.from_density(space, _density(rng, space, 0.05, 0.95))
+    a_set = _set(rng, space, min_width=0.3)
+    # step rho against Haar, or a finite group: every translation is
+    # checked, and every one is admissible
+    lhs, rhs, notes = check_translate_bound(rho, haar(group), group, a_set,
+                                            cfg=CFG)
+    return "<=", lhs, rhs, notes
 
 
-def _check_entropic_gap(rng, tol, seed, trial):
-    claim = "thm-entropic-gap"
-    if trial % 2 == 0:
-        space = Space.interval(0.0, 1.0)
-        mu = Measure.lebesgue(space)
-        xi = Measure.over(mu, _step(rng, 0.0, 1.0, 0.1, 1.0))
-        rho = Measure.over(xi, _step(rng, 0.0, 1.0, 0.05, 1.0))
-    else:
-        space = Cyclic(12).carrier
-        mu = Measure.counting(space)
-        xi = Measure.over(mu, _table(rng, space, 0.1, 1.0))
-        rho = Measure.over(xi, _table(rng, space, 0.05, 1.0))
+def _check_entropic_gap(rng, trial, tol, seed):
+    space = _Z12 if trial % 2 else Space.interval(0.0, 1.0)
+    mu = _base(space)
+    xi = Measure.over(mu, _density(rng, space, 0.1, 1.0))
+    rho = Measure.over(xi, _density(rng, space, 0.05, 1.0))
     s = MeasurableSet.full(space)
     gap = entropic_gap(rho, xi, mu, s, CFG)
     diff = entropy_finite(rho, mu, s, CFG).nats \
         - entropy_finite(rho, xi, s, CFG).nats
-    return eq_report(claim, gap, diff, tol, seed, trial,
-                     scope_notes=f"gap {gap!r} (nonnegative when xi <= mu)")
+    return "=", gap, diff, f"gap {gap!r} (nonnegative when xi <= mu)"
 
 
-def _check_general_inequality(rng, tol, seed, trial):
-    claim = "thm-general-inequality"
+def _check_general_inequality(rng, trial, tol, seed):
     group = _pick(rng, _FINITE_POOL)
     space = group.carrier
     mu_g = haar(group)
@@ -359,13 +327,12 @@ def _check_general_inequality(rng, tol, seed, trial):
         lhs, rhs, which = s_xi, s_haar, "S_xi(rho,A) <= S_haar(rho,A)"
     else:
         lhs, rhs, which = s_haar, s_top, "S_haar(rho,A) <= S_haar(haar,A)"
-    return le_report(claim, lhs, rhs, tol, seed, trial,
-                     scope_notes=(f"{group.describe()}; binding: {which}; "
-                                  f"slacks {lower!r}, {upper!r}"))
+    return ("<=", lhs, rhs,
+            f"{group.describe()}; binding: {which}; "
+            f"slacks {lower!r}, {upper!r}")
 
 
-def _check_monotonicity(rng, tol, seed, trial):
-    claim = "prop-monotonicity"
+def _check_monotonicity(rng, trial, tol, seed):
     group = _pick(rng, _SYMMETRY_POOL)
     space = group.carrier
     mu_g = haar(group)
@@ -374,13 +341,12 @@ def _check_monotonicity(rng, tol, seed, trial):
     sub = _pick(rng, proper)
     s_h = entropy_finite(xi, mu_g, sub.as_set(), CFG).nats
     s_g = entropy_finite(xi, mu_g, MeasurableSet.full(space), CFG).nats
-    return le_report(claim, s_h, s_g, tol, seed, trial,
-                     scope_notes=(f"{group.describe()}, |H|={sub.order}; "
-                                  f"iid uniform weights, sampled instances"))
+    return ("<=", s_h, s_g,
+            f"{group.describe()}, |H|={sub.order}; "
+            f"iid uniform weights, sampled instances")
 
 
-def _check_relative_symmetry(rng, tol, seed, trial):
-    claim = "thm-relative-symmetry"
+def _check_relative_symmetry(rng, trial, tol, seed):
     group = _pick(rng, _SYMMETRY_POOL)
     space = group.carrier
     subs = _subgroups_of(group)
@@ -414,64 +380,71 @@ def _check_relative_symmetry(rng, tol, seed, trial):
     if mode != 0:
         diff = a_set.difference(h_set)
         if mass(xi, diff, CFG) <= 0.0:
-            return skip_report(claim, "xi vanishes on A minus H", tol, seed,
-                               trial)
+            return "xi vanishes on A minus H"
         cert = nonneg_certificate(xi, counting, diff, CFG)
         if cert.verdict is Verdict.MAY_BE_NEGATIVE:
-            return skip_report(
-                claim, "nonnegativity certificate failed on A minus H",
-                tol, seed, trial)
+            return "nonnegativity certificate failed on A minus H"
         mode_note += f"; certificate {cert.verdict.value}"
     s_h = entropy_finite(xi, counting.restricted(h_set), h_set, CFG).nats
     s_a = entropy_finite(xi, counting.restricted(a_set), a_set, CFG).nats
     notes = f"{group.describe()}; {mode_note}; sampled instances only"
     if mode == 0:
-        return eq_report(claim, s_h, s_a, tol, seed, trial, scope_notes=notes)
-    return le_report(claim, s_h, s_a, -tol, seed, trial,
-                     scope_notes=notes + "; strict margin as negative tolerance")
+        return "=", s_h, s_a, notes
+    return "<", s_h, s_a, notes + "; strict margin as negative tolerance"
 
 
-def _check_example_additive(rng, tol, seed, trial):
-    claim = "ex-additive-interval"
-    group = AdditiveReals((-10.0, 15.0))
-    nu = haar(group)
-    a = float(rng.uniform(-6.0, 6.0))
-    b = a + float(rng.uniform(0.3, 6.0))
-    s = MeasurableSet.of_interval(group.carrier, a, b)
-    value = entropy_finite(nu, nu, s, CFG).nats
-    return eq_report(claim, value, math.log(b - a), tol, seed, trial,
-                     scope_notes=f"A=[{a!r},{b!r}]")
+# The worked examples' values and closed forms: the ex-* checkers call
+# these on random intervals, run_examples on pinned ones.
 
 
-def _check_example_multiplicative(rng, tol, seed, trial):
-    claim = "ex-multiplicative-interval"
-    group = MultiplicativePositiveReals((0.01, 1000.0))
-    nu = haar(group)
-    a = float(rng.uniform(0.05, 5.0))
-    b = a * float(rng.uniform(1.05, 20.0))
-    s = MeasurableSet.of_interval(group.carrier, a, b)
-    value = entropy_finite(nu, nu, s, CFG).nats
-    return eq_report(claim, value, math.log(math.log(b / a)), tol, seed,
-                     trial, scope_notes=f"A=[{a!r},{b!r}]")
+def _log_length(nu: Measure, a: float, b: float) -> tuple:
+    """Translation-invariant nu on [a, b]: (its entropy, log(b - a))."""
+    s = MeasurableSet.of_interval(nu.space, a, b)
+    return entropy_finite(nu, nu, s, CFG).nats, math.log(b - a)
 
 
-def _check_example_mixed(rng, tol, seed, trial):
-    claim = "ex-mixed-reference"
-    space = Space.interval(0.01, 1000.0)
-    nu = Measure.lebesgue(space)
-    mu_h = haar(MultiplicativePositiveReals((0.01, 1000.0)))
-    a = float(rng.uniform(0.05, 5.0))
-    b = a * float(rng.uniform(1.05, 20.0))
-    s = MeasurableSet.of_interval(space, a, b)
+def _log_log_ratio(mu_h: Measure, a: float, b: float) -> tuple:
+    """Scale-invariant mu_h on [a, b]: (its entropy, log log(b/a))."""
+    s = MeasurableSet.of_interval(mu_h.space, a, b)
+    return entropy_finite(mu_h, mu_h, s, CFG).nats, math.log(math.log(b / a))
+
+
+def _mixed(mu_h: Measure, a: float, b: float) -> tuple:
+    """Scale-invariant mu_h against Lebesgue on [a, b]: its probability-form
+    entropy and (1/2) log(b/a) log(ab), then its finite-form entropy and
+    log log(b/a) + (1/2) log(ab)."""
+    leb = Measure.lebesgue(mu_h.space)
+    s = MeasurableSet.of_interval(mu_h.space, a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonUnitMassWarning)
-        value = entropy_prob(mu_h, nu, s, CFG).nats
-    target = 0.5 * math.log(b / a) * math.log(a * b)
-    alt = entropy_finite(mu_h, nu, s, CFG).nats
-    alt_target = math.log(math.log(b / a)) + 0.5 * math.log(a * b)
-    return eq_report(claim, value, target, tol, seed, trial,
-                     scope_notes=(f"A=[{a!r},{b!r}]; normalized reading "
-                                  f"residual {abs(alt - alt_target)!r}"))
+        value = entropy_prob(mu_h, leb, s, CFG).nats
+    return (value, 0.5 * math.log(b / a) * math.log(a * b),
+            entropy_finite(mu_h, leb, s, CFG).nats,
+            math.log(math.log(b / a)) + 0.5 * math.log(a * b))
+
+
+def _check_example_additive(rng, trial, tol, seed):
+    a = float(rng.uniform(-6.0, 6.0))
+    b = a + float(rng.uniform(0.3, 6.0))
+    nu = haar(AdditiveReals((-10.0, 15.0)))
+    return ("=", *_log_length(nu, a, b), f"A=[{a!r},{b!r}]")
+
+
+def _check_example_multiplicative(rng, trial, tol, seed):
+    a = float(rng.uniform(0.05, 5.0))
+    b = a * float(rng.uniform(1.05, 20.0))
+    mu_h = haar(MultiplicativePositiveReals((0.01, 1000.0)))
+    return ("=", *_log_log_ratio(mu_h, a, b), f"A=[{a!r},{b!r}]")
+
+
+def _check_example_mixed(rng, trial, tol, seed):
+    a = float(rng.uniform(0.05, 5.0))
+    b = a * float(rng.uniform(1.05, 20.0))
+    value, target, alt, alt_target = _mixed(
+        haar(MultiplicativePositiveReals((0.01, 1000.0))), a, b)
+    return ("=", value, target,
+            f"A=[{a!r},{b!r}]; normalized reading residual "
+            f"{abs(alt - alt_target)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +558,18 @@ def claim_ids() -> tuple:
     return tuple(spec.claim_id for spec in _CATALOG)
 
 
+def _stamp(claim_id: str, found, tol: float, seed: int,
+           trial: int) -> VerificationReport:
+    """The report of what a checker compared (see the module docstring)."""
+    if isinstance(found, str):
+        return skip_report(claim_id, found, tol, seed, trial)
+    relation, lhs, rhs, notes = found
+    if relation == "=":
+        return eq_report(claim_id, lhs, rhs, tol, seed, trial, notes)
+    return le_report(claim_id, lhs, rhs, -tol if relation == "<" else tol,
+                     seed, trial, notes)
+
+
 def verify(claim_id: str, trials: int = 20, seed: int = 0,
            tol: Optional[float] = None) -> list:
     """Run one claim's checker on `trials` seeded random instances.
@@ -601,9 +586,9 @@ def verify(claim_id: str, trials: int = 20, seed: int = 0,
         raise DomainError(f"trials must be >= 0, got {trials!r}")
     reports = []
     for t in range(trials):
-        rng = _trial_rng(claim_id, seed, t)
         eff = tol if tol is not None else spec.tol_for(t)
-        reports.append(spec.checker(rng, eff, seed, t))
+        found = spec.checker(_trial_rng(claim_id, seed, t), t, eff, seed)
+        reports.append(_stamp(claim_id, found, eff, seed, t))
     return reports
 
 
@@ -623,47 +608,28 @@ def run_examples() -> list:
     (1/2) log(b/a) log(ab) and is not translation invariant.
     """
     tol = _TOL_QUAD
-    reports = []
-
-    add = AdditiveReals((-10.0, 15.0))
-    leb_add = haar(add)
-    for t, (a, b) in enumerate(_EXAMPLE_PAIRS):
-        s = MeasurableSet.of_interval(add.carrier, a, b)
-        value = entropy_finite(leb_add, leb_add, s, CFG).nats
-        reports.append(eq_report(
-            "ex-additive-interval", value, math.log(b - a), tol, 0, t,
-            scope_notes=f"worked example, A=[{a!r},{b!r}]"))
-
+    add_nu = haar(AdditiveReals((-10.0, 15.0)))
     mul = MultiplicativePositiveReals((0.25, 20.0))
     mu_h = haar(mul)
-    for t, (a, b) in enumerate(_EXAMPLE_PAIRS):
-        s = MeasurableSet.of_interval(mul.carrier, a, b)
-        value = entropy_finite(mu_h, mu_h, s, CFG).nats
-        reports.append(eq_report(
-            "ex-multiplicative-interval", value,
-            math.log(math.log(b / a)), tol, 0, t,
-            scope_notes=f"worked example, A=[{a!r},{b!r}]"))
-
-    leb_mul = Measure.lebesgue(mul.carrier)
-    for t, (a, b) in enumerate(_EXAMPLE_PAIRS):
-        s = MeasurableSet.of_interval(mul.carrier, a, b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonUnitMassWarning)
-            value = entropy_prob(mu_h, leb_mul, s, CFG).nats
-        target = 0.5 * math.log(b / a) * math.log(a * b)
-        reports.append(eq_report(
-            "ex-mixed-reference", value, target, tol, 0, t,
-            scope_notes=f"worked example, A=[{a!r},{b!r}]"))
-    for t, (a, b) in enumerate(_EXAMPLE_PAIRS):
-        s = MeasurableSet.of_interval(mul.carrier, a, b)
-        value = entropy_finite(mu_h, leb_mul, s, CFG).nats
-        target = math.log(math.log(b / a)) + 0.5 * math.log(a * b)
-        reports.append(eq_report(
-            "ex-mixed-reference", value, target, tol, 0, t + 3,
-            scope_notes=(f"worked example, A=[{a!r},{b!r}]; normalized "
-                         f"reading")))
+    worked = [f"worked example, A=[{a!r},{b!r}]" for a, b in _EXAMPLE_PAIRS]
+    reports = [_stamp("ex-additive-interval",
+                      ("=", *_log_length(add_nu, a, b), note), tol, 0, t)
+               for t, ((a, b), note) in enumerate(zip(_EXAMPLE_PAIRS, worked))]
+    reports += [_stamp("ex-multiplicative-interval",
+                       ("=", *_log_log_ratio(mu_h, a, b), note), tol, 0, t)
+                for t, ((a, b), note)
+                in enumerate(zip(_EXAMPLE_PAIRS, worked))]
+    mixed = [_mixed(mu_h, a, b) for a, b in _EXAMPLE_PAIRS]
+    reports += [_stamp("ex-mixed-reference", ("=", m[0], m[1], note),
+                       tol, 0, t)
+                for t, (m, note) in enumerate(zip(mixed, worked))]
+    reports += [_stamp("ex-mixed-reference",
+                       ("=", m[2], m[3], f"{note}; normalized reading"),
+                       tol, 0, t + 3)
+                for t, (m, note) in enumerate(zip(mixed, worked))]
 
     # not invariant: translating [2,5] must move the mixed-reference value
+    leb_mul = Measure.lebesgue(mul.carrier)
     a, b = 2.0, 5.0
     base = MeasurableSet.of_interval(mul.carrier, a, b)
     with warnings.catch_warnings():
@@ -676,10 +642,11 @@ def run_examples() -> list:
     for t, (kind, moved) in enumerate(
             (("addition of 2", add_moved), ("multiplication by 2",
                                             mul_moved))):
-        reports.append(le_report(
-            "ex-mixed-reference", 1e-3, abs(moved - at_rest), 0.0, 0, t + 6,
-            scope_notes=(f"non-invariance under {kind} on [{a!r},{b!r}]: "
-                         f"values {at_rest!r} vs {moved!r}")))
+        reports.append(_stamp(
+            "ex-mixed-reference",
+            ("<=", 1e-3, abs(moved - at_rest),
+             f"non-invariance under {kind} on [{a!r},{b!r}]: "
+             f"values {at_rest!r} vs {moved!r}"), 0.0, 0, t + 6))
     return reports
 
 
@@ -762,9 +729,9 @@ def run_all(seed: int = 0, trials: int = 20,
     if trials == 0:
         warnings.warn("trials=0: all claims skipped, nothing verified",
                       stacklevel=2)
-        reports = [skip_report(spec.claim_id, "trials=0",
-                               tol if tol is not None else spec.default_tol,
-                               seed, 0)
+        reports = [_stamp(spec.claim_id, "trials=0",
+                          tol if tol is not None else spec.default_tol,
+                          seed, 0)
                    for spec in _CATALOG]
         return _summarize(seed, trials, reports)
     reports = []

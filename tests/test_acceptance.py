@@ -307,9 +307,9 @@ def test_criterion_11_maxent_converges_and_is_concave():
             dist = max(abs(w - o) for w, o in zip(point.weights, target))
             assert dist < 1e-6
 
-    report = concavity_probe([1.0, 0.5, 2.0, 1.5], trials=1000, seed=0)
-    assert report.passed
-    assert "0 violations" in report.scope_notes
+    gap, notes = concavity_probe([1.0, 0.5, 2.0, 1.5], trials=1000, seed=0)
+    assert gap <= 1e-10
+    assert "0 violations" in notes
 
 
 EXPRESSION_CORPUS = [

@@ -9,7 +9,8 @@ import pytest
 
 from haarent import cli
 from haarent.cli import main, measure_from_spec
-from haarent.measures import MeasurableSet, Space, mass
+from haarent.measures import MeasurableSet, Measure, Space, mass
+from haarent.supnorm import sup_density
 
 
 def write_spec(tmp_path, name, doc):
@@ -579,7 +580,8 @@ class TestMeasureFromSpec:
             {"space": {"kind": "interval", "bounds": [1.0, 10.0]},
              "density": {"kind": "builtin", "payload": "haar:R*"}})
         assert m.density(2.0) == 0.5
-        assert m.density.sup == 1.0
+        assert sup_density(m, Measure.lebesgue(m.space),
+                           MeasurableSet.full(m.space)) == 1.0
 
     def test_reciprocal_needs_positive_interval(self):
         from haarent.cli import _UsageError

@@ -9,7 +9,6 @@ from haarent import maxent
 from haarent.errors import DomainError, StepSizeError
 from haarent.maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
                             maximize_entropy)
-from haarent.report import le_report
 
 
 def full_run_maximize(nu_weights, mass=1.0, iters=500, step=0.1, seed=0,
@@ -228,8 +227,7 @@ class TestEarlyStopIsExact:
             outcome_bits(full_run_maximize, nu, **kwargs)
 
 
-def one_pair_at_a_time_probe(nu_weights, trials=1000, seed=0, tol=1e-10,
-                             trial=0):
+def one_pair_at_a_time_probe(nu_weights, trials=1000, seed=0, tol=1e-10):
     """concavity_probe as it was before the batched objective: three 1-D
     entropy_of_weights calls per sampled pair (trials >= 1). The
     reference for the batch's exactness."""
@@ -250,10 +248,8 @@ def one_pair_at_a_time_probe(nu_weights, trials=1000, seed=0, tol=1e-10,
             violations += 1
         if gap > worst[0]:
             worst = (gap, t)
-    notes = (f"{trials} sampled pairs, {violations} violations; "
-             f"worst chord excess {worst[0]!r} at pair {worst[1]}")
-    return le_report("maxent-concavity", worst[0], 0.0, tol, seed, trial,
-                     scope_notes=notes)
+    return worst[0], (f"{trials} sampled pairs, {violations} violations; "
+                      f"worst chord excess {worst[0]!r} at pair {worst[1]}")
 
 
 class TestConcavityProbe:
@@ -264,9 +260,8 @@ class TestConcavityProbe:
             nu = tuple(float(v) for v in rng.uniform(0.2, 2.0, n))
             trials = int(rng.integers(1, 60))
             for tol in (1e-10, -1.0):  # -1.0: every pair a violation
-                got = concavity_probe(nu, trials, seed, tol, trial=seed)
-                want = one_pair_at_a_time_probe(nu, trials, seed, tol,
-                                                trial=seed)
+                got = concavity_probe(nu, trials, seed, tol)
+                want = one_pair_at_a_time_probe(nu, trials, seed, tol)
                 assert repr(got) == repr(want)
 
     def test_pair_draws_match_scalar_loop(self, monkeypatch):
@@ -317,13 +312,13 @@ class TestConcavityProbe:
             [entropy_of_weights(row, nu) for row in batch]
 
     def test_uniform_reference_concave(self):
-        report = concavity_probe([1.0] * 5, trials=400, seed=0)
-        assert report.passed
-        assert "0 violations" in report.scope_notes
+        gap, notes = concavity_probe([1.0] * 5, trials=400, seed=0)
+        assert gap <= 1e-10
+        assert "0 violations" in notes
 
     def test_weighted_reference_concave(self):
-        report = concavity_probe([0.3, 1.0, 2.5], trials=400, seed=1)
-        assert report.passed
+        gap, _ = concavity_probe([0.3, 1.0, 2.5], trials=400, seed=1)
+        assert gap <= 1e-10
 
     def test_endpoints_give_zero_gap(self):
         # lam 0 or 1 makes chord == mixed; sampled lam is interior, so
@@ -345,10 +340,10 @@ class TestConcavityProbe:
             assert mixed == pytest.approx(entropy_of_weights(p, nu),
                                           abs=1e-15)
 
-    def test_zero_trials_skips(self):
-        report = concavity_probe([1.0, 2.0], trials=0)
-        assert report.skipped
-        assert report.passed
+    def test_zero_trials_rejected(self):
+        for trials in (0, -1):
+            with pytest.raises(DomainError, match="trials must be at least 1"):
+                concavity_probe([1.0, 2.0], trials=trials)
 
     def test_deterministic(self):
         a = concavity_probe([1.0, 2.0], trials=100, seed=3)

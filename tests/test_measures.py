@@ -13,6 +13,7 @@ from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               WeightFunction, mass, measure_of_weight,
                               radon_nikodym, step_density, table_density)
 from haarent.quadrature import Integrator
+from haarent.supnorm import sup_density
 
 UNIT = Space.interval(0.0, 1.0)
 WIDE = Space.interval(0.0, 2.0)
@@ -231,14 +232,16 @@ class TestDensityHelpers:
         assert d(0.1) == 1.0
         assert d(0.5) == 2.0
         assert d(0.9) == 3.0
-        assert d.sup == 3.0
+        assert sup_density(Measure.from_density(UNIT, d), Measure.lebesgue(UNIT),
+                           MeasurableSet.full(UNIT)) == 3.0
 
     def test_table_density_missing_atoms_weigh_zero(self):
         d = table_density(DIE, {1: 0.5, "6": 2.0})
         assert d(1) == 0.5
         assert d(6) == 2.0
         assert d(3) == 0.0
-        assert d.sup == 2.0
+        assert sup_density(Measure.from_density(DIE, d), Measure.counting(DIE),
+                           MeasurableSet.full(DIE)) == 2.0
 
     def test_table_density_needs_finite_space(self):
         with pytest.raises(DomainError):
