@@ -155,9 +155,9 @@ def entropy_prob(m: Measure, reference: Measure, s: MeasurableSet,
     """Probability-form entropy of m over s against reference.
 
     Warns (NonUnitMassWarning) instead of erroring when m(s) is more than
-    DEFAULT_TOL away from 1: the
-    integrand is well-defined regardless, and the classical closed forms
-    for non-probability measures use exactly this reading.
+    DEFAULT_TOL away from 1: the integrand is well-defined regardless, and
+    the classical closed forms for non-probability measures use exactly
+    this reading.
     """
     total = mass(m, s, cfg)
     if abs(total - 1.0) > DEFAULT_TOL:
