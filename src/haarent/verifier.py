@@ -611,22 +611,21 @@ def run_examples() -> list:
     add_nu = haar(AdditiveReals((-10.0, 15.0)))
     mul = MultiplicativePositiveReals((0.25, 20.0))
     mu_h = haar(mul)
-    worked = [f"worked example, A=[{a!r},{b!r}]" for a, b in _EXAMPLE_PAIRS]
+    pinned = [(t, a, b, f"worked example, A=[{a!r},{b!r}]")
+              for t, (a, b) in enumerate(_EXAMPLE_PAIRS)]
     reports = [_stamp("ex-additive-interval",
                       ("=", *_log_length(add_nu, a, b), note), tol, 0, t)
-               for t, ((a, b), note) in enumerate(zip(_EXAMPLE_PAIRS, worked))]
+               for t, a, b, note in pinned]
     reports += [_stamp("ex-multiplicative-interval",
                        ("=", *_log_log_ratio(mu_h, a, b), note), tol, 0, t)
-                for t, ((a, b), note)
-                in enumerate(zip(_EXAMPLE_PAIRS, worked))]
-    mixed = [_mixed(mu_h, a, b) for a, b in _EXAMPLE_PAIRS]
-    reports += [_stamp("ex-mixed-reference", ("=", m[0], m[1], note),
-                       tol, 0, t)
-                for t, (m, note) in enumerate(zip(mixed, worked))]
+                for t, a, b, note in pinned]
+    mixed = [_mixed(mu_h, a, b) for _, a, b, _ in pinned]
+    reports += [_stamp("ex-mixed-reference", ("=", *m[:2], note), tol, 0, t)
+                for (t, _, _, note), m in zip(pinned, mixed)]
     reports += [_stamp("ex-mixed-reference",
-                       ("=", m[2], m[3], f"{note}; normalized reading"),
+                       ("=", *m[2:], note + "; normalized reading"),
                        tol, 0, t + 3)
-                for t, (m, note) in enumerate(zip(mixed, worked))]
+                for (t, _, _, note), m in zip(pinned, mixed)]
 
     # not invariant: translating [2,5] must move the mixed-reference value
     leb_mul = Measure.lebesgue(mul.carrier)

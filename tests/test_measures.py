@@ -232,7 +232,8 @@ class TestDensityHelpers:
         assert d(0.1) == 1.0
         assert d(0.5) == 2.0
         assert d(0.9) == 3.0
-        assert sup_density(Measure.from_density(UNIT, d), Measure.lebesgue(UNIT),
+        assert sup_density(Measure.from_density(UNIT, d),
+                           Measure.lebesgue(UNIT),
                            MeasurableSet.full(UNIT)) == 3.0
 
     def test_table_density_missing_atoms_weigh_zero(self):
