@@ -84,6 +84,12 @@ class TestVerify:
         reports = verify("lem-nonnegativity", trials=4, seed=0)
         assert [r.tolerance for r in reports] == [1e-10, 1e-12] * 2
 
+    def test_concavity_trials_draw_their_own_pairs(self):
+        # the chord excess does not depend on nu, so trials sharing n
+        # (and the run seed) once checked the same 40 pairs
+        reports = verify("maxent-concavity", trials=20, seed=0)
+        assert len({r.lhs for r in reports}) == 20
+
     def test_impossible_tolerance_fails_quadrature_claims(self):
         reports = verify("lem-finite-form", trials=6, seed=0, tol=1e-20)
         assert any(not r.passed for r in reports)
