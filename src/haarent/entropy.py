@@ -120,14 +120,17 @@ def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator,
                                 piecewise_constant=flat)
 
 
-def _xlogx_integral(quot: Density, reference: Measure, s: MeasurableSet,
+def _xlogx_integral(m: Measure, reference: Measure, s: MeasurableSet,
                     cfg: Integrator) -> float:
-    """integral over s of xlogx(quot) dreference, quot = dm/dreference.
+    """integral over s of xlogx(dm/dreference) dreference, remembered on m
+    (see Measure) under the key (reference.density, s, cfg).
 
-    quot is evaluated at every atom, also where the reference is 0: a
-    quotient that raises there is the absolute-continuity check.
+    The quotient is evaluated at every atom, also where the reference is
+    0: a quotient that raises there is the absolute-continuity check.
     """
-    return _integral(xlogx, quot, reference, s, cfg, True)
+    quot = radon_nikodym(m, reference)
+    return m._recall("xlogx", (reference.density, s, cfg),
+                     lambda: _integral(xlogx, quot, reference, s, cfg, True))
 
 
 def _weighted_integral(h, f, m: Measure, s: MeasurableSet,
@@ -164,7 +167,7 @@ def entropy_prob(m: Measure, reference: Measure, s: MeasurableSet,
         warnings.warn(
             f"probability-form entropy of a measure with mass {total!r}",
             NonUnitMassWarning, stacklevel=2)
-    val = -_xlogx_integral(radon_nikodym(m, reference), reference, s, cfg)
+    val = -_xlogx_integral(m, reference, s, cfg)
     return EntropyValue(val, EntropyForm.PROBABILITY, total)
 
 
@@ -172,7 +175,7 @@ def entropy_finite(m: Measure, reference: Measure, s: MeasurableSet,
                    cfg: Integrator = DEFAULT_INTEGRATOR) -> EntropyValue:
     """Finite-form entropy: log mass minus the normalized xlogx integral."""
     total = _positive_mass(mass(m, s, cfg), "measure")
-    integral = _xlogx_integral(radon_nikodym(m, reference), reference, s, cfg)
+    integral = _xlogx_integral(m, reference, s, cfg)
     return EntropyValue(math.log(total) - integral / total,
                         EntropyForm.FINITE, total)
 
@@ -286,7 +289,7 @@ def nonneg_certificate(m: Measure, reference: Measure, s: MeasurableSet,
     if total >= 1.0 - tol:
         return NonnegativityCertificate(Verdict.MASS_AT_LEAST_ONE, total, 1.0)
 
-    lhs = -_xlogx_integral(radon_nikodym(m, reference), reference, s, cfg)
+    lhs = -_xlogx_integral(m, reference, s, cfg)
     rhs = -total * math.log(total)
     if lhs >= rhs - tol:
         return NonnegativityCertificate(Verdict.CONDITION_HOLDS, lhs, rhs)

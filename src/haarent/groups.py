@@ -539,13 +539,14 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
 
     The cyclic extension method, extending one subgroup per conjugacy
     class (Neubueser 1960; Holt, Eick & O'Brien, Handbook of Computational
-    Group Theory, 2005, ch. 4). Every cyclic subgroup <x> is one coset
-    walk from the trivial subgroup; the prime-power-order ones form the
-    pool, with one generator each. A subgroup K not seen before enters the
-    result with its whole conjugacy class: the orbit of K's mask under
-    conjugation by a generating set of the group, picked greedily from
-    the pool. Only K itself is then extended, once by each pool generator
-    outside it, one coset walk each.
+    Group Theory, 2005, ch. 4). Every cyclic subgroup <x> is walked once,
+    by the powers of its lowest-index generator x, and its other
+    generators x^k (k prime to the order of x) are then skipped; the
+    prime-power-order ones form the pool, with one generator each. A
+    subgroup K not seen before enters the result with its whole conjugacy
+    class: the orbit of K's mask under conjugation by a generating set of
+    the group, picked greedily from the pool. Only K itself is then
+    extended, once by each pool generator outside it, one coset walk each.
 
     The search is exhaustive. Every subgroup is generated by its
     prime-power-order elements, so it is reached from one of its cyclic
@@ -564,9 +565,20 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
     e = group._index[group.identity_rep()]
     trivial = _mask(n, [e])
 
-    cyclic: dict[bytes, int] = {}
+    cyclic: dict[bytes, int] = {}  # <x>: its lowest-index generator x
+    reps, index = group.reps, group._index
+    done = bytearray(n)
     for x in range(n):
-        cyclic.setdefault(_extend(group, [e], trivial, (x,)), x)
+        if done[x]:
+            continue
+        powers, y = [e], x
+        while y != e:
+            powers.append(y)
+            y = index[group.compose_reps(reps[y], reps[x])]
+        cyclic[_mask(n, powers)] = x
+        for k in range(1, len(powers)):
+            if math.gcd(k, len(powers)) == 1:
+                done[powers[k]] = 1
     pool = [x for key, x in cyclic.items() if _is_prime_power(sum(key))]
     conj = [_conjugation(group, g) for g in _closure(group, pool)[1]]
 

@@ -322,11 +322,37 @@ def table_density(space: Space, weights: Mapping) -> Density:
 
 @dataclass(frozen=True)
 class Measure:
-    """A nonnegative density over the base coordinate measure of its space."""
+    """A nonnegative density over the base coordinate measure of its space.
+
+    A measure remembers its most recent mass and its most recent xlogx
+    integral (entropy's, against some reference), one (key, value) slot
+    for each: a repeat of the call with the same set and integrator, and
+    for xlogx the same reference Density, returns the remembered float
+    instead of integrating again. Densities are functions and quadrature
+    returns bit-identical results for identical inputs, so the memo never
+    changes a result. One slot per kind bounds its memory, also for a
+    long-lived measure used with many sets; the key holds the reference's
+    Density, not its Measure, so a measure taken as its own reference
+    makes no reference cycle. Every check of a call runs before the
+    lookup, so its errors and warnings are raised on a repeat too.
+    """
 
     space: Space
     density: Density
     label: str = ""
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
+
+    def _recall(self, kind: str, key: tuple,
+                compute: Callable[[], float]) -> float:
+        """compute(), unless kind's slot holds key: then the value compute
+        returned for it. A raising compute leaves the slot as it was."""
+        slot = self._memo.get(kind)
+        if slot is not None and slot[0] == key:
+            return slot[1]
+        value = compute()
+        self._memo[kind] = (key, value)
+        return value
 
     @classmethod
     def from_density(cls, space: Space, density: Density,
@@ -394,10 +420,15 @@ class WeightFunction:
 
 def mass(m: Measure, s: MeasurableSet,
          cfg: Integrator = DEFAULT_INTEGRATOR) -> float:
-    """Total measure of s under m. Nonnegative; exact sums on finite spaces."""
+    """Total measure of s under m. Nonnegative; exact sums on finite spaces.
+    Remembered on m (see Measure) under the key (s, cfg)."""
     if s.space != m.space:
         raise DomainError("set lives outside the measure's space")
-    d = m.density
+    return m._recall("mass", (s, cfg),
+                     lambda: _integrate_mass(m.density, s, cfg))
+
+
+def _integrate_mass(d: Density, s: MeasurableSet, cfg: Integrator) -> float:
     val = quadrature.integrate(d.evaluator, s, cfg, breakpoints=d.breakpoints,
                                piecewise_constant=d.piecewise_constant)
     if val < 0:

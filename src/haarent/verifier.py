@@ -631,13 +631,14 @@ def run_examples() -> list:
                        tol, 0, t + 3)
                 for (t, _, _, note), m in zip(pinned, mixed)]
 
-    # not invariant: translating [2,5] must move the mixed-reference value
+    # not invariant: translating [2,5] must move the mixed-reference value,
+    # which is the probability-form value of the second pinned pair
     leb_mul = Measure.lebesgue(mul.carrier)
-    a, b = 2.0, 5.0
+    a, b = _EXAMPLE_PAIRS[1]
+    at_rest = mixed[1][0]
     base = MeasurableSet.of_interval(mul.carrier, a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonUnitMassWarning)
-        at_rest = entropy_prob(mu_h, leb_mul, base, CFG).nats
         shifted = MeasurableSet.of_interval(mul.carrier, a + 2.0, b + 2.0)
         add_moved = entropy_prob(mu_h, leb_mul, shifted, CFG).nats
         scaled = translate_set(mul, 2.0, base)

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from haarent.groups import Dihedral, haar
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               WeightFunction, mass, measure_of_weight,
                               step_density, table_density)
+from haarent.quadrature import DEFAULT_INTEGRATOR, Integrator
 from haarent.supnorm import is_information_measure, sup_density
 
 UNIT = Space.interval(0.0, 1.0)
@@ -481,31 +484,131 @@ class TestQuadratureEntryPoint:
 
     @pytest.mark.parametrize("finite", [False, True], ids=["interval", "atoms"])
     def test_every_form_calls_integrate(self, counted, finite):
-        rng = np.random.default_rng(3)
+        # each form gets fresh measures: a measure remembers its last mass
+        # and xlogx integral, and these counts are the cost on first use
+        def fresh():
+            rng = np.random.default_rng(3)
+            if finite:
+                weights = lambda lo, hi: table_density(
+                    DIE, {a: float(rng.uniform(lo, hi)) for a in DIE.atoms})
+                return (Measure.from_density(DIE, weights(0.02, 0.15)),
+                        Measure.from_density(DIE, weights(0.9, 1.0)))
+            return (random_step_measure(rng, vmax=0.9),
+                    Measure.over(LEB, step_density([0.5], [0.95, 1.0])))
+
         if finite:
-            nu = Measure.counting(DIE)
-            s = MeasurableSet.full(DIE)
-            weights = lambda lo, hi: table_density(
-                DIE, {a: float(rng.uniform(lo, hi)) for a in DIE.atoms})
-            m = Measure.from_density(DIE, weights(0.02, 0.15))
-            xi = Measure.from_density(DIE, weights(0.9, 1.0))
+            nu, s = Measure.counting(DIE), MeasurableSet.full(DIE)
         else:
             nu, s = LEB, FULL
-            m = random_step_measure(rng, vmax=0.9)
-            xi = Measure.over(LEB, step_density([0.5], [0.95, 1.0]))
-        phi = neg_log_weight(m)
         forms = [
-            (lambda: mass(m, s), 1),
-            (lambda: entropy_finite(m, nu, s), 2),
-            (lambda: entropy_prob(m.scaled(1.0 / mass(m, s)), nu, s), 3),
-            (lambda: entropy_weight(phi, nu, s), 2),
-            (lambda: change_reference(m, xi, nu, s), 3),
-            (lambda: entropic_gap(m, xi, nu, s), 2),
-            (lambda: nonneg_certificate(m, nu, s), 2),
+            (lambda m, xi: mass(m, s), 1),
+            (lambda m, xi: entropy_finite(m, nu, s), 2),
+            (lambda m, xi: entropy_prob(m.scaled(1.0 / mass(m, s)), nu, s), 3),
+            (lambda m, xi: entropy_weight(neg_log_weight(m), nu, s), 2),
+            (lambda m, xi: change_reference(m, xi, nu, s), 3),
+            (lambda m, xi: entropic_gap(m, xi, nu, s), 2),
+            (lambda m, xi: nonneg_certificate(m, nu, s), 2),
         ]
         for run, integrals in forms:
+            m, xi = fresh()
             counted["integrate"] = 0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonUnitMassWarning)
-                run()
+                run(m, xi)
             assert counted["integrate"] == integrals
+
+
+class TestRememberedIntegrals:
+    """A measure remembers its last mass and its last xlogx integral: a
+    repeat of the same call integrates nothing and returns the same bits,
+    and every check still runs on the repeat."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from haarent import quadrature
+        calls = [0]
+        integrate = quadrature.integrate
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counting)
+        return calls
+
+    @staticmethod
+    def measure():
+        return random_step_measure(np.random.default_rng(4), vmax=0.9)
+
+    def test_repeat_mass_integrates_nothing(self, counted):
+        m = self.measure()
+        first = mass(m, FULL)
+        counted[0] = 0
+        assert mass(m, FULL).hex() == first.hex()
+        assert counted[0] == 0
+        # the same bits as a measure that never saw the call
+        assert mass(Measure(m.space, m.density), FULL).hex() == first.hex()
+
+    def test_repeat_entropy_finite_integrates_nothing(self, counted):
+        m = self.measure()
+        first = entropy_finite(m, LEB, FULL)
+        counted[0] = 0
+        assert entropy_finite(m, LEB, FULL) == first
+        assert counted[0] == 0
+        fresh = entropy_finite(Measure(m.space, m.density), LEB, FULL)
+        assert (fresh.nats.hex(), fresh.mass.hex()) == \
+            (first.nats.hex(), first.mass.hex())
+
+    @pytest.mark.parametrize("change", ["set", "cfg", "reference"])
+    def test_other_key_integrates_again(self, counted, change):
+        m = self.measure()
+        s, cfg, nu = FULL, DEFAULT_INTEGRATOR, LEB
+        entropy_finite(m, nu, s, cfg)
+        if change == "set":
+            s = MeasurableSet.of_interval(UNIT, 0.0, 0.5)
+        elif change == "cfg":
+            cfg = Integrator(rel_tol=1e-8)
+        else:
+            nu = Measure.lebesgue(UNIT)  # equal values, another Density
+        counted[0] = 0
+        got = entropy_finite(m, nu, s, cfg)
+        assert counted[0] == (1 if change == "reference" else 2)
+        want = entropy_finite(Measure(m.space, m.density), nu, s, cfg)
+        assert got == want
+
+    def test_one_slot_per_kind(self, counted):
+        m = self.measure()
+        halves = [MeasurableSet.of_interval(UNIT, 0.0, 0.5), FULL]
+        for s in halves * 3:
+            entropy_finite(m, LEB, s)
+        assert counted[0] == 12  # each call replaced both slots
+        assert sorted(m._memo) == ["mass", "xlogx"]
+
+    def test_space_check_runs_before_the_lookup(self):
+        m = self.measure()
+        entropy_finite(m, LEB, FULL)
+        # the same Density object, over another space
+        elsewhere = Measure(Space.interval(0.0, 2.0), LEB.density)
+        with pytest.raises(DomainError):
+            entropy_finite(m, elsewhere, FULL)
+
+    def test_warnings_and_errors_repeat(self):
+        m = self.measure()
+        for _ in range(2):
+            with pytest.warns(NonUnitMassWarning):
+                entropy_prob(m, LEB, FULL)
+        zero = Measure.from_density(UNIT, Density.const(0.0))
+        for _ in range(2):
+            with pytest.raises(DegenerateMeasureError):
+                entropy_finite(zero, LEB, FULL)
+
+    def test_own_reference_makes_no_cycle(self):
+        nu = self.measure()
+        gc.disable()
+        try:
+            entropy_finite(nu, nu, FULL)
+            ref = weakref.ref(nu)
+            del nu
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -530,6 +530,13 @@ class TestClassWiseSearch:
         # the all-pairs search made 8,151
         assert len(walks) <= 1600
 
+    def test_cyclic_phase_builds_few_columns(self):
+        # each <x> is walked by powers of x, so columns are built only for
+        # extension walks and conjugation maps; one per element made 720
+        group = Cyclic(720)
+        assert len(subgroups(group)) == 30
+        assert len(group._columns) <= 30
+
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
