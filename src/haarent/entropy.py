@@ -129,8 +129,13 @@ def _xlogx_integral(m: Measure, reference: Measure, s: MeasurableSet,
     0: a quotient that raises there is the absolute-continuity check.
     """
     quot = radon_nikodym(m, reference)
-    return m._recall("xlogx", (reference.density, s, cfg),
-                     lambda: _integral(xlogx, quot, reference, s, cfg, True))
+    key = (reference.density, s, cfg)
+    slot = m._memo.get("xlogx")
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    val = _integral(xlogx, quot, reference, s, cfg, True)
+    m._memo["xlogx"] = (key, val)
+    return val
 
 
 def _weighted_integral(h, f, m: Measure, s: MeasurableSet,

@@ -340,19 +340,9 @@ class Measure:
     space: Space
     density: Density
     label: str = ""
+    # kind ("mass" or "xlogx") -> (key, value), written only on success
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
-
-    def _recall(self, kind: str, key: tuple,
-                compute: Callable[[], float]) -> float:
-        """compute(), unless kind's slot holds key: then the value compute
-        returned for it. A raising compute leaves the slot as it was."""
-        slot = self._memo.get(kind)
-        if slot is not None and slot[0] == key:
-            return slot[1]
-        value = compute()
-        self._memo[kind] = (key, value)
-        return value
 
     @classmethod
     def from_density(cls, space: Space, density: Density,
@@ -424,17 +414,18 @@ def mass(m: Measure, s: MeasurableSet,
     Remembered on m (see Measure) under the key (s, cfg)."""
     if s.space != m.space:
         raise DomainError("set lives outside the measure's space")
-    return m._recall("mass", (s, cfg),
-                     lambda: _integrate_mass(m.density, s, cfg))
-
-
-def _integrate_mass(d: Density, s: MeasurableSet, cfg: Integrator) -> float:
+    key = (s, cfg)
+    slot = m._memo.get("mass")
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    d = m.density
     val = quadrature.integrate(d.evaluator, s, cfg, breakpoints=d.breakpoints,
                                piecewise_constant=d.piecewise_constant)
     if val < 0:
         if val < -1e-9 * (1.0 + abs(val)):
             raise DomainError(f"negative mass {val!r}: density is not nonnegative")
-        return 0.0
+        val = 0.0
+    m._memo["mass"] = (key, val)
     return val
 
 
