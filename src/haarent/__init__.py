@@ -31,9 +31,8 @@ from .measures import (Density, MeasurableSet, Measure, Space,
                        radon_nikodym, step_density, table_density)
 from .quadrature import (DEFAULT_INTEGRATOR, IntegralResult, Integrator,
                          integrate, integrate_result, xlogx)
-from .report import (SCHEMA, VerificationReport, eq_report, le_report,
-                     reports_to_csv, reports_to_json, reports_to_table,
-                     skip_report)
+from .report import (SCHEMA, VerificationReport, judge, reports_to_csv,
+                     reports_to_json, reports_to_table)
 from .supnorm import (SupNormalizationReport, check_translate_bound,
                       is_information_measure, sup_density, sup_normalize)
 from .verifier import (ClaimSpec, ClaimSummary, RunSummary, catalog,
@@ -58,12 +57,12 @@ __all__ = [
     "catalog", "change_reference", "check_translate_bound", "claim_ids",
     "concavity_probe", "entropic_gap",
     "entropy_finite", "entropy_of_weights", "entropy_prob", "entropy_weight",
-    "eq_report", "generated_subgroup", "group_from_descriptor", "haar", "integrate",
-    "integrate_result", "is_information_measure", "le_report", "mass",
+    "generated_subgroup", "group_from_descriptor", "haar", "integrate",
+    "integrate_result", "is_information_measure", "judge", "mass",
     "maximize_entropy",
     "measure_of_weight", "nonneg_certificate", "radon_nikodym", "reports_to_csv",
     "reports_to_json", "reports_to_table", "run_all", "run_examples",
-    "skip_report", "step_density", "sup_density", "sup_normalize",
+    "step_density", "sup_density", "sup_normalize",
     "subgroup_chains", "subgroups", "summary_to_table", "table_density",
     "translate_set", "translation_samples", "uniform_measure", "verify",
     "xlogx"]

@@ -40,7 +40,7 @@ import sys
 from . import dsl, verifier
 from .entropy import entropy_finite
 from .errors import (CatalogError, DomainError, ExprEvalError, ExprSyntaxError,
-                     HaarentError)
+                     HaarentError, NormalizationError)
 from .groups import (Group, MultiplicativePositiveReals, generated_subgroup,
                      group_from_descriptor, haar)
 from .maxent import maximize_entropy
@@ -300,7 +300,12 @@ def _cmd_supnorm(args, tol: float | None) -> int:
     s = dsl.parse_set(args.set if args.set is not None else "full",
                       reference.space)
     if len(measures) == 1:
-        rec = {"sup": sup_density(measures[0], reference, s)}
+        sup = sup_density(measures[0], reference, s)
+        if not math.isfinite(sup):  # as sup_normalize does with two
+            raise NormalizationError(
+                f"sup of dm/dreference over the set is {sup!r}, outside "
+                f"the float range")
+        rec = {"sup": sup}
     else:
         _, _, report = sup_normalize(measures[0], measures[1], reference, s)
         rec = report.to_dict()

@@ -37,7 +37,7 @@ class ConvergenceError(HaarentError):
 
 
 class SumOverflowError(HaarentError):
-    """An exact finite sum exceeds the float range."""
+    """An exact finite sum or an integral exceeds the float range."""
 
 
 class WindowOverflowError(HaarentError):

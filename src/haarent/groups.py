@@ -10,8 +10,11 @@ the action on the carrier, the one `translate_set` uses), `inverse_rep`,
 `identity_rep`, `label_of`, `check_rep`, `haar_density` and `describe`.
 A group element is its rep; `check_rep` is the one check that lets one
 in, and every function taking elements (`translate_set`,
-`generated_subgroup`, the samples of `supnorm.check_translate_bound`)
-calls it.
+`generated_subgroup`) calls it.
+
+On the windowed kinds `_translation_range` alone decides which
+translations keep a set inside the window; `translation_samples` and
+`_translation_knots` stay inside it.
 
 Every subgroup of a finite kind (in `subgroups`, `subgroup_chains` and
 `generated_subgroup`) comes from one closure routine, `_extend`: Dimino's
@@ -636,35 +639,80 @@ def subgroup_chains(group: FiniteGroup) -> list[list[Subgroup]]:
     return chains
 
 
+def _translation_range(group: Group, s: MeasurableSet) -> tuple:
+    """(glo, ghi) with glo <= identity <= ghi, the translations g of s on
+    a windowed kind: translate_set accepts both limits, at both ends of
+    the window. Rounded + and * are monotone in each operand, so it
+    accepts every g between them too. A set with no ends has the identity
+    alone; all its translates are equal.
+    """
+    e = group.identity_rep()
+    ends = s.boundary_points()
+    if not ends:
+        return e, e
+    lo, hi = group.window
+    move, inverse = group.compose_reps, group.inverse_rep
+
+    def limit(bound: float, end: float, step: float) -> float:
+        # the g moving `end` onto `bound`, stepped by ulps towards `step`
+        # while the moved end is outside (fl(bound - end) + end may round
+        # past bound)
+        g = move(bound, inverse(end))
+        while (move(g, end) - bound) * step < 0:
+            g = math.nextafter(g, step * math.inf)
+        return g
+
+    # a limit past the identity (fl(lo * fl(1/lo)) can be above 1) may
+    # fail the other end; the identity passes both
+    return (min(limit(lo, min(ends), 1.0), e),
+            max(limit(hi, max(ends), -1.0), e))
+
+
+def _translation_knots(group: Group, s: MeasurableSet, breakpoints) -> list:
+    """Every g at which g -> m(gs) can bend, for a continuous group and
+    measures whose densities are constant between `breakpoints`.
+
+    m(gs) is then piecewise linear in g (on R*mul too: d/dg m([ga, gb])
+    = b m'(gb) - a m'(ga) is constant between knots), so its max and its
+    min over all translations are attained at these knots: the g putting
+    an end of s on a breakpoint or on an end of the carrier (on the
+    circle, an end crossing 0), and on the windowed kinds the two limits
+    of _translation_range, with the knots between them.
+    """
+    lo, hi = group.window
+    points = [lo, hi, *(p for p in breakpoints if lo < p < hi)]
+    move, inverse = group.compose_reps, group.inverse_rep
+    knots = {move(p, inverse(e)) for p in points for e in s.boundary_points()}
+    if isinstance(group, Circle):
+        return sorted(knots) or [0.0]  # every translate of {} is {}
+    glo, ghi = _translation_range(group, s)
+    return sorted({glo, ghi, *(g for g in knots if glo < g < ghi)})
+
+
 def translation_samples(group: Group, count: int = 64,
                         for_set: MeasurableSet | None = None) -> list:
     """Deterministic sample of group elements (reps) for invariance checks.
 
-    Finite kinds return every rep, in canonical order. Continuous kinds return a golden-ratio
-    low-discrepancy sequence over the window of translations that keep
-    `for_set` inside the carrier window (log-spaced for the multiplicative
-    kind); the circle needs no constraint.
+    Finite kinds return every rep, in canonical order. The circle returns
+    a golden-ratio low-discrepancy sequence over [0, 2*pi). The windowed
+    kinds return that sequence over _translation_range(group, for_set)
+    (log-spaced on R*mul), clamped to it, so translate_set accepts every
+    sample.
     """
     if group.is_finite:
         return list(group.reps)
     u = [_GOLDEN * (i + 1) % 1.0 for i in range(count)]
     if isinstance(group, Circle):
         return [x * TWO_PI for x in u]
-    if for_set is None or not for_set.intervals:
+    if for_set is None:
         raise DomainError("windowed kinds need for_set to bound translations")
-    lo, hi = group.window
-    mn = min(a for a, _ in for_set.intervals)
-    mx = max(b for _, b in for_set.intervals)
+    glo, ghi = _translation_range(group, for_set)
     if isinstance(group, AdditiveReals):
-        glo, ghi = lo - mn, hi - mx
-        if glo > ghi:
-            return []
-        return [glo + x * (ghi - glo) for x in u]
-    glo, ghi = lo / mn, hi / mx
-    if glo > ghi:
-        return []
-    llo, lhi = math.log(glo), math.log(ghi)
-    return [math.exp(llo + x * (lhi - llo)) for x in u]
+        gs = [glo + x * (ghi - glo) for x in u]
+    else:
+        llo, lhi = math.log(glo), math.log(ghi)
+        gs = [math.exp(llo + x * (lhi - llo)) for x in u]
+    return [min(max(g, glo), ghi) for g in gs]
 
 
 _DESCRIPTOR_RE = re.compile(

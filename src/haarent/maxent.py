@@ -89,7 +89,9 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
     the current trial size; a proposal that fails to improve the objective
     is rejected and the trial size halved (it regrows on success, capped
     at `step`). Ten consecutive materially-decreasing proposals raise
-    StepSizeError: the step diverges.
+    StepSizeError: the step diverges. They count only from a point whose
+    gradient is exact, with no weight below the floor that stands in for
+    a zero one.
 
     `iters` is a cap. The ascent returns early once its state can no
     longer change, which it detects exactly in two ways: the state at the
@@ -143,7 +145,10 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
             still.add(trial)
         else:
             if cand_value < value - _DECREASE_TOL:
-                decreases += 1
+                # below the floor the gradient is a finite stand-in for
+                # +inf, which a step can overshoot by any factor: halving
+                # then searches for a step and says nothing of divergence
+                decreases += bool(p.min() >= floor)
                 if decreases >= _MAX_DECREASES:
                     raise StepSizeError(
                         f"entropy decreased {decreases} consecutive "

@@ -234,10 +234,12 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
         terms = [f(a) for a in s.iter_atoms()]
         try:
             total = math.fsum(terms)
-        except OverflowError:
+        except (OverflowError, ValueError):  # past the range, or inf - inf
+            total = math.inf
+        if not math.isfinite(total):
             raise SumOverflowError(
                 f"the sum over {len(terms)} atoms exceeds the float range "
-                f"(largest term {max(terms, key=abs)!r})") from None
+                f"(largest term {max(terms, key=abs)!r})")
         return IntegralResult(total, 0.0, len(terms), 0, None)
 
     heap = []    # (-error, index, a, b, value, depth) of the splittable panels
@@ -251,6 +253,10 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     while True:
         for a, b, depth in todo:
             v, err, final = _kronrod(f, a, b, piecewise_constant)
+            if math.isinf(v):
+                raise SumOverflowError(
+                    f"the integral exceeds the float range: {v!r} on the "
+                    f"panel [{a!r}, {b!r}]")
             value += v
             bound += err
             if final or depth >= cfg.max_depth:
@@ -263,8 +269,11 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
         if (not heap or full
                 or not bound > max(cfg.abs_tol, cfg.rel_tol * abs(value))):
             parts = done + [(a, b, v, -e) for e, _, a, b, v, _ in heap]
-            value = math.fsum(map(itemgetter(2), parts))
-            bound = math.fsum(map(itemgetter(3), parts))
+            try:
+                value = math.fsum(map(itemgetter(2), parts))
+                bound = math.fsum(map(itemgetter(3), parts))
+            except OverflowError:  # finite panels summing past the range
+                value = bound = math.inf
             met = bound <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
             if met or not heap or full:
                 break
@@ -281,6 +290,12 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
             todo = ()
 
     worst = max(parts, key=itemgetter(3), default=None)
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        a, b, _, err = worst
+        raise SumOverflowError(
+            f"the integral exceeds the float range: estimate {value!r}, "
+            f"error bound {bound!r}; worst panel [{a!r}, {b!r}] with error "
+            f"{err!r}")
     if not met and (capped or heap):
         a, b, _, err = worst
         why = (f"{_MAX_SPLITS} bisections did not suffice" if heap
@@ -309,7 +324,9 @@ def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     best estimate and error bound, and naming the worst panel) when no
     panel can be split further and the bound still exceeds both the
     tolerance and the rounding floor, or when the cap on bisections is
-    reached first.
+    reached first. Raises SumOverflowError when the sum or the integral is
+    not finite: an infinite panel (an integrand that saturates to inf,
+    say) is named at once, and otherwise the worst panel.
 
     piecewise_constant promises that f is constant on each open interval
     between consecutive breakpoints; each panel then costs one call of f

@@ -4,6 +4,7 @@ Schema haarent-report/1. A report compares a computed lhs against rhs:
 for <=-claims slack = rhs - lhs and passed means slack >= -tolerance;
 for =-claims passed means |lhs - rhs| <= tolerance. Skipped trials are
 recorded as passed reports whose scope notes start with "skipped:".
+judge applies this rule; every report is made by it.
 """
 
 from __future__ import annotations
@@ -39,26 +40,28 @@ class VerificationReport:
         return {k: getattr(self, k) for k in CSV_COLUMNS}
 
 
-def le_report(claim_id: str, lhs: float, rhs: float, tolerance: float,
-              seed: int, trial: int = 0, scope_notes: str = "") -> VerificationReport:
-    """lhs <= rhs claim."""
+def judge(claim_id: str, found, tolerance: float, seed: int,
+          trial: int = 0) -> VerificationReport:
+    """The report of what a checker compared: `found` is a tuple
+    (relation, lhs, rhs, notes) with relation "=", "<=" or "<", or a str,
+    the reason the trial was skipped.
+
+    A strict "<" is recorded with the tolerance negated, so it passes only
+    when rhs - lhs reaches the tolerance.
+    """
+    if isinstance(found, str):
+        return VerificationReport(claim_id, True, 0.0, 0.0, 0.0, tolerance,
+                                  seed, trial, "skipped: " + found)
+    relation, lhs, rhs, notes = found
     slack = rhs - lhs
-    return VerificationReport(claim_id, slack >= -tolerance, lhs, rhs,
-                              slack, tolerance, seed, trial, scope_notes)
-
-
-def eq_report(claim_id: str, lhs: float, rhs: float, tolerance: float,
-              seed: int, trial: int = 0, scope_notes: str = "") -> VerificationReport:
-    """lhs == rhs claim (within tolerance)."""
-    slack = rhs - lhs
-    return VerificationReport(claim_id, abs(slack) <= tolerance, lhs, rhs,
-                              slack, tolerance, seed, trial, scope_notes)
-
-
-def skip_report(claim_id: str, reason: str, tolerance: float, seed: int,
-                trial: int = 0) -> VerificationReport:
-    return VerificationReport(claim_id, True, 0.0, 0.0, 0.0, tolerance,
-                              seed, trial, "skipped: " + reason)
+    if relation == "=":
+        passed = abs(slack) <= tolerance
+    else:
+        if relation == "<":
+            tolerance = -tolerance
+        passed = slack >= -tolerance
+    return VerificationReport(claim_id, passed, lhs, rhs, slack, tolerance,
+                              seed, trial, notes)
 
 
 def reports_to_json(reports) -> str:

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NormalizationError, WindowOverflowError
-from .groups import Circle, Group, translate_set, translation_samples
+from .errors import DomainError, NormalizationError
+from .groups import (Group, _translation_knots, translate_set,
+                     translation_samples)
 from .measures import (Density, Measure, MeasurableSet, mass,
                        merge_breakpoints, radon_nikodym, sample_grid)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
@@ -147,100 +148,43 @@ def is_information_measure(rho: Measure, reference: Measure,
     return sup_density(rho, reference, s) <= 1.0 + tol
 
 
-def _admissible_limit(move, g: float, end: float, bound: float,
-                      step: float) -> float:
-    """g, nudged by ulps towards `step` until move(g, end) is on the inner
-    side of `bound`: a window limit of the translations that translate_set
-    accepts (fl(bound - end) + end may round past bound)."""
-    while (move(g, end) - bound) * step < 0:
-        g = math.nextafter(g, step * math.inf)
-    return g
-
-
-def _translation_knots(group: Group, a_set: MeasurableSet,
-                       breakpoints) -> list:
-    """Every g at which g -> m(gA) can bend, for a continuous group and
-    measures whose densities are constant between `breakpoints`.
-
-    m(gA) is then piecewise linear in g (on R*mul too: d/dg m([ga, gb])
-    = b m'(gb) - a m'(ga) is constant between knots), so its max and its
-    min over all admissible g are attained at these knots: the g putting
-    an end of A on a breakpoint or on an end of the carrier (on the
-    circle, an end crossing 0), plus, on the windowed kinds, the two
-    window limits of g.
-    """
-    ends = a_set.boundary_points()
-    if not ends:
-        return [group.identity_rep()]  # every translate of {} is {}
-    lo, hi = group.window
-    points = [lo, hi, *(p for p in breakpoints if lo < p < hi)]
-    move, inverse = group.compose_reps, group.inverse_rep
-    knots = {move(p, inverse(e)) for p in points for e in ends}
-    if isinstance(group, Circle):
-        return sorted(knots)
-    mn, mx = min(ends), max(ends)
-    # rounded + and * are monotone, so every g between two admissible
-    # limits is admissible
-    glo = _admissible_limit(move, move(lo, inverse(mn)), mn, lo, 1.0)
-    ghi = _admissible_limit(move, move(hi, inverse(mx)), mx, hi, -1.0)
-    return sorted({glo, ghi, *(g for g in knots if glo < g < ghi)})
-
-
 def check_translate_bound(rho: Measure, nu: Measure, group: Group,
-                          a_set: MeasurableSet, samples: list | None = None,
-                          cfg: Integrator = DEFAULT_INTEGRATOR,
-                          ) -> tuple | None:
+                          a_set: MeasurableSet,
+                          cfg: Integrator = DEFAULT_INTEGRATOR) -> tuple:
     """Compare sup_g rho(gA) with c * inf_g nu(gA), c = sup drho/dnu over
-    the carrier: returns (max rho(gA), c * min nu(gA), notes), or None when
-    no g is admissible. The bound holds when the first is at most the
-    second.
+    the carrier: returns (max rho(gA), c * min nu(gA), notes). The bound
+    holds when the first is at most the second.
 
-    g runs over `samples`, elements that group.check_rep accepts. By
-    default the check covers every translation where that is exact: on
-    finite kinds g runs over every rep ("every translation (n elements)"),
-    and on continuous kinds, when both densities are piecewise_constant,
-    over the knots of _translation_knots, where both extremes are attained
-    ("every translation (k knots)"). Otherwise g runs over 64
-    translation_samples, a low-discrepancy sequence of translations keeping
-    A inside the window ("sampled translates only"). Window overflows of
-    given samples are skipped and counted in the notes.
+    g runs over every translation where that is exact: on finite kinds
+    over every rep ("every translation (n elements)"), and on continuous
+    kinds, when both densities are piecewise_constant, over the knots of
+    groups._translation_knots, where both extremes are attained ("every
+    translation (k knots)"). Otherwise g runs over the 64
+    translation_samples ("sampled translates only (64 used)"). Every knot
+    and every sample keeps A inside the window, so every one is compared.
     """
-    full = MeasurableSet.full(rho.space)
-    c = sup_density(rho, nu, full)
-    unit = None  # what g runs over when that is every translation
-    if samples is None:
-        if group.is_finite:
-            samples, unit = list(group.reps), "elements"
-        elif (rho.density.piecewise_constant
-              and nu.density.piecewise_constant):
-            samples, unit = _translation_knots(group, a_set, merge_breakpoints(
-                rho.density.breakpoints, nu.density.breakpoints)), "knots"
-        else:
-            samples = translation_samples(group, 64, for_set=a_set)
+    c = sup_density(rho, nu, MeasurableSet.full(rho.space))
+    if group.is_finite:
+        gs, scope = list(group.reps), "every translation ({} elements)"
+    elif rho.density.piecewise_constant and nu.density.piecewise_constant:
+        gs = _translation_knots(group, a_set, merge_breakpoints(
+            rho.density.breakpoints, nu.density.breakpoints))
+        scope = "every translation ({} knots)"
+    else:
+        gs = translation_samples(group, 64, for_set=a_set)
+        scope = "sampled translates only ({} used)"
     worst_rho = (-math.inf, None)
     best_nu = (math.inf, None)
-    skipped = 0
-    for g in samples:
-        try:
-            moved = translate_set(group, g, a_set)
-        except WindowOverflowError:
-            skipped += 1
-            continue
+    for g in gs:
+        moved = translate_set(group, g, a_set)
         r = mass(rho, moved, cfg)
         n = mass(nu, moved, cfg)
         if r > worst_rho[0]:
             worst_rho = (r, g)
         if n < best_nu[0]:
             best_nu = (n, g)
-    if worst_rho[1] is None:
-        return None
     worst_g, best_g = (group.label_of(group.check_rep(g))
                        for g in (worst_rho[1], best_nu[1]))
-    if unit:
-        scope = f"every translation ({len(samples)} {unit})"
-    else:
-        scope = (f"sampled translates only ({len(samples) - skipped} used"
-                 f"{f', {skipped} overflowed' if skipped else ''})")
     return (worst_rho[0], c * best_nu[0],
-            f"{scope}; max rho at g={worst_g}, min nu at g={best_g}, "
-            f"c={c!r}")
+            f"{scope.format(len(gs))}; max rho at g={worst_g}, "
+            f"min nu at g={best_g}, c={c!r}")

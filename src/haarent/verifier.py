@@ -10,11 +10,12 @@ A checker is called as checker(rng, trial, tol) with the trial's own
 generator and returns what it compared, never a report: a tuple
 (relation, lhs, rhs, notes) with relation "=" (equal within the
 tolerance), "<=" (lhs at most rhs within it) or "<" (strict: rhs - lhs must
-reach the tolerance), or a str, the reason the trial was skipped. verify
-alone stamps the claim id, tolerance, seed and trial index on it as a
-VerificationReport, and run_examples does the same for the worked
-examples. A strict inequality is recorded with a negative tolerance: such
-a report passes only when slack >= tol, keeping the invariant that passed
+reach the tolerance), or a str, the reason the trial was skipped.
+report.judge turns it into a VerificationReport with the claim id,
+tolerance, seed and trial index; verify calls it for the claims,
+run_examples for the worked examples and run_all for its --trials 0
+rows. A strict inequality is recorded with a negative tolerance: such a
+report passes only when slack >= tol, keeping the invariant that passed
 means slack >= -tolerance.
 """
 
@@ -41,7 +42,7 @@ from .measures import (Density, MeasurableSet, Measure, Space,
                        WeightFunction, mass, measure_of_weight,
                        step_density, table_density)
 from .quadrature import DEFAULT_INTEGRATOR as CFG
-from .report import VerificationReport, eq_report, le_report, skip_report
+from .report import judge
 from .supnorm import check_translate_bound, sup_density
 
 __all__ = ["ClaimSpec", "ClaimSummary", "RunSummary", "catalog", "claim_ids",
@@ -562,18 +563,6 @@ def claim_ids() -> tuple:
     return tuple(spec.claim_id for spec in _CATALOG)
 
 
-def _stamp(claim_id: str, found, tol: float, seed: int,
-           trial: int) -> VerificationReport:
-    """The report of what a checker compared (see the module docstring)."""
-    if isinstance(found, str):
-        return skip_report(claim_id, found, tol, seed, trial)
-    relation, lhs, rhs, notes = found
-    if relation == "=":
-        return eq_report(claim_id, lhs, rhs, tol, seed, trial, notes)
-    return le_report(claim_id, lhs, rhs, -tol if relation == "<" else tol,
-                     seed, trial, notes)
-
-
 def verify(claim_id: str, trials: int = 20, seed: int = 0,
            tol: Optional[float] = None) -> list:
     """Run one claim's checker on `trials` seeded random instances.
@@ -592,7 +581,7 @@ def verify(claim_id: str, trials: int = 20, seed: int = 0,
     for t in range(trials):
         eff = tol if tol is not None else spec.tol_for(t)
         found = spec.checker(_trial_rng(claim_id, seed, t), t, eff)
-        reports.append(_stamp(claim_id, found, eff, seed, t))
+        reports.append(judge(claim_id, found, eff, seed, t))
     return reports
 
 
@@ -617,18 +606,18 @@ def run_examples() -> list:
     mu_h = haar(mul)
     pinned = [(t, a, b, f"worked example, A=[{a!r},{b!r}]")
               for t, (a, b) in enumerate(_EXAMPLE_PAIRS)]
-    reports = [_stamp("ex-additive-interval",
-                      ("=", *_log_length(add_nu, a, b), note), tol, 0, t)
+    reports = [judge("ex-additive-interval",
+                     ("=", *_log_length(add_nu, a, b), note), tol, 0, t)
                for t, a, b, note in pinned]
-    reports += [_stamp("ex-multiplicative-interval",
-                       ("=", *_log_log_ratio(mu_h, a, b), note), tol, 0, t)
+    reports += [judge("ex-multiplicative-interval",
+                      ("=", *_log_log_ratio(mu_h, a, b), note), tol, 0, t)
                 for t, a, b, note in pinned]
     mixed = [_mixed(mu_h, a, b) for _, a, b, _ in pinned]
-    reports += [_stamp("ex-mixed-reference", ("=", *m[:2], note), tol, 0, t)
+    reports += [judge("ex-mixed-reference", ("=", *m[:2], note), tol, 0, t)
                 for (t, _, _, note), m in zip(pinned, mixed)]
-    reports += [_stamp("ex-mixed-reference",
-                       ("=", *m[2:], note + "; normalized reading"),
-                       tol, 0, t + 3)
+    reports += [judge("ex-mixed-reference",
+                      ("=", *m[2:], note + "; normalized reading"),
+                      tol, 0, t + 3)
                 for (t, _, _, note), m in zip(pinned, mixed)]
 
     # not invariant: translating [2,5] must move the mixed-reference value,
@@ -646,7 +635,7 @@ def run_examples() -> list:
     for t, (kind, moved) in enumerate(
             (("addition of 2", add_moved), ("multiplication by 2",
                                             mul_moved))):
-        reports.append(_stamp(
+        reports.append(judge(
             "ex-mixed-reference",
             ("<=", 1e-3, abs(moved - at_rest),
              f"non-invariance under {kind} on [{a!r},{b!r}]: "
@@ -733,9 +722,9 @@ def run_all(seed: int = 0, trials: int = 20,
     if trials == 0:
         warnings.warn("trials=0: all claims skipped, nothing verified",
                       stacklevel=2)
-        reports = [_stamp(spec.claim_id, "trials=0",
-                          tol if tol is not None else spec.default_tol,
-                          seed, 0)
+        reports = [judge(spec.claim_id, "trials=0",
+                         tol if tol is not None else spec.default_tol,
+                         seed, 0)
                    for spec in _CATALOG]
         return _summarize(seed, trials, reports)
     reports = []

@@ -486,6 +486,31 @@ class TestExitCodes:
         assert captured.err.startswith("haarent: error: the sum over 3 atoms "
                                        "exceeds the float range")
 
+    @pytest.mark.parametrize("space, density, reference", [
+        ({"kind": "interval", "bounds": [0, 1]},
+         {"kind": "expr", "payload": "exp(1000)"},
+         {"kind": "builtin", "payload": "lebesgue"}),
+        ({"kind": "interval", "bounds": [0, 1]},
+         {"kind": "expr", "payload": "1e308*(x+1)*10"},
+         {"kind": "builtin", "payload": "lebesgue"}),
+        ({"kind": "atoms", "atoms": ["a", "b"]},
+         {"kind": "table", "payload": {"a": 1e300, "b": 1}},
+         {"kind": "table", "payload": {"a": 1e-300, "b": 1}}),
+    ], ids=["exp-1000", "product", "table-quotient"])
+    @pytest.mark.parametrize("command", ["entropy", "supnorm"])
+    def test_infinite_value_exits_three(self, tmp_path, capsys, command,
+                                        space, density, reference):
+        m = write_spec(tmp_path, "m.json", {"space": space,
+                                            "density": density})
+        ref = write_spec(tmp_path, "ref.json", {"space": space,
+                                                "density": reference})
+        assert main([command, "--measure", m, "--reference", ref,
+                     "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search("exceeds the float range|outside the float range",
+                         captured.err)
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["entropy", "--bogus"]) == 2
         capsys.readouterr()

@@ -3,6 +3,8 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haarent import groups
 from haarent.errors import (DomainError, UnsupportedOperationError,
@@ -14,7 +16,7 @@ from haarent.groups import (AdditiveReals, Circle, Cyclic, Dihedral,
                             subgroup_chains, subgroups, translate_set,
                             translation_samples)
 from haarent.groups import (_extend, _is_prime_power, _mask, _members,
-                            _subgroup)
+                            _subgroup, _translation_knots, _translation_range)
 from haarent.measures import MeasurableSet, mass
 
 TWO_PI = 2.0 * math.pi
@@ -321,6 +323,69 @@ class TestTranslationSamples:
         assert a == translation_samples(g, 16)
         # samples are reps that check_rep passes unchanged
         assert [g.check_rep(x) for x in a] == a
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps (up for k > 0, down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def windowed_sets(draw):
+    """(group, set, breakpoints) on an R+add or R*mul window; each end of
+    the set lies anywhere in the window, on a window end, or a few ulps
+    inside one."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e6, 1e6))
+        hi = lo + draw(st.floats(1e-6, 1e6))
+        group = AdditiveReals((lo, hi))
+    else:
+        lo = draw(st.floats(1e-6, 1e3))
+        hi = lo * draw(st.floats(1.0 + 1e-6, 1e6))
+        group = MultiplicativePositiveReals((lo, hi))
+    lo, hi = group.window
+
+    def point():
+        where = draw(st.sampled_from(["any", "lo", "hi"]))
+        if where == "any":
+            return draw(st.floats(lo, hi))
+        k = draw(st.integers(0, 3))
+        return _ulps(lo, k) if where == "lo" else _ulps(hi, -k)
+
+    ends = sorted(point() for _ in range(draw(st.sampled_from([2, 4]))))
+    a_set = MeasurableSet.of_intervals(group.carrier,
+                                       zip(ends[::2], ends[1::2]))
+    breakpoints = draw(st.lists(st.floats(lo, hi), max_size=4))
+    return group, a_set, breakpoints
+
+
+class TestTranslationRange:
+    # the full window: fl(lo * fl(1/lo)) is 1 and fl(hi * fl(1/hi)) is
+    # one ulp below, which would move lo out
+    FULL_MUL = MultiplicativePositiveReals(
+        (0.062134256810232984, 33.90479033722107))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(windowed_sets())
+    @example((FULL_MUL, MeasurableSet.full(FULL_MUL.carrier), []))
+    def test_every_knot_and_sample_is_admissible(self, case):
+        group, a_set, breakpoints = case
+        glo, ghi = _translation_range(group, a_set)
+        assert glo <= group.identity_rep() <= ghi
+        knots = _translation_knots(group, a_set, breakpoints)
+        samples = translation_samples(group, for_set=a_set)
+        assert (glo, ghi) == (knots[0], knots[-1])
+        for g in knots + samples:
+            assert glo <= g <= ghi
+            translate_set(group, g, a_set)  # no WindowOverflowError
+
+    def test_empty_set_has_the_identity_alone(self):
+        g = AdditiveReals((0.0, 10.0))
+        empty = MeasurableSet.of_intervals(g.carrier, [])
+        assert _translation_range(g, empty) == (0.0, 0.0)
+        assert set(translation_samples(g, 8, for_set=empty)) == {0.0}
 
 
 class TestSubgroups:

@@ -426,6 +426,31 @@ class TestFiniteOverflow:
         s = MeasurableSet.full(space)
         assert integrate(lambda p: 8e307, s) == 1.6e308
 
+    @pytest.mark.parametrize("terms", [{"a": math.inf, "b": 1.0},
+                                       {"a": math.inf, "b": -math.inf}],
+                             ids=["inf", "inf-minus-inf"])
+    def test_infinite_term_is_a_typed_error(self, terms):
+        # math.fsum passes an inf term through without OverflowError
+        s = MeasurableSet.full(Space.finite(["a", "b"]))
+        with pytest.raises(SumOverflowError, match="exceeds the float range"):
+            integrate(terms.__getitem__, s)
+
+
+class TestIntervalOverflow:
+    @pytest.mark.parametrize("f", [
+        lambda x: math.inf,                    # a saturated exp(1000)
+        lambda x: 1e308 * (x + 1.0) * 10.0,    # inf in float arithmetic
+    ], ids=["inf", "product"])
+    def test_infinite_panel_is_named(self, f):
+        with pytest.raises(SumOverflowError,
+                           match=r"range: inf on the panel \[0.0, 1.0\]"):
+            integrate(f, full(0.0, 1.0))
+
+    def test_finite_panels_summing_past_the_range(self):
+        # each panel holds 8e307; their sum does not fit
+        with pytest.raises(SumOverflowError, match="worst panel"):
+            integrate(lambda x: 8e307, full(0.0, 3.0), breakpoints=(1.0, 2.0))
+
 
 class TestIntegratorConfig:
     def test_tolerances_validated(self):

@@ -7,13 +7,12 @@ from haarent.dsl import density_from_expr
 from haarent.entropy import nonneg_certificate
 from haarent.errors import DomainError, NormalizationError
 from haarent.groups import (TWO_PI, AdditiveReals, Circle, Cyclic,
-                            MultiplicativePositiveReals, haar, translate_set,
-                            translation_samples)
-from haarent.measures import (Density, MeasurableSet, Measure, Space,
+                            MultiplicativePositiveReals, _translation_knots,
+                            haar, translate_set, translation_samples)
+from haarent.measures import (Density, MeasurableSet, Measure, Space, mass,
                               step_density, table_density)
-from haarent.supnorm import (_translation_knots, check_translate_bound,
-                             is_information_measure, sup_density,
-                             sup_normalize)
+from haarent.supnorm import (check_translate_bound, is_information_measure,
+                             sup_density, sup_normalize)
 
 UNIT = Space.interval(0.0, 1.0)
 LEB = Measure.lebesgue(UNIT)
@@ -221,6 +220,16 @@ class TestTranslateBound:
         assert lhs <= rhs
         assert "sampled translates" in notes
 
+    def test_set_near_the_window_ends_uses_every_sample(self):
+        # A fills the window up to an ulp below 100: every sample is the
+        # identity, and none is dropped
+        g = MultiplicativePositiveReals((0.1, 100.0))
+        a = MeasurableSet.of_interval(g.carrier, 0.1, 99.99999999999999)
+        rho = density_measure(g.carrier, lambda x: 0.5)
+        lhs, rhs, notes = check_translate_bound(rho, haar(g), g, a)
+        assert lhs <= rhs
+        assert notes.startswith("sampled translates only (64 used);")
+
     def test_equality_case_passes_with_zero_slack(self):
         g = Cyclic(4)
         nu = haar(g)
@@ -228,33 +237,12 @@ class TestTranslateBound:
         lhs, rhs, _ = check_translate_bound(nu, nu, g, a)
         assert rhs - lhs == pytest.approx(0.0, abs=1e-12)
 
-    def test_all_samples_overflow_becomes_skip(self):
-        g = AdditiveReals((0.0, 10.0))
-        nu = haar(g)
-        rho = density_measure(g.carrier, lambda x: math.exp(-x))
-        a = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
-        # nothing compared: the caller reads None as a skip
-        assert check_translate_bound(rho, nu, g, a, samples=[100.0]) is None
 
-    def test_partial_overflow_noted(self):
-        g = AdditiveReals((0.0, 10.0))
-        nu = haar(g)
-        rho = density_measure(g.carrier, lambda x: math.exp(-x))
-        a = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
-        _, _, notes = check_translate_bound(
-            rho, nu, g, a, samples=[0.5, 100.0])
-        assert "(1 used, 1 overflowed)" in notes
 
-    def test_custom_samples_respected(self):
-        g = AdditiveReals((0.0, 10.0))
-        nu = haar(g)
-        rho = density_measure(g.carrier, lambda x: math.exp(-x))
-        a = MeasurableSet.of_interval(g.carrier, 1.0, 2.0)
-        samples = translation_samples(g, 8, for_set=a)
-        lhs, rhs, notes = check_translate_bound(rho, nu, g, a,
-                                                samples=samples)
-        assert lhs <= rhs
-        assert "8 used" in notes
+def sampled_max(rho, group, a_set, count):
+    """max rho(gA) over `count` translation_samples."""
+    return max(mass(rho, translate_set(group, g, a_set))
+               for g in translation_samples(group, count, for_set=a_set))
 
 
 def cumulative(edges, values, lo, hi):
@@ -284,15 +272,13 @@ class TestTranslateBoundKnots:
             [5.0, 5.05], [0.1, 0.9, 0.1]))
         a = MeasurableSet.of_interval(g.carrier, 1.0, 1.05)
         lhs, rhs, notes = check_translate_bound(rho, haar(g), g, a)
-        sampled, _, sampled_notes = check_translate_bound(
-            rho, haar(g), g, a, samples=translation_samples(g, 32, for_set=a))
+        sampled = sampled_max(rho, g, a, 32)
         # gA = [5, 5.05], the spike, at g = 4 alone; and the bound is tight
         assert lhs == pytest.approx(0.9 * 0.05, rel=1e-12)
         assert rhs - lhs == pytest.approx(0.0, abs=1e-12)
         assert sampled < 0.5 * lhs
         assert notes.startswith("every translation (")
         assert "knots)" in notes
-        assert sampled_notes.startswith("sampled translates only")
 
     @staticmethod
     def _additive_instance(i):
@@ -361,8 +347,7 @@ class TestTranslateBoundKnots:
         ends = ((0.0, 0.1), (3.0, 3.2), (TWO_PI - 0.2, TWO_PI))
         a_set = MeasurableSet.of_intervals(g.carrier, ends)
         lhs, rhs, notes = check_translate_bound(rho, haar(g), g, a_set)
-        sampled, _, _ = check_translate_bound(
-            rho, haar(g), g, a_set, samples=translation_samples(g, 64))
+        sampled = sampled_max(rho, g, a_set, 64)
         assert notes.startswith("every translation (")
         assert sampled < lhs - 1e-3
         r_cum = cumulative(*rho_sv, 0.0, TWO_PI)
@@ -405,6 +390,16 @@ class TestTranslateBoundKnots:
         _, _, notes = check_translate_bound(leb, leb, group, a_set)
         assert notes.startswith("every translation (2 knots)")
 
+    def test_full_window_counts_admissible_knots_only(self):
+        # fl(hi * fl(1/hi)) is one ulp below 1, which would move lo out
+        g = MultiplicativePositiveReals(
+            (0.062134256810232984, 33.90479033722107))
+        full = MeasurableSet.full(g.carrier)
+        leb = Measure.lebesgue(g.carrier)
+        lhs, rhs, notes = check_translate_bound(leb, leb, g, full)
+        assert lhs == rhs == mass(leb, full)
+        assert notes.startswith("every translation (1 knots)")
+
     def test_empty_set_has_one_translate(self):
         g = self.G
         empty = MeasurableSet.of_intervals(g.carrier, [])
@@ -432,6 +427,3 @@ class TestTranslateBoundKnots:
             lhs, rhs, notes = check_translate_bound(rho, nu, g, a)
             assert lhs <= rhs
             assert notes.startswith("sampled translates only (64 used)")
-            _, _, notes = check_translate_bound(
-                rho, nu, g, a, samples=translation_samples(g, 32, for_set=a))
-            assert notes.startswith("sampled translates only (32 used)")

@@ -197,11 +197,11 @@ class TestRunAll:
 
 class TestReportRecords:
     REPORTS = [
-        report.le_report("lem-x", 0.25, 1.0, 1e-9, seed=3, trial=2,
-                         scope_notes="a, \"quoted\" note"),
-        report.eq_report("lem-y", -0.0, math.inf, 1e-12, seed=2 ** 40),
-        report.eq_report("lem-z", math.nan, 1.0, 1e-6, seed=0, trial=7),
-        report.skip_report("lem-w", "no instance", 1e-9, seed=5, trial=1),
+        report.judge("lem-x", ("<=", 0.25, 1.0, "a, \"quoted\" note"),
+                     1e-9, seed=3, trial=2),
+        report.judge("lem-y", ("=", -0.0, math.inf, ""), 1e-12, seed=2 ** 40),
+        report.judge("lem-z", ("=", math.nan, 1.0, ""), 1e-6, seed=0, trial=7),
+        report.judge("lem-w", "no instance", 1e-9, seed=5, trial=1),
     ]
 
     @staticmethod
@@ -231,8 +231,9 @@ class TestReportRecords:
         # reports_to_json lays out json.dumps(doc, indent=2) by hand;
         # strings holding the separator it splits on, newlines and
         # non-ASCII text must not move a byte
-        tricky = report.le_report("lem-v\n", 1.0, 2.0, 1e-9, seed=1,
-                                  scope_notes='},\n      {"x": 1} \u00e9')
+        tricky = report.judge("lem-v\n", ("<=", 1.0, 2.0,
+                                           '},\n      {"x": 1} \u00e9'),
+                              1e-9, seed=1)
         for reports in ([], self.REPORTS[:1], self.REPORTS,
                         [tricky] + self.REPORTS + [tricky]):
             doc = {"schema": report.SCHEMA,
