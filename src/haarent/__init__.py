@@ -7,7 +7,13 @@ probability form, with finite-measure and weight-function forms that
 agree with it after normalization. Built-in groups supply translation
 structure and Haar references; the verifier module turns every identity
 and inequality the library implements into seeded, reproducible checks.
+
+The maxent and verifier modules need numpy; they, and the names below
+that come from them, are imported on first use, so entropy, supnorm and
+the group API run without numpy.
 """
+
+import importlib
 
 from .entropy import (EntropyForm, EntropyValue, NonnegativityCertificate,
                       NonUnitMassWarning, Verdict, change_reference,
@@ -24,8 +30,6 @@ from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
                      RestrictedGroup, Subgroup, Symmetric, generated_subgroup,
                      group_from_descriptor, haar, subgroup_chains, subgroups,
                      translate_set, translation_samples)
-from .maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
-                     maximize_entropy)
 from .measures import (Density, MeasurableSet, Measure, Space,
                        WeightFunction, mass, measure_of_weight,
                        radon_nikodym, step_density, table_density)
@@ -35,11 +39,32 @@ from .report import (SCHEMA, VerificationReport, judge, reports_to_csv,
                      reports_to_json, reports_to_table)
 from .supnorm import (SupNormalizationReport, check_translate_bound,
                       is_information_measure, sup_density, sup_normalize)
-from .verifier import (ClaimSpec, ClaimSummary, RunSummary, catalog,
-                       claim_ids, run_all, run_examples, summary_to_table,
-                       verify)
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it (PEP 562). Nothing resolved is
+# bound here, so each lookup sees the submodule's current binding (a
+# wrapper put on maximize_entropy, and its removal, included).
+_LAZY = {"maxent": "maxent", "verifier": "verifier",
+         **dict.fromkeys(("SimplexPoint", "concavity_probe",
+                          "entropy_of_weights", "maximize_entropy"),
+                         "maxent"),
+         **dict.fromkeys(("ClaimSpec", "ClaimSummary", "RunSummary",
+                          "catalog", "claim_ids", "run_all", "run_examples",
+                          "summary_to_table", "verify"), "verifier")}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f"{__name__}.{module}")
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "AbsoluteContinuityError", "AdditiveReals", "CatalogError", "Circle",

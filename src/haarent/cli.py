@@ -37,18 +37,19 @@ import math
 import os
 import sys
 
-from . import dsl, verifier
+from . import dsl
 from .entropy import entropy_finite
 from .errors import (CatalogError, DomainError, ExprEvalError, ExprSyntaxError,
                      HaarentError, NormalizationError)
 from .groups import (Group, MultiplicativePositiveReals, generated_subgroup,
                      group_from_descriptor, haar)
-from .maxent import maximize_entropy
 from .measures import Density, Measure, Space, table_density
 from .quadrature import Integrator
 from .report import reports_to_csv, reports_to_json, reports_to_table
 from .supnorm import sup_density, sup_normalize
-from .verifier import summary_to_table
+
+# verifier and maxent load numpy; the commands that use them import them
+# when they run, so entropy and supnorm never load it
 
 __all__ = ["main", "measure_from_spec"]
 
@@ -314,6 +315,7 @@ def _cmd_supnorm(args, tol: float | None) -> int:
 
 
 def _cmd_verify(args, tol: float | None) -> int:
+    from . import verifier
     if args.trials < 0:
         raise _UsageError(f"--trials must be >= 0, got {args.trials!r}")
     if args.all:
@@ -325,7 +327,7 @@ def _cmd_verify(args, tol: float | None) -> int:
         elif args.format == "csv":
             text = reports_to_csv(summary.reports)
         else:
-            text = summary_to_table(summary) + "\n"
+            text = verifier.summary_to_table(summary) + "\n"
         _emit(args, text)
         return 0 if summary.ok else 1
     reports = []
@@ -337,12 +339,14 @@ def _cmd_verify(args, tol: float | None) -> int:
 
 
 def _cmd_examples(args, tol: float | None) -> int:
+    from . import verifier
     reports = verifier.run_examples()
     _emit(args, _render_reports(args.format, reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_maxent(args, tol: float | None) -> int:
+    from .maxent import maximize_entropy
     if args.nu is not None:
         try:
             nu = [float(t) for t in args.nu.split(",") if t.strip()]
