@@ -708,11 +708,9 @@ def translation_samples(group: Group, count: int = 64,
         raise DomainError("windowed kinds need for_set to bound translations")
     glo, ghi = _translation_range(group, for_set)
     if isinstance(group, AdditiveReals):
-        width = ghi - glo
-        if math.isfinite(width):
-            gs = [glo + x * width for x in u]
-        else:  # a range wider than the float range
-            gs = [glo * (1.0 - x) + ghi * x for x in u]
+        # a blend, not glo + x*(ghi - glo): the width overflows on a range
+        # wider than the float range
+        gs = [glo * (1.0 - x) + ghi * x for x in u]
     else:
         llo, lhi = math.log(glo), math.log(ghi)
         gs = [math.exp(llo + x * (lhi - llo)) for x in u]

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -33,10 +34,13 @@ doc["submodules"] = [isinstance(getattr(haarent, m), types.ModuleType)
 doc["unresolved"] = [n for n in haarent.__all__ if not hasattr(haarent, n)]
 print(json.dumps(doc))
 """
+    # this process's environment, with src first on the path
     src = Path(haarent.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.getenv("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script],
-                          env={"PYTHONPATH": str(src)}, capture_output=True,
-                          text=True, check=True, timeout=120)
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
     assert json.loads(proc.stdout) == {"not_in_dir": [],
                                        "numpy_loaded": False,
                                        "submodules": [True, True],

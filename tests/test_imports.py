@@ -9,6 +9,7 @@ numpy loaded already.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +45,17 @@ print(json.dumps(doc))
 """
 
 
+def _env() -> dict:
+    # this process's environment, with src first on the path, so both
+    # sides of each comparison read the same settings (HAARENT_TOL, ...)
+    path = os.pathsep.join(filter(None, [str(SRC), os.getenv("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _fresh(calls: list, numpy_free: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, json.dumps([calls, numpy_free])],
-        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        env=_env(), capture_output=True, text=True,
         check=True, timeout=120)
     return json.loads(proc.stdout)
 
@@ -65,7 +73,9 @@ def _in_process(argv: list) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def test_entropy_supnorm_and_groups_run_without_numpy(tmp_path):
+def test_entropy_supnorm_and_groups_run_without_numpy(tmp_path, monkeypatch):
+    # the golden case was made at the default tolerance
+    monkeypatch.delenv("HAARENT_TOL", raising=False)
     inv = _spec(tmp_path, "inv.json", {"kind": "expr", "payload": "1/x"})
     pair = _spec(tmp_path, "pair.json",
                  {"kind": "table", "payload": {"0": 1.0, "3": 1.0}})
