@@ -8,9 +8,11 @@ agree with it after normalization. Built-in groups supply translation
 structure and Haar references; the verifier module turns every identity
 and inequality the library implements into seeded, reproducible checks.
 
-The maxent and verifier modules need numpy; they, and the names below
-that come from them, are imported on first use, so entropy, supnorm and
-the group API run without numpy.
+The maxent and verifier modules, and the names below that come from
+them, are imported on first use. Only maxent needs numpy: entropy,
+supnorm, the group API and the verifier run without it (the verifier
+draws from its own PCG64 stream, bit-equal to numpy's), except the
+maxent-concavity claim, which calls maxent.concavity_probe.
 """
 
 import importlib
@@ -42,9 +44,11 @@ from .supnorm import (SupNormalizationReport, check_translate_bound,
 
 __version__ = "0.1.0"
 
-# name -> the submodule that defines it (PEP 562). Nothing resolved is
-# bound here, so each lookup sees the submodule's current binding (a
-# wrapper put on maximize_entropy, and its removal, included).
+# name -> the submodule that defines it (PEP 562): maxent, which loads
+# numpy, and the verifier, which keeps the import cost of its catalog
+# off entropy and supnorm. Nothing resolved is bound here, so each lookup
+# sees the submodule's current binding (a wrapper put on
+# maximize_entropy, and its removal, included).
 _LAZY = {"maxent": "maxent", "verifier": "verifier",
          **dict.fromkeys(("SimplexPoint", "concavity_probe",
                           "entropy_of_weights", "maximize_entropy"),

@@ -48,8 +48,9 @@ from .quadrature import Integrator
 from .report import reports_to_csv, reports_to_json, reports_to_table
 from .supnorm import sup_density, sup_normalize
 
-# verifier and maxent load numpy; the commands that use them import them
-# when they run, so entropy and supnorm never load it
+# the commands that use verifier and maxent import them when they run;
+# maxent loads numpy, so only maxent and verify's maxent-concavity claim
+# load it
 
 __all__ = ["main", "measure_from_spec"]
 

@@ -6,8 +6,14 @@ instances, and a checker. Reports are reproducible from (claim id, seed,
 trial index). Finite-group instances are exact (finite sums), so their
 tolerance tightens to 1e-12.
 
-A checker is called as checker(rng, trial, tol) with the trial's own
-generator and returns what it compared, never a report: a tuple
+Each trial draws from its own stream: a PCG64 generator
+(_pcg64.Stream) seeded with [seed, trial, crc32(claim id)], bit-equal to
+numpy.random.default_rng with that seed. So the verifier runs without
+numpy; only the maxent-concavity claim loads it, through
+maxent.concavity_probe.
+
+A checker is called as checker(rng, trial, tol) with the trial's stream
+and returns what it compared, never a report: a tuple
 (relation, lhs, rhs, notes) with relation "=" (equal within the
 tolerance), "<=" (lhs at most rhs within it) or "<" (strict: rhs - lhs must
 reach the tolerance), or a str, the reason the trial was skipped.
@@ -23,13 +29,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._pcg64 import Stream
 from .entropy import (NonUnitMassWarning, Verdict, change_reference,
                       entropic_gap, entropy_finite, entropy_prob,
                       entropy_weight, nonneg_certificate, uniform_measure)
@@ -37,7 +43,6 @@ from .errors import CatalogError, DomainError
 from .groups import (AdditiveReals, Cyclic, Dihedral, FiniteGroup,
                      MultiplicativePositiveReals, haar, subgroups,
                      translate_set)
-from .maxent import concavity_probe
 from .measures import (Density, MeasurableSet, Measure, Space,
                        WeightFunction, mass, measure_of_weight,
                        step_density, table_density)
@@ -52,9 +57,8 @@ _TOL_EXACT = 1e-12
 _TOL_QUAD = 1e-8
 
 
-def _trial_rng(claim_id: str, seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(
-        [seed, trial, zlib.crc32(claim_id.encode("utf-8"))])
+def _trial_rng(claim_id: str, seed: int, trial: int) -> Stream:
+    return Stream([seed, trial, zlib.crc32(claim_id.encode("utf-8"))])
 
 
 # ---------------------------------------------------------------------------
@@ -62,20 +66,19 @@ def _trial_rng(claim_id: str, seed: int, trial: int) -> np.random.Generator:
 
 
 def _cuts(rng, lo: float, hi: float, pieces: int) -> tuple:
-    interior = np.sort(rng.uniform(lo, hi, pieces - 1))
-    return tuple(float(c) for c in interior)
+    return tuple(sorted(rng.uniform(lo, hi, pieces - 1)))
 
 
 def _step(rng, lo: float, hi: float, vmin: float, vmax: float,
           pieces: int = 5) -> Density:
-    values = tuple(float(v) for v in rng.uniform(vmin, vmax, pieces))
+    values = tuple(rng.uniform(vmin, vmax, pieces))
     return step_density(_cuts(rng, lo, hi, pieces), values)
 
 
 def _linear(rng, lo: float, hi: float, vmin: float, vmax: float,
             pieces: int = 4) -> Density:
     edges = (lo, *_cuts(rng, lo, hi, pieces), hi)
-    values = tuple(float(v) for v in rng.uniform(vmin, vmax, pieces + 1))
+    values = tuple(rng.uniform(vmin, vmax, pieces + 1))
 
     def ev(x, edges=edges, values=values):
         i = bisect.bisect_right(edges, x) - 1
@@ -90,7 +93,7 @@ def _linear(rng, lo: float, hi: float, vmin: float, vmax: float,
 # _table and _subset make one batched draw each: the same doubles, and the
 # same stream state after, as one scalar draw per atom
 def _table(rng, space: Space, vmin: float, vmax: float) -> Density:
-    values = rng.uniform(vmin, vmax, len(space.atoms)).tolist()
+    values = rng.uniform(vmin, vmax, len(space.atoms))
     return table_density(space, dict(zip(space.atoms, values)))
 
 
@@ -98,7 +101,7 @@ def _subset(rng, space: Space) -> MeasurableSet:
     picks = [a for a, u in zip(space.atoms, rng.random(len(space.atoms)))
              if u < 0.5]
     if not picks:
-        picks = [space.atoms[int(rng.integers(len(space.atoms)))]]
+        picks = [space.atoms[rng.integers(len(space.atoms))]]
     return MeasurableSet.of_atoms(space, picks)
 
 
@@ -115,8 +118,8 @@ def _set(rng, space: Space, min_width: float = 0.2) -> MeasurableSet:
     if space.is_finite:
         return _subset(rng, space)
     lo, hi = space.bounds
-    a = float(rng.uniform(lo, hi - min_width))
-    b = float(rng.uniform(a + min_width, hi))
+    a = rng.uniform(lo, hi - min_width)
+    b = rng.uniform(a + min_width, hi)
     return MeasurableSet.of_interval(space, a, b)
 
 
@@ -141,7 +144,7 @@ def _subgroups_of(group: FiniteGroup):
 
 
 def _pick(rng, seq):
-    return seq[int(rng.integers(len(seq)))]
+    return seq[rng.integers(len(seq))]
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +231,15 @@ def _check_uniform_maximizer(rng, trial, tol):
 
 
 def _check_concavity(rng, trial, tol):
-    n = int(rng.integers(2, 11))
-    nu = tuple(float(v) for v in rng.uniform(0.2, 2.0, n))
+    # the one claim that loads numpy: concavity_probe draws Dirichlet
+    # points from numpy's own generator
+    from .maxent import concavity_probe
+    n = rng.integers(2, 11)
+    nu = tuple(rng.uniform(0.2, 2.0, n))
     # the pairs come from this trial's generator: the chord excess does
     # not depend on nu, so pairs seeded by the run alone would repeat
     # across every trial with the same n
-    pairs_seed = int(rng.integers(2**32))
+    pairs_seed = rng.integers(2**32)
     gap, notes = concavity_probe(nu, trials=40, seed=pairs_seed, tol=tol)
     return "<=", gap, 0.0, notes
 
@@ -241,16 +247,16 @@ def _check_concavity(rng, trial, tol):
 def _check_invariance(rng, trial, tol):
     if trial % 2 == 0:
         group = AdditiveReals((-10.0, 15.0))
-        a = float(rng.uniform(-4.0, 4.0))
-        b = a + float(rng.uniform(0.5, 6.0))
+        a = rng.uniform(-4.0, 4.0)
+        b = a + rng.uniform(0.5, 6.0)
         target = math.log(b - a)
-        gs = [-2.0, 0.5, 3.0, float(rng.uniform(-2.0, 3.0))]
+        gs = [-2.0, 0.5, 3.0, rng.uniform(-2.0, 3.0)]
     else:
         group = MultiplicativePositiveReals((0.01, 1000.0))
-        a = float(rng.uniform(0.05, 3.0))
-        b = a * float(rng.uniform(1.3, 12.0))
+        a = rng.uniform(0.05, 3.0)
+        b = a * rng.uniform(1.3, 12.0)
         target = math.log(math.log(b / a))
-        gs = [0.5, 2.0, 10.0, float(rng.uniform(0.3, 8.0))]
+        gs = [0.5, 2.0, 10.0, rng.uniform(0.3, 8.0)]
     nu = haar(group)
     base = MeasurableSet.of_interval(group.carrier, a, b)
     worst = (-1.0, None, target)
@@ -266,7 +272,7 @@ def _check_invariance(rng, trial, tol):
 
 def _check_nested_haar(rng, trial, tol):
     group = _pick(rng, _FINITE_POOL)
-    scale = float(rng.uniform(0.5, 2.0))
+    scale = rng.uniform(0.5, 2.0)
     nu = haar(group, scale)
     sub = _pick(rng, _subgroups_of(group))
     h_set = sub.as_set()
@@ -372,14 +378,14 @@ def _check_relative_symmetry(rng, trial, tol):
         h_sub = _pick(rng, proper)
         h_labels = h_sub.elements
         rest = [a for a in space.atoms if a not in set(h_labels)]
-        k = int(rng.integers(1, len(rest) + 1))
+        k = rng.integers(1, len(rest) + 1)
         extra = [rest[i] for i in rng.permutation(len(rest))[:k]]
         a_labels = tuple(h_labels) + tuple(extra)
         mode_note = f"A a plain superset, |H|={h_sub.order}, |A|={len(a_labels)}"
     h_set = MeasurableSet.of_atoms(space, h_labels)
     a_set = MeasurableSet.of_atoms(space, a_labels)
     xi = Measure.from_density(
-        space, table_density(space, {a: float(rng.uniform(0.0, 1.0))
+        space, table_density(space, {a: rng.uniform(0.0, 1.0)
                                      for a in space.atoms}))
     counting = Measure.counting(space)
     if mode != 0:
@@ -429,22 +435,22 @@ def _mixed(mu_h: Measure, a: float, b: float) -> tuple:
 
 
 def _check_example_additive(rng, trial, tol):
-    a = float(rng.uniform(-6.0, 6.0))
-    b = a + float(rng.uniform(0.3, 6.0))
+    a = rng.uniform(-6.0, 6.0)
+    b = a + rng.uniform(0.3, 6.0)
     nu = haar(AdditiveReals((-10.0, 15.0)))
     return ("=", *_log_length(nu, a, b), f"A=[{a!r},{b!r}]")
 
 
 def _check_example_multiplicative(rng, trial, tol):
-    a = float(rng.uniform(0.05, 5.0))
-    b = a * float(rng.uniform(1.05, 20.0))
+    a = rng.uniform(0.05, 5.0)
+    b = a * rng.uniform(1.05, 20.0)
     mu_h = haar(MultiplicativePositiveReals((0.01, 1000.0)))
     return ("=", *_log_log_ratio(mu_h, a, b), f"A=[{a!r},{b!r}]")
 
 
 def _check_example_mixed(rng, trial, tol):
-    a = float(rng.uniform(0.05, 5.0))
-    b = a * float(rng.uniform(1.05, 20.0))
+    a = rng.uniform(0.05, 5.0)
+    b = a * rng.uniform(1.05, 20.0)
     value, target, alt, alt_target = _mixed(
         haar(MultiplicativePositiveReals((0.01, 1000.0))), a, b)
     return ("=", value, target,
@@ -563,18 +569,33 @@ def claim_ids() -> tuple:
     return tuple(spec.claim_id for spec in _CATALOG)
 
 
+def _seed_int(seed) -> int:
+    """seed as an int, or DomainError unless it is a non-negative
+    integer (a bool counts as one, as numpy's seeding has it)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise DomainError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
 def verify(claim_id: str, trials: int = 20, seed: int = 0,
            tol: Optional[float] = None) -> list:
     """Run one claim's checker on `trials` seeded random instances.
 
     Each report is reproducible from (claim_id, seed, trial index). With
     tol=None the claim's default applies (1e-12 on exact finite instances).
-    Raises DomainError for trials < 0.
+    Raises DomainError for trials < 0, or a seed that is not a
+    non-negative integer.
     """
     spec = _BY_ID.get(claim_id)
     if spec is None:
         raise CatalogError(f"unknown claim id {claim_id!r}; known: "
                            f"{', '.join(claim_ids())}")
+    seed = _seed_int(seed)
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials!r}")
     reports = []
@@ -717,8 +738,9 @@ def run_all(seed: int = 0, trials: int = 20,
 
     With trials=0 everything is skipped (vacuous run, counts as success)
     and a warning is emitted; trials < 0 raises DomainError (from the first
-    verify call).
+    verify call), as does a seed that is not a non-negative integer.
     """
+    seed = _seed_int(seed)
     if trials == 0:
         warnings.warn("trials=0: all claims skipped, nothing verified",
                       stacklevel=2)

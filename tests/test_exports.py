@@ -21,7 +21,8 @@ def test_every_exported_name_resolves():
 
 
 def test_lazy_names_resolve_in_a_fresh_interpreter():
-    # maxent and verifier are imported on first use (they need numpy);
+    # maxent and verifier are imported on first use (maxent needs numpy,
+    # the verifier does not, but resolving concavity_probe loads maxent);
     # dir() lists their names before that, and the submodule names and the
     # names they export resolve
     script = """

@@ -79,6 +79,17 @@ class TestVerify:
             verify("lem-finite-form", trials=-1)
         assert verify("lem-finite-form", trials=0) == []
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError,
+                           match="seed must be a non-negative integer"):
+            verify("lem-finite-form", trials=1, seed=seed)
+
+    def test_bool_and_numpy_seeds_count_as_ints(self):
+        one = verify("lem-finite-form", trials=2, seed=1)
+        assert verify("lem-finite-form", trials=2, seed=True) == one
+        assert verify("lem-finite-form", trials=2, seed=np.int64(1)) == one
+
     def test_exact_trials_tighten_to_1e_12(self):
         # the odd trials of lem-nonnegativity are sums over Z12
         reports = verify("lem-nonnegativity", trials=4, seed=0)
@@ -181,6 +192,13 @@ class TestRunAll:
     def test_negative_trials_rejected(self):
         with pytest.raises(DomainError, match="trials must be >= 0"):
             run_all(seed=0, trials=-3)
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_a_domain_error(self, seed, trials):
+        with pytest.raises(DomainError,
+                           match="seed must be a non-negative integer"):
+            run_all(seed=seed, trials=trials)
 
     def test_table_rendering(self):
         summary = run_all(seed=0, trials=1)
