@@ -539,11 +539,176 @@ def _compile(e: Expr):
 
 
 # ---------------------------------------------------------------------------
+# Range enclosures: interval arithmetic over the tree (Moore, Kearfott &
+# Cloud, Introduction to Interval Analysis, SIAM 2009). Each bound steps
+# outward by one ulp after a float operation, which bounds its exact
+# result too, and by two after a math library call, which may be off by
+# up to an ulp either way. An enclosure is None where a value may fault or
+# be NaN (inf - inf, 0 * inf, inf / inf), so a value under a known
+# enclosure is never NaN, and overflow saturates to an infinite bound just
+# as evaluate saturates.
+
+_INF = math.inf
+
+
+def _out(lo: float, hi: float, steps: int = 1) -> tuple:
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -_INF), math.nextafter(hi, _INF)
+    return lo, hi
+
+
+def _saturating(f, *args) -> float:
+    try:
+        return f(*args)
+    except OverflowError:
+        return _INF
+
+
+def _range(e: Expr, lo: float, hi: float) -> Optional[tuple]:
+    """An enclosure (rlo, rhi) of every value evaluate(e, x) returns for a
+    float x in [lo, hi], or None where e may fault or be NaN there, or no
+    bound is known."""
+    code = e._code
+    if not callable(code):  # a constant: its folded value, exactly
+        return (code, code) if code == code else None
+    if isinstance(e, Var):
+        return (lo, hi) if lo <= hi else None
+    if isinstance(e, Neg):
+        r = _range(e.operand, lo, hi)
+        return None if r is None else (-r[1], -r[0])
+    if isinstance(e, BinOp):
+        return _binop_range(e, lo, hi)
+    if isinstance(e, Call):
+        return _call_range(e, lo, hi)
+    return _piecewise_range(e, lo, hi)
+
+
+def _binop_range(e: BinOp, lo: float, hi: float) -> Optional[tuple]:
+    a = _range(e.left, lo, hi)
+    if a is None:
+        return None
+    if e.op == "^":
+        return _power_range(e, a, lo, hi)
+    b = _range(e.right, lo, hi)
+    if b is None:
+        return None
+    (alo, ahi), (blo, bhi) = a, b
+    if e.op == "+":
+        if (ahi == _INF and blo == -_INF) or (alo == -_INF and bhi == _INF):
+            return None
+        return _out(alo + blo, ahi + bhi)
+    if e.op == "-":
+        if (ahi == _INF and bhi == _INF) or (alo == -_INF and blo == -_INF):
+            return None
+        return _out(alo - bhi, ahi - blo)
+    a_inf = alo == -_INF or ahi == _INF
+    b_inf = blo == -_INF or bhi == _INF
+    if e.op == "/":
+        if blo <= 0 <= bhi or (a_inf and b_inf):
+            return None
+        corners = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+    else:
+        if (alo <= 0 <= ahi and b_inf) or (blo <= 0 <= bhi and a_inf):
+            return None
+        corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return _out(min(corners), max(corners))
+
+
+def _power_range(e: BinOp, a: tuple, lo: float, hi: float) -> Optional[tuple]:
+    alo, ahi = a
+    n = e.right._code
+    if not callable(n) and n % 1 == 0:  # a constant integer exponent
+        if n < 0 and alo <= 0 <= ahi:
+            return None  # zero raised to a negative power
+        c1 = _saturating(math.pow, alo, n)
+        c2 = _saturating(math.pow, ahi, n)
+        if n % 2 == 1 and alo < 0 and not (math.isfinite(c1)
+                                           and math.isfinite(c2)):
+            # a negative odd power that overflows saturates to +inf, not
+            # -inf, so near an infinite corner the values take both signs
+            return -_INF, _INF
+        rlo, rhi = min(c1, c2), max(c1, c2)
+        if n > 0 and n % 2 == 0 and alo < 0 < ahi:
+            rlo = 0.0
+        return _out(rlo, rhi, 2)
+    if not alo > 0:
+        return None  # a zero or negative base may fault
+    b = _range(e.right, lo, hi)
+    if b is None:
+        return None
+    # x^y = exp(y log x) is monotone in each argument, so its extremes
+    # over the box are at the corners
+    corners = [_saturating(math.pow, base, y)
+               for base in (alo, ahi) for y in b]
+    return _out(min(corners), max(corners), 2)
+
+
+def _call_range(e: Call, lo: float, hi: float) -> Optional[tuple]:
+    ranges = [_range(arg, lo, hi) for arg in e.args]
+    if None in ranges:
+        return None
+    if e.func in _VARIADIC_FUNCS:
+        pick = min if e.func == "min" else max
+        return pick(r[0] for r in ranges), pick(r[1] for r in ranges)
+    vlo, vhi = ranges[0]
+    if e.func == "abs":
+        if vlo >= 0:
+            return vlo, vhi
+        if vhi <= 0:
+            return -vhi, -vlo
+        return 0.0, max(-vlo, vhi)
+    if e.func == "exp":
+        return _out(_saturating(math.exp, vlo), _saturating(math.exp, vhi), 2)
+    if e.func == "log":
+        return None if vlo <= 0 else _out(math.log(vlo), math.log(vhi), 2)
+    return None if vlo < 0 else _out(math.sqrt(vlo), math.sqrt(vhi), 2)
+
+
+def _piecewise_range(e: Piecewise, lo: float, hi: float) -> Optional[tuple]:
+    """The union of the enclosures of the branches on the floats of
+    [lo, hi] that their guards match, and of the else branch on the hull
+    of the floats that no guard matches; None if some float has no
+    branch. The guards are disjoint and increasing, so one walk from lo
+    finds both."""
+    parts = []
+    gap_lo = gap_hi = None
+    cur = lo  # the least float of the box that no guard has yet matched
+    for guard, body in e.branches:
+        p = max(cur, guard.lo)
+        if p == guard.lo and not guard.lo_closed:
+            p = math.nextafter(p, _INF)
+        q = min(hi, guard.hi)
+        if q == guard.hi and not guard.hi_closed:
+            q = math.nextafter(q, -_INF)
+        if p > q:
+            continue
+        if cur < p:
+            gap_lo = cur if gap_lo is None else gap_lo
+            gap_hi = math.nextafter(p, -_INF)
+        parts.append(_range(body, p, q))
+        if q >= hi:
+            break
+        cur = math.nextafter(q, _INF)
+    else:
+        if cur <= hi:
+            gap_lo = cur if gap_lo is None else gap_lo
+            gap_hi = hi
+    if gap_lo is not None:
+        if e.otherwise is None:
+            return None
+        parts.append(_range(e.otherwise, gap_lo, gap_hi))
+    if not parts or None in parts:
+        return None
+    return min(r[0] for r in parts), max(r[1] for r in parts)
+
+
+# ---------------------------------------------------------------------------
 # Breakpoints: where an expression may kink, jump, or change formula
 
 
 _SCAN_GRID = 512
 _BISECT_ITERS = 80
+_SCAN_CELLS = 8  # a block of at most this many cells is scanned point by point
 
 
 def _candidates(e: Expr, bounds: list, subs: list):
@@ -572,6 +737,15 @@ def _candidates(e: Expr, bounds: list, subs: list):
 
 
 def _scan_zeros(sub: Expr, a: float, b: float, out: list):
+    """Append to out the zeros of sub found on the grid a + step*i (the
+    last point is b) of _SCAN_GRID cells: grid points where sub is 0, and
+    one bisected point in each cell whose ends have opposite signs.
+
+    The grid is bisected by index first, and a block of cells whose
+    enclosure (_range) lies strictly on one side of 0 is skipped: no
+    point in it is 0 and no cell in it changes sign. The other blocks are
+    scanned point by point, so the points appended are those of a scan
+    of every cell, in the same order."""
     def value(x):
         try:
             v = evaluate(sub, x)
@@ -580,31 +754,54 @@ def _scan_zeros(sub: Expr, a: float, b: float, out: list):
         return v if math.isfinite(v) else None
 
     step = (b - a) / _SCAN_GRID
-    prev_x, prev_v = a, value(a)
-    for i in range(1, _SCAN_GRID + 1):
-        cur_x = a + step * i if i < _SCAN_GRID else b
-        cur_v = value(cur_x)
-        if prev_v is not None and prev_v == 0.0:
-            out.append(prev_x)
-        if (prev_v is not None and cur_v is not None
-                and (prev_v < 0) != (cur_v < 0) and prev_v != 0
-                and cur_v != 0):
-            lo, hi, flo = prev_x, cur_x, prev_v
-            for _ in range(_BISECT_ITERS):
-                mid = (lo + hi) / 2.0
-                if mid == lo or mid == hi:
-                    break
-                fm = value(mid)
-                if fm is None or fm == 0.0:
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            out.append((lo + hi) / 2.0)
-        prev_x, prev_v = cur_x, cur_v
-    if prev_v is not None and prev_v == 0.0:
-        out.append(b)
+
+    def point(i):
+        if i == 0:
+            return a
+        return a + step * i if i < _SCAN_GRID else b
+
+    def scan(i0, i1):
+        prev_x = point(i0)
+        prev_v = value(prev_x)
+        for i in range(i0 + 1, i1 + 1):
+            cur_x = point(i)
+            cur_v = value(cur_x)
+            if prev_v is not None and prev_v == 0.0:
+                out.append(prev_x)
+            if (prev_v is not None and cur_v is not None
+                    and (prev_v < 0) != (cur_v < 0) and prev_v != 0
+                    and cur_v != 0):
+                lo, hi, flo = prev_x, cur_x, prev_v
+                for _ in range(_BISECT_ITERS):
+                    mid = (lo + hi) / 2.0
+                    if mid == lo or mid == hi:
+                        break
+                    fm = value(mid)
+                    if fm is None or fm == 0.0:
+                        break
+                    if (fm < 0) == (flo < 0):
+                        lo, flo = mid, fm
+                    else:
+                        hi = mid
+                out.append((lo + hi) / 2.0)
+            prev_x, prev_v = cur_x, cur_v
+        if i1 == _SCAN_GRID and prev_v is not None and prev_v == 0.0:
+            out.append(b)
+
+    def prune(i0, i1):
+        # the grid points rise with i only while step is finite
+        r = (_range(sub, point(i0), point(i1)) if math.isfinite(step)
+             else None)
+        if r is not None and (r[0] > 0 or r[1] < 0):
+            return
+        if r is None or i1 - i0 <= _SCAN_CELLS:
+            scan(i0, i1)
+            return
+        mid = (i0 + i1) // 2
+        prune(i0, mid)
+        prune(mid, i1)
+
+    prune(0, _SCAN_GRID)
 
 
 def breakpoints(e: Expr, s: MeasurableSet) -> tuple:
