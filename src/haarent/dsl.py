@@ -706,9 +706,8 @@ def _piecewise_range(e: Piecewise, lo: float, hi: float) -> Optional[tuple]:
 # Breakpoints: where an expression may kink, jump, or change formula
 
 
-_SCAN_GRID = 512
-_BISECT_ITERS = 80
-_SCAN_CELLS = 8  # a block of at most this many cells is scanned point by point
+_LEAF_BITS = 80  # a box at most 2^-80 of the window wide is a leaf
+_MAX_BOXES = 64  # past this many undecided boxes, runs end whole
 
 
 def _candidates(e: Expr, bounds: list, subs: list):
@@ -736,78 +735,69 @@ def _candidates(e: Expr, bounds: list, subs: list):
             _candidates(e.otherwise, bounds, subs)
 
 
-def _scan_zeros(sub: Expr, a: float, b: float, out: list):
-    """Append to out the zeros of sub found on the grid a + step*i (the
-    last point is b) of _SCAN_GRID cells: grid points where sub is 0, and
-    one bisected point in each cell whose ends have opposite signs.
+def _runs(boxes: list) -> list:
+    """Sorted boxes grouped into runs of adjacent boxes."""
+    runs: list = []
+    for lo, hi in boxes:
+        if runs and runs[-1][-1][1] == lo:
+            runs[-1].append((lo, hi))
+        else:
+            runs.append([(lo, hi)])
+    return runs
 
-    The grid is bisected by index first, and a block of cells whose
-    enclosure (_range) lies strictly on one side of 0 is skipped: no
-    point in it is 0 and no cell in it changes sign. The other blocks are
-    scanned point by point, so the points appended are those of a scan
-    of every cell, in the same order."""
-    def value(x):
-        try:
-            v = evaluate(sub, x)
-        except ExprEvalError:
-            return None
-        return v if math.isfinite(v) else None
 
-    step = (b - a) / _SCAN_GRID
+def _isolate_zeros(sub: Expr, a: float, b: float, out: list):
+    """Append to out a point at each zero of sub on [a, b], found by
+    interval bisection of its enclosures (_range) alone.
 
-    def point(i):
-        if i == 0:
-            return a
-        return a + step * i if i < _SCAN_GRID else b
-
-    def scan(i0, i1):
-        prev_x = point(i0)
-        prev_v = value(prev_x)
-        for i in range(i0 + 1, i1 + 1):
-            cur_x = point(i)
-            cur_v = value(cur_x)
-            if prev_v is not None and prev_v == 0.0:
-                out.append(prev_x)
-            if (prev_v is not None and cur_v is not None
-                    and (prev_v < 0) != (cur_v < 0) and prev_v != 0
-                    and cur_v != 0):
-                lo, hi, flo = prev_x, cur_x, prev_v
-                for _ in range(_BISECT_ITERS):
-                    mid = (lo + hi) / 2.0
-                    if mid == lo or mid == hi:
-                        break
-                    fm = value(mid)
-                    if fm is None or fm == 0.0:
-                        break
-                    if (fm < 0) == (flo < 0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                out.append((lo + hi) / 2.0)
-            prev_x, prev_v = cur_x, cur_v
-        if i1 == _SCAN_GRID and prev_v is not None and prev_v == 0.0:
+    Each round halves every box whose enclosure is unknown or holds 0 and
+    drops the others. A box at most 2^-_LEAF_BITS of the window wide, or
+    with no float strictly inside, is a leaf and is kept. So is a whole
+    run of more than _MAX_BOXES adjacent boxes (a zero stretch, an
+    enclosure that overestimates, a stretch where it is unknown, or the
+    rounding fuzz around a zero computed through the math library), and
+    every run once the shorter runs hold more than _MAX_BOXES boxes, so a
+    round encloses at most 2*_MAX_BOXES boxes. Each run of adjacent kept
+    boxes gives one point: the end of the window it touches, else its
+    midpoint. Widths are halved before they are taken, so a window as
+    wide as the float range does not overflow."""
+    leaf = math.ldexp(0.5 * b - 0.5 * a, -_LEAF_BITS)
+    boxes, kept = [(a, b)], []
+    while boxes:
+        undecided = [(lo, hi) for lo, hi in boxes
+                     if (r := _range(sub, lo, hi)) is None
+                     or r[0] <= 0 <= r[1]]
+        if len(undecided) > _MAX_BOXES:
+            runs = _runs(undecided)
+            crowded = sum(len(run) for run in runs
+                          if len(run) <= _MAX_BOXES) > _MAX_BOXES
+            undecided = []
+            for run in runs:
+                if crowded or len(run) > _MAX_BOXES:
+                    kept.append((run[0][0], run[-1][1]))
+                else:
+                    undecided += run
+        boxes = []
+        for lo, hi in undecided:
+            mid = 0.5 * lo + 0.5 * hi
+            if 0.5 * hi - 0.5 * lo <= leaf or not lo < mid < hi:
+                kept.append((lo, hi))
+            else:
+                boxes += ((lo, mid), (mid, hi))
+    for run in _runs(sorted(kept)):
+        lo, hi = run[0][0], run[-1][1]
+        if lo == a:
+            out.append(a)
+        if hi == b:
             out.append(b)
-
-    def prune(i0, i1):
-        # the grid points rise with i only while step is finite
-        r = (_range(sub, point(i0), point(i1)) if math.isfinite(step)
-             else None)
-        if r is not None and (r[0] > 0 or r[1] < 0):
-            return
-        if r is None or i1 - i0 <= _SCAN_CELLS:
-            scan(i0, i1)
-            return
-        mid = (i0 + i1) // 2
-        prune(i0, mid)
-        prune(mid, i1)
-
-    prune(0, _SCAN_GRID)
+        if a < lo and hi < b:
+            out.append(0.5 * lo + 0.5 * hi)
 
 
 def breakpoints(e: Expr, s: MeasurableSet) -> tuple:
     """Points inside s where e can kink or jump: piecewise guard bounds,
-    and zeros (by sign scan plus bisection) of divisors and of log, sqrt,
-    abs, and two-argument min/max arguments."""
+    and zeros (by interval bisection, _isolate_zeros) of divisors and of
+    log, sqrt, abs, and two-argument min/max arguments."""
     if s.is_finite:
         return ()
     candidates: list = []
@@ -815,7 +805,7 @@ def breakpoints(e: Expr, s: MeasurableSet) -> tuple:
     _candidates(e, candidates, subs)
     for a, b in s.intervals:
         for sub in subs:
-            _scan_zeros(sub, a, b, candidates)
+            _isolate_zeros(sub, a, b, candidates)
     inside = [x for x in candidates if s.contains_point(x)]
     inside.sort()
     deduped: list = []

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -458,8 +459,9 @@ class TestRangeEnclosure:
         assert dsl._range(parse("piecewise {x > 0: 1}"), 0.0, 1.0) is None
 
 
-# The zero scan before enclosures pruned its grid, verbatim but for its
-# name and constants: the reference the pruned scan must match bit for bit.
+# The zero scan that breakpoints ran before it isolated zeros by interval
+# bisection, verbatim but for its name and constants: 513 grid points and
+# 80 bisection steps. The reference the bisection must cover.
 
 
 def reference_scan_zeros(sub, a, b, out):
@@ -500,7 +502,7 @@ def reference_scan_zeros(sub, a, b, out):
 
 def reference_breakpoints(e, s):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dsl, "_scan_zeros", reference_scan_zeros)
+        mp.setattr(dsl, "_isolate_zeros", reference_scan_zeros)
         return breakpoints(e, s)
 
 
@@ -521,26 +523,76 @@ _FAMILY_CASES = [
 ]
 
 _CORPUS_WINDOWS = ((0.0, 1.0), (-3.0, 2.5), (0.01, 1000.0), (-750.0, 710.0),
-                   (0.3, 0.3 + 1e-7), (1e-9, 40.0), (-1e300, 1e300))
+                   (0.3, 0.3 + 1e-7), (1e-9, 40.0), (-1e300, 1e300),
+                   (-1e308, 1e308))
+
+# Subexpressions of the corpus that are 0 on a stretch, where the scan
+# reports every grid point of the stretch and the bisection one point per
+# stretch: exp(x) underflows to 0 below -745 on [-750, 710], and the
+# power is -0.0 ^ (x + 1e-300) = 0 on (0, 0.5]
+_ZERO_STRETCHES = {
+    "exp(x)",
+    "piecewise {x < 0.0: x; -0.0 < x <= 0.5: -0.0} ^ (x + 1e-300)",
+}
 
 
 def _bits(points):
     return [x.hex() for x in points]
 
 
+def _is_density(tree, a, b):
+    """Whether tree is finite and >= 0, without a fault, at 63 evenly
+    spaced points inside [a, b]."""
+    for k in range(1, 64):
+        t = k / 64
+        try:
+            v = evaluate(tree, a * (1 - t) + b * t)
+        except ExprEvalError:
+            return False
+        if not (math.isfinite(v) and v >= 0):
+            return False
+    return True
+
+
+@functools.cache
+def _density_corpus():
+    """The family cases, and the (tree, window) pairs of 1,000 random trees
+    on the corpus windows where the tree is a density."""
+    rng = random.Random(20240611)
+    trees = [_random_tree(rng, rng.randrange(1, 6)) for _ in range(1000)]
+    cases = [(parse(source), a, b) for source, a, b in _FAMILY_CASES]
+    cases += [(tree, a, b) for a, b in _CORPUS_WINDOWS for tree in trees
+              if _is_density(tree, a, b)]
+    return cases
+
+
 class TestPrunedScanMatchesFullScan:
-    def test_random_trees_bit_for_bit(self):
-        rng = random.Random(20240611)
-        trees = [_random_tree(rng, rng.randrange(1, 6)) for _ in range(200)]
-        found = 0
-        for a, b in _CORPUS_WINDOWS:
-            s = MeasurableSet.full(Space.interval(a, b))
-            for tree in trees:
-                ref = reference_breakpoints(tree, s)
-                assert _bits(breakpoints(tree, s)) == _bits(ref), (
-                    format_expr(tree), a, b)
-                found += bool(ref)
-        assert found > 100  # the corpus has zeros to find
+    """The interval bisection, which prunes every box that its enclosure
+    rules out, against the full 513-point scan it replaced."""
+
+    def test_random_trees_cover_the_full_scan(self):
+        # every zero the scan finds in a subexpression where it finds at
+        # most 8 lies within max(1e-9*max(1, |x|), one leaf width) of a
+        # breakpoint, but for the zero stretches
+        checked = 0
+        for tree, a, b in _density_corpus():
+            points = breakpoints(tree, MeasurableSet.full(
+                Space.interval(a, b)))
+            leaf = math.ldexp(0.5 * b - 0.5 * a, 1 - dsl._LEAF_BITS)
+            subs = []
+            dsl._candidates(tree, [], subs)
+            for sub in subs:
+                zeros = []
+                reference_scan_zeros(sub, a, b, zeros)
+                if (not 1 <= len(zeros) <= 8
+                        or format_expr(sub) in _ZERO_STRETCHES):
+                    continue
+                checked += 1
+                for z in zeros:
+                    tol = max(1e-9 * max(1.0, abs(z)), leaf)
+                    assert any(abs(p - z) <= tol for p in points), (
+                        format_expr(sub), a, b, z, points)
+        assert checked > 300  # the corpus has zeros to find
 
     @pytest.mark.parametrize("source, a, b", _FAMILY_CASES)
     def test_entropy_families_bit_for_bit(self, source, a, b):
@@ -549,21 +601,68 @@ class TestPrunedScanMatchesFullScan:
         assert (_bits(breakpoints(tree, s))
                 == _bits(reference_breakpoints(tree, s)))
 
-    def test_divisor_of_one_over_x_not_evaluated(self, monkeypatch):
+    def test_breakpoints_make_no_evaluate_call(self, monkeypatch):
+        # not even the divisor x of 1/x, the first family case
+        def fail(e, x):
+            raise AssertionError(f"evaluate({format_expr(e)}, {x!r})")
+
+        monkeypatch.setattr(dsl, "evaluate", fail)
+        for tree, a, b in _density_corpus():
+            breakpoints(tree, MeasurableSet.full(Space.interval(a, b)))
+
+
+_EIGHTY_JUMPS = "abs(piecewise {%s; else: 1})" % "; ".join(
+    f"{k / 80!r} <= x < {(k + 1) / 80!r}: {(-1) ** k}" for k in range(80))
+
+
+class TestIsolateZeros:
+    # a zero stretch, a divisor that is 0 everywhere, an enclosure that
+    # holds 0 on every box wider than 0.5 (x + 0.5 - x), and 80 sign
+    # jumps: the boxes left pass _MAX_BOXES in the eighth round, so at
+    # most 1 + 2 + ... + 128 = 255 boxes are enclosed. The jumps get
+    # their 80 guard bounds and one point for each run of boxes.
+    @pytest.mark.parametrize("source, a, b, most_points", [
+        ("min(x, x)", 0.0, 1.0, 2), ("abs(0*x)", 0.0, 1.0, 2),
+        ("1/(x - x)", 0.0, 1.0, 2), ("max(x + 0.5, x)", 0.01, 1000.0, 2),
+        (_EIGHTY_JUMPS, 0.0, 1.0, 160),
+    ], ids=["min", "abs", "divisor", "max", "jumps"])
+    def test_bounded_work(self, monkeypatch, source, a, b, most_points):
+        tree = parse(source)
+        subs = []
+        dsl._candidates(tree, [], subs)
         calls = []
-        monkeypatch.setattr(dsl, "evaluate",
-                            lambda e, x: calls.append(x) or evaluate(e, x))
-        breakpoints(parse("1/x"), MeasurableSet.full(Space.interval(
-            0.01, 1000.0)))
-        assert calls == []
+        enclose = dsl._range
+        monkeypatch.setattr(dsl, "_range", lambda e, lo, hi: (
+            calls.append(e in subs) or enclose(e, lo, hi)))
+        pts = breakpoints(tree, MeasurableSet.full(Space.interval(a, b)))
+        assert len(pts) <= most_points
+        assert 0 < sum(calls) <= 255
+
+    # the enclosure of exp(x) - 1 holds 0 on every box within a few ulps
+    # of 0, and so does that of log(3^x)
+    @pytest.mark.parametrize("source, a, b", [
+        ("abs(exp(x) - 1)", -1.0, 1.0), ("min(exp(x), 1)", -1.0, 1.0),
+        ("1/log(3^x)", 0.0, 1.0),
+    ])
+    def test_zero_in_rounding_fuzz_found(self, source, a, b):
+        pts = breakpoints(parse(source), MeasurableSet.full(
+            Space.interval(a, b)))
+        assert any(abs(p) <= 1e-12 for p in pts), pts
+
+    def test_window_as_wide_as_the_float_range(self):
+        # b - a overflows; the zero is found within one leaf, 2^-80 of
+        # the window
+        pts = breakpoints(parse("abs(x - 1)"), MeasurableSet.full(
+            Space.interval(-1e308, 1e308)))
+        assert len(pts) == 1
+        assert abs(pts[0] - 1.0) <= math.ldexp(1e308, 1 - dsl._LEAF_BITS)
 
 
 class TestTwoRootsInOneCell:
-    """Two zeros inside one of the 512 scan cells give no sign change at
-    the cell's ends, so the scan misses both; isolating zeros by interval
-    bisection of the enclosures would find them."""
+    """Two zeros inside one cell of the full scan's 512 give no sign change
+    at the cell's ends, so the scan missed both; interval bisection
+    isolates each."""
 
-    @pytest.mark.xfail(strict=True, reason="two zeros in one scan cell")
     @pytest.mark.parametrize("source", [
         "sqrt((x-0.3)*(x-0.3001))",
         "abs((x-0.3)*(x-0.3001))",
