@@ -631,11 +631,13 @@ def _power_range(e: BinOp, a: tuple, lo: float, hi: float) -> Optional[tuple]:
         if n > 0 and n % 2 == 0 and alo < 0 < ahi:
             rlo = 0.0
         return _out(rlo, rhi, 2)
-    if not alo > 0:
-        return None  # a zero or negative base may fault
+    if not (alo > 0 or alo == ahi == 0):
+        return None  # a negative base, or one that may be 0, may fault
     b = _range(e.right, lo, hi)
     if b is None:
         return None
+    if alo == 0:  # a zero base: 0^y is 0 for y > 0 and faults for y < 0
+        return (0.0, 0.0) if b[0] > 0 else None
     # x^y = exp(y log x) is monotone in each argument, so its extremes
     # over the box are at the corners
     corners = [_saturating(math.pow, base, y)

@@ -4,13 +4,13 @@ Finite sets are summed exactly (math.fsum in atom order). Interval unions
 use QUADPACK's QAG scheme (Piessens et al., *QUADPACK*, 1983): the set is
 cut at the declared breakpoints, each panel gets a 7-point Gauss /
 15-point Kronrod rule, and the panel with the largest error estimate is
-bisected until the summed estimates meet the tolerance. Kronrod nodes are
-kept strictly inside each panel (math.nextafter clamps them where a panel
-is only a few ulps wide, and a panel is not bisected once a half would
-hold no float inside it), so an integrand is never evaluated on a seeded
-breakpoint or an endpoint: each panel sees one smooth piece, and
-integrable endpoint singularities need no special handling. The one
-exception is a seeded panel one ulp wide, which has no inside.
+bisected until the summed estimates meet the tolerance; when that panel
+is too narrow to split, the integral fails (QUADPACK's ier = 3). Kronrod
+nodes are kept strictly inside each panel (math.nextafter clamps them
+where a panel is only a few ulps wide), so an integrand is never
+evaluated on a seeded breakpoint or an endpoint: each panel sees one
+smooth piece, and integrable endpoint singularities need no special
+handling. The one exception is a seeded panel one ulp wide.
 Identical inputs produce bit-identical results: no randomness, fixed
 evaluation order, and math.fsum over panels.
 """
@@ -42,25 +42,22 @@ class Integrator:
     then the returned bound is that floor (as QUADPACK's ier=2). The
     estimates are QUADPACK's, which are reliable for integrands smooth
     between breakpoints (or with integrable endpoint singularities).
-    max_depth caps the bisections: a panel cut max_depth times from a
-    panel seeded at the breakpoints is not split again. When no panel can
-    be split and some panel's estimate is still above its rounding floor
-    while the sum exceeds the tolerance, integrate raises ConvergenceError;
-    it does so too when 2000 bisections of one integral (the module's cap,
-    as QUADPACK's limit) have not met the tolerance.
+    When the panel to bisect next is too narrow to split (at most 2^-50 of
+    the set's extent wide, or its ends within 4 eps of its midpoint, where
+    QUADPACK's qage tests 100 eps), integrate raises ConvergenceError at
+    once, as qage stops with ier = 3; it does so too when 2000 bisections
+    of one integral (the module's cap, as QUADPACK's limit) have not met
+    the tolerance.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_depth: int = 50
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1e-2):
             raise DomainError(f"rel_tol must be in (0, 1e-2), got {self.rel_tol!r}")
         if self.abs_tol <= 0.0:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.max_depth < 10:
-            raise DomainError(f"max_depth must be >= 10, got {self.max_depth!r}")
 
 
 DEFAULT_INTEGRATOR = Integrator()
@@ -114,15 +111,16 @@ def _split_panels(intervals: Iterable[tuple[float, float]],
 def _step_off(f: Callable[[float], float], x: float, nudge: float,
               v) -> float:
     """The value at node x, given f's value v there (nan when f raised
-    OverflowError or ZeroDivisionError): v as a float when finite, else
-    f just off the node, stepping off an integrable singularity on it."""
+    OverflowError or ZeroDivisionError): v as a float when finite, else f
+    at nudge, but at least one float, off the node (off a singularity)."""
     if isinstance(v, float) and math.isfinite(v):
         return v
     if not isinstance(v, float):
         v = float(v)
         if math.isfinite(v):
             return v
-    for cand in (x + nudge, x - nudge):
+    for cand in (max(x + nudge, math.nextafter(x, math.inf)),
+                 min(x - nudge, math.nextafter(x, -math.inf))):
         try:
             w = float(f(cand))
         except (OverflowError, ZeroDivisionError):
@@ -152,13 +150,15 @@ _WG = _WG7 + (0.417959183673469387755102040816327,) + _WG7[::-1]
 _WD = tuple(k - g for k, g in zip(_WK, _WG))
 _FIRST = _NODES[:1]   # where a piecewise-constant integrand is called
 _ROUNDOFF = 50.0 * 2.0 ** -52
+_NARROW = 1.0 + 4.0 * 2.0 ** -52  # qage's narrow-panel test has 100 eps
+_TINY = 1000.0 * 2.0 ** -1022     # 1000 times the least normal float
 # Cap on the bisections of one integral, so on the panels it adds to
 # those seeded at the breakpoints (QUADPACK's limit). The largest
 # partition any caller needs today has 39 panels; without a cap an
 # integrand that oscillates without end near a point, such as sin(1/x)
 # on [0, 1], splits forever, because the panels near the point multiply
-# long before any of them reaches max_depth. 2000 bisections leave a
-# margin of fifty times and cost about 60,000 nodes.
+# long before any of them is too narrow to split. 2000 bisections leave
+# a margin of fifty times and cost about 60,000 nodes.
 _MAX_SPLITS = 2000
 
 
@@ -242,16 +242,18 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
                 f"(largest term {max(terms, key=abs)!r})")
         return IntegralResult(total, 0.0, len(terms), 0, None)
 
-    heap = []    # (-error, index, a, b, value, depth) of the splittable panels
-    done = []    # (a, b, value, error) of the final panels
-    capped = 0   # final panels still above their rounding floor
+    heap = []      # (-error, index, a, b, value) of the splittable panels
+    done = []      # (a, b, value, error) of the final panels
+    stuck = False  # the worst panel was too narrow to split
     # running totals steer the loop (QUADPACK's result and errsum); the
     # stop is confirmed, and the totals re-synced, with fsum over the panels
     value = bound = 0.0
-    todo = [(a, b, 0) for a, b in _split_panels(s.intervals, breakpoints)]
+    todo = _split_panels(s.intervals, breakpoints)
+    if todo:  # the narrowest panel worth splitting: 2^-50 of the extent
+        least = math.ldexp(0.5 * todo[-1][1] - 0.5 * todo[0][0], -49)
     count = splits = 0
     while True:
-        for a, b, depth in todo:
+        for a, b in todo:
             v, err, final = _kronrod(f, a, b, piecewise_constant)
             if math.isinf(v):
                 raise SumOverflowError(
@@ -259,35 +261,33 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
                     f"panel [{a!r}, {b!r}]")
             value += v
             bound += err
-            if final or depth >= cfg.max_depth:
+            if final:
                 done.append((a, b, v, err))
-                capped += not final
             else:
-                heapq.heappush(heap, (-err, count, a, b, v, depth))
+                heapq.heappush(heap, (-err, count, a, b, v))
             count += 1
-        full = splits >= _MAX_SPLITS
-        if (not heap or full
-                or not bound > max(cfg.abs_tol, cfg.rel_tol * abs(value))):
-            parts = done + [(a, b, v, -e) for e, _, a, b, v, _ in heap]
+        stop = not heap or stuck or splits >= _MAX_SPLITS
+        if stop or not bound > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            parts = done + [(a, b, v, -e) for e, _, a, b, v in heap]
             try:
                 value = math.fsum(map(itemgetter(2), parts))
                 bound = math.fsum(map(itemgetter(3), parts))
             except OverflowError:  # finite panels summing past the range
                 value = bound = math.inf
             met = bound <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            if met or not heap or full:
+            if met or stop:
                 break
-        e, _, a, b, v, depth = heapq.heappop(heap)
+        e, _, a, b, v = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        if math.nextafter(a, b) < m < math.nextafter(b, a):
+        if b - a <= least or max(abs(a), abs(b)) <= _NARROW * (abs(m) + _TINY):
+            done.append((a, b, v, -e))
+            stuck = True  # too narrow to split: stop at once, as qage does
+            todo = ()
+        else:
             value -= v
             bound += e
             splits += 1
-            todo = ((a, m, depth + 1), (m, b, depth + 1))
-        else:  # a half would hold no float inside it
-            done.append((a, b, v, -e))
-            capped += 1
-            todo = ()
+            todo = ((a, m), (m, b))
 
     worst = max(parts, key=itemgetter(3), default=None)
     if not (math.isfinite(value) and math.isfinite(bound)):
@@ -296,10 +296,10 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
             f"the integral exceeds the float range: estimate {value!r}, "
             f"error bound {bound!r}; worst panel [{a!r}, {b!r}] with error "
             f"{err!r}")
-    if not met and (capped or heap):
+    if not met and (stuck or heap):
         a, b, _, err = worst
-        why = (f"{_MAX_SPLITS} bisections did not suffice" if heap
-               else "no panel can be split further")
+        why = ("the worst panel is too narrow to split" if stuck
+               else f"{_MAX_SPLITS} bisections did not suffice")
         raise ConvergenceError(
             f"quadrature did not converge: {why} (best estimate "
             f"{value!r}, error bound {bound!r}; worst panel "
@@ -321,12 +321,12 @@ def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     `breakpoints`, and the result meets the Integrator contract
     |I - true| <= max(rel_tol*|I|, abs_tol, rounding floor) as far as the
     error estimates are reliable. Raises ConvergenceError (carrying the
-    best estimate and error bound, and naming the worst panel) when no
-    panel can be split further and the bound still exceeds both the
-    tolerance and the rounding floor, or when the cap on bisections is
-    reached first. Raises SumOverflowError when the sum or the integral is
-    not finite: an infinite panel (an integrand that saturates to inf,
-    say) is named at once, and otherwise the worst panel.
+    best estimate and error bound, and naming the worst panel) when the
+    tolerance is not met and the panel with the largest estimate is too
+    narrow to split, or when the cap on bisections is reached first.
+    Raises SumOverflowError when the sum or the integral is not finite:
+    an infinite panel (an integrand that saturates to inf, say) is named
+    at once, and otherwise the worst panel.
 
     piecewise_constant promises that f is constant on each open interval
     between consecutive breakpoints; each panel then costs one call of f

@@ -344,6 +344,12 @@ class TestBreakpoints:
         pts = breakpoints(parse("min(x, 1-x)"), MeasurableSet.full(UNIT))
         assert any(abs(p - 0.5) < 1e-9 for p in pts)
 
+    def test_crossing_beside_a_zero_base_found(self):
+        # x^x = 1 + x at 1.7768; 0.0 ^ x has the range [0, 0] there
+        pts = breakpoints(parse("abs(-(-1.0 - x) - max(0.0 ^ x, x ^ x))"),
+                          MeasurableSet.full(Space.interval(0.01, 1000.0)))
+        assert pts == (1.7767750400970548,)
+
     def test_outside_points_dropped(self):
         s = MeasurableSet.of_interval(UNIT, 0.5, 1.0)
         assert breakpoints(parse("1/(x-0.3)"), s) == ()
@@ -449,6 +455,14 @@ class TestRangeEnclosure:
         assert dsl._range(parse("x^3"), -1e200, -1.0) == whole_line
         assert dsl._range(parse("(-exp(x))^3"), -750.0, 710.0) == whole_line
         assert evaluate(parse("(-exp(x))^3"), 560.0) == math.inf
+
+    def test_zero_base(self):
+        # 0^y is 0 for every y > 0, as evaluate gives
+        assert dsl._range(parse("0.0 ^ x"), 0.5, 1.0) == (0.0, 0.0)
+        assert evaluate(parse("0.0 ^ x"), 0.75) == 0.0
+        # a base that takes both signs may fault, and 0^0 is 1
+        assert dsl._range(parse("(x - 0.5) ^ 0.5"), 0.0, 1.5) is None
+        assert dsl._range(parse("0.0 ^ x"), 0.0, 1.0) is None
 
     def test_piecewise_meets_only_the_guards_on_the_box(self):
         tree = parse("piecewise {x < 0: log(x - 1); 0 <= x < 1: 2; "

@@ -1,0 +1,98 @@
+"""The stop rule of the bisection, at integrable singular ends.
+
+A panel is not split when it is at most 2^-50 of the set's extent wide,
+or when its ends lie within 4 eps of its midpoint (QUADPACK qage's test);
+when the worst panel is such a panel the integral raises ConvergenceError
+at once. So an error bound does not lie at a singular end: each integral
+below either meets |I - true| <= error_bound or raises. The rule rests on
+float spacing and math.nextafter, and these tests need no numpy.
+"""
+
+import math
+
+import pytest
+
+from haarent.errors import ConvergenceError
+from haarent.measures import MeasurableSet, Space
+from haarent.quadrature import (Integrator, _step_off, integrate,
+                                integrate_result)
+
+WINDOWS = [(0.0, 1.0), (1.0, 2.0), (1.0, 3.0), (999.0, 1000.0),
+           (0.0, 50.0), (-1.0, 0.0), (-3.0, -1.0), (1e-3, 2e-3)]
+POWERS = (0.1, 0.3, 0.5, 0.7, 0.9)
+RELS = (1e-6, 1e-8, 1e-10)
+
+
+def full(lo, hi):
+    return MeasurableSet.full(Space.interval(lo, hi))
+
+
+def singular_end(a, b, p, end):
+    """(x - a)^-p or (b - x)^-p; each integrates to (b-a)^(1-p)/(1-p)."""
+    if end == "left":
+        return lambda x: (x - a) ** -p
+    return lambda x: (b - x) ** -p
+
+
+@pytest.mark.parametrize("a, b", WINDOWS,
+                         ids=[f"[{a!r},{b!r}]" for a, b in WINDOWS])
+def test_no_bound_lies_at_a_singular_end(a, b):
+    met = set()
+    for p in POWERS:
+        true = (b - a) ** (1.0 - p) / (1.0 - p)
+        for end in ("left", "right"):
+            for rel in RELS:
+                try:
+                    r = integrate_result(singular_end(a, b, p, end),
+                                         full(a, b), Integrator(rel_tol=rel))
+                except ConvergenceError as err:
+                    assert math.isfinite(err.estimate)
+                    continue
+                assert abs(r.value - true) <= r.error_bound, (p, end, rel)
+                met.add((p, end, rel))
+    # the mild singularities converge, so the rule does not merely raise
+    for p in (0.1, 0.3):
+        for end in ("left", "right"):
+            for rel in (1e-6, 1e-8):
+                assert (p, end, rel) in met
+
+
+def test_singular_end_at_1000_raises():
+    # panels at 1000 stop 16 floats wide; QAG's estimate is unreliable
+    # on the narrower ones: split to the float limit, they sum to a bound
+    # of 2.0e-10 on an error of 2.9e-7
+    with pytest.raises(ConvergenceError, match="too narrow to split") as err:
+        integrate(lambda x: (1000.0 - x) ** -0.5, full(999.0, 1000.0),
+                  Integrator(rel_tol=1e-10))
+    assert abs(err.value.estimate - 2.0) <= err.value.error_bound
+
+
+def test_window_as_wide_as_the_float_range():
+    # the window's width overflows to inf, but 2^-50 of it does not, so
+    # the panel [0, 1e308] is split at the jump
+    r = integrate_result(lambda x: 1e-300 if x < 5e307 else 2e-300,
+                         full(-1e308, 1e308), breakpoints=(0.0,))
+    assert r.value == pytest.approx(2.5e8, rel=1e-12)
+    assert r.panels == 3
+
+
+class TestStepOff:
+    def test_steps_at_least_one_float(self):
+        x = 1.0 / math.pi
+        f = lambda t: abs(t - x) ** -0.5   # faults on x itself
+        # a nudge far below x's spacing rounds back to x
+        w = _step_off(f, x, 1e-30, math.nan)
+        assert w == f(math.nextafter(x, math.inf))
+
+    def test_interior_singularity_off_the_breakpoints(self):
+        # a node lands on x0, where f faults; a step shorter than one
+        # float would call f on x0 again, and the estimate would be nan
+        x0 = 1.0 / math.pi
+        f = lambda x: abs(x - x0) ** -0.5
+        true = 2.0 * (math.sqrt(x0) + math.sqrt(1.0 - x0))
+        r = integrate_result(f, full(0.0, 1.0), Integrator(rel_tol=1e-6))
+        assert abs(r.value - true) <= r.error_bound
+        for rel in (1e-8, 1e-10):
+            with pytest.raises(ConvergenceError) as err:
+                integrate(f, full(0.0, 1.0), Integrator(rel_tol=rel))
+            assert math.isfinite(err.value.estimate)
