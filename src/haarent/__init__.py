@@ -28,13 +28,13 @@ from .errors import (AbsoluteContinuityError, CatalogError, ConvergenceError,
                      SumOverflowError, UnsupportedOperationError,
                      WindowOverflowError)
 from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
-                     Group, MultiplicativePositiveReals,
-                     RestrictedGroup, Subgroup, Symmetric, generated_subgroup,
+                     Group, MultiplicativePositiveReals, Subgroup,
+                     Symmetric, generated_subgroup,
                      group_from_descriptor, haar, subgroup_chains, subgroups,
                      translate_set, translation_samples)
-from .measures import (Density, MeasurableSet, Measure, Space,
-                       WeightFunction, mass, measure_of_weight,
-                       radon_nikodym, step_density, table_density)
+from .measures import (Density, MeasurableSet, Measure, Space, mass,
+                       measure_of_weight, radon_nikodym, step_density,
+                       table_density)
 from .quadrature import (DEFAULT_INTEGRATOR, IntegralResult, Integrator,
                          integrate, integrate_result, xlogx)
 from .report import (SCHEMA, VerificationReport, judge, reports_to_csv,
@@ -79,10 +79,10 @@ __all__ = [
     "HaarentError", "IntegralResult", "Integrator", "MeasurableSet", "Measure",
     "MultiplicativePositiveReals", "NonUnitMassWarning",
     "NonnegativityCertificate", "NormalizationError",
-    "NotInformationMeasureError", "RestrictedGroup", "RunSummary", "SCHEMA",
+    "NotInformationMeasureError", "RunSummary", "SCHEMA",
     "SimplexPoint", "Space", "StepSizeError", "Subgroup", "SumOverflowError",
     "SupNormalizationReport", "Symmetric", "UnsupportedOperationError",
-    "Verdict", "VerificationReport", "WeightFunction", "WindowOverflowError",
+    "Verdict", "VerificationReport", "WindowOverflowError",
     "catalog", "change_reference", "check_translate_bound", "claim_ids",
     "concavity_probe", "entropic_gap",
     "entropy_finite", "entropy_of_weights", "entropy_prob", "entropy_weight",

@@ -30,12 +30,12 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError, ExprEvalError, ExprSyntaxError
-from .measures import Density, MeasurableSet, Space, WeightFunction
+from .measures import Density, MeasurableSet, Space
 
 __all__ = [
     "Num", "Var", "BinOp", "Neg", "Call", "Guard", "Piecewise",
     "parse", "evaluate", "breakpoints", "format_expr",
-    "density_from_expr", "weight_from_expr", "parse_set",
+    "density_from_expr", "parse_set",
 ]
 
 _UNARY_FUNCS = ("exp", "log", "abs", "sqrt")
@@ -799,15 +799,32 @@ def _isolate_zeros(sub: Expr, a: float, b: float, out: list):
 def breakpoints(e: Expr, s: MeasurableSet) -> tuple:
     """Points inside s where e can kink or jump: piecewise guard bounds,
     and zeros (by interval bisection, _isolate_zeros) of divisors and of
-    log, sqrt, abs, and two-argument min/max arguments."""
+    log, sqrt, abs, and two-argument min/max arguments.
+
+    A sub may jump at its own guard bounds, which are breakpoints
+    already, so its zeros are isolated on each piece of the window
+    between them, the bound floats left out of every piece; a window end
+    that is a bound is left out too."""
     if s.is_finite:
         return ()
     candidates: list = []
     subs: list = []
     _candidates(e, candidates, subs)
-    for a, b in s.intervals:
-        for sub in subs:
-            _isolate_zeros(sub, a, b, candidates)
+    for sub in subs:
+        bounds: list = []
+        if candidates:  # a sub's guard bounds are among e's
+            _candidates(sub, bounds, [])
+        for a, b in s.intervals:
+            cuts = [a, *sorted({t for t in bounds if a <= t <= b}), b]
+            for lo, hi in zip(cuts, cuts[1:]):
+                p = math.nextafter(lo, _INF) if lo in bounds else lo
+                q = math.nextafter(hi, -_INF) if hi in bounds else hi
+                if p <= q:
+                    found: list = []
+                    _isolate_zeros(sub, p, q, found)
+                    # a piece end beside a bound stands for that bound
+                    candidates += (x for x in found
+                                   if not (x == p != lo or x == q != hi))
     inside = [x for x in candidates if s.contains_point(x)]
     inside.sort()
     deduped: list = []
@@ -895,12 +912,6 @@ def density_from_expr(source, space: Space) -> Density:
     e = _as_expr(source)
     bps = breakpoints(e, MeasurableSet.full(space))
     return Density(lambda x: evaluate(e, x), breakpoints=bps)
-
-
-def weight_from_expr(source, space: Space) -> WeightFunction:
-    e = _as_expr(source)
-    bps = breakpoints(e, MeasurableSet.full(space))
-    return WeightFunction(lambda x: evaluate(e, x), breakpoints=bps)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from enum import Enum
 from . import quadrature
 from .errors import (AbsoluteContinuityError, DegenerateMeasureError,
                      NotInformationMeasureError)
-from .measures import (Density, Measure, MeasurableSet, WeightFunction, mass,
-                       merge_breakpoints, radon_nikodym, weight_density)
+from .measures import (Density, Measure, MeasurableSet, _combined, mass,
+                       radon_nikodym, weight_density)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator, xlogx
 from .supnorm import DEFAULT_TOL, sup_density
 
@@ -94,7 +94,8 @@ class NonUnitMassWarning(UserWarning):
 
 def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator,
               evaluate_null_atoms: bool) -> float:
-    """integral over s of h(f) dm, f a density or weight function.
+    """integral over s of h(f) dm, f a Density; the integrand's breakpoints
+    and flag are those _combined gives it from f and m's density.
 
     Where m's density is 0 the integrand is 0 without evaluating f, except
     at atoms when evaluate_null_atoms is set. A constant positive density
@@ -114,10 +115,10 @@ def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator,
             if wx == 0.0:
                 return 0.0
             return h(f_ev(x)) * wx
-    bps = merge_breakpoints(f.breakpoints, m.density.breakpoints)
-    flat = f.piecewise_constant and m.density.piecewise_constant
-    return quadrature.integrate(integrand, s, cfg, breakpoints=bps,
-                                piecewise_constant=flat)
+    g = _combined(integrand, f, m.density)
+    return quadrature.integrate(g.evaluator, s, cfg,
+                                breakpoints=g.breakpoints,
+                                piecewise_constant=g.piecewise_constant)
 
 
 def _xlogx_integral(m: Measure, reference: Measure, s: MeasurableSet,
@@ -142,13 +143,6 @@ def _weighted_integral(h, f, m: Measure, s: MeasurableSet,
                        cfg: Integrator) -> float:
     """integral over s of h(f) dm; f is not evaluated where m's density is 0."""
     return _integral(h, f, m, s, cfg, False)
-
-
-def _checked(check, quot: Density) -> Density:
-    """quot behind a wrapper that checks each of its values: a function of
-    quot's value, so constant wherever quot is."""
-    return Density(check, quot.breakpoints,
-                   piecewise_constant=quot.piecewise_constant)
 
 
 def _positive_mass(total: float, what: str) -> float:
@@ -185,9 +179,10 @@ def entropy_finite(m: Measure, reference: Measure, s: MeasurableSet,
                         EntropyForm.FINITE, total)
 
 
-def entropy_weight(phi: WeightFunction, reference: Measure, s: MeasurableSet,
+def entropy_weight(phi: Density, reference: Measure, s: MeasurableSet,
                    cfg: Integrator = DEFAULT_INTEGRATOR) -> EntropyValue:
-    """Weight-form entropy of the weight phi against reference.
+    """Weight-form entropy of the weight phi, a Density with values in
+    [0, +inf], against reference.
 
     Both integrals are of w = e^-phi from measures.weight_density, which
     checks phi's values as measure_of_weight does (DomainError where phi is
@@ -233,8 +228,8 @@ def change_reference(rho: Measure, mu: Measure, nu: Measure,
                 f"dmu/dnu is {q!r} at {x!r} where rho has positive density")
         return q
 
-    corr = _weighted_integral(math.log, _checked(positive_quot, quot), rho, s,
-                              cfg)
+    corr = _weighted_integral(math.log, _combined(positive_quot, quot), rho,
+                              s, cfg)
     return EntropyValue(base.nats - corr / base.mass,
                         EntropyForm.FINITE, base.mass)
 
@@ -264,7 +259,7 @@ def entropic_gap(rho: Measure, xi: Measure, haar_ref: Measure,
         return q
 
     corr = _weighted_integral(lambda q: math.log(min(q, 1.0)),
-                              _checked(checked_quot, quot), rho, s, cfg)
+                              _combined(checked_quot, quot), rho, s, cfg)
     return -corr / total
 
 

@@ -391,32 +391,6 @@ def translate_set(group: Group, rep, s: MeasurableSet) -> MeasurableSet:
 
 
 @dataclass(frozen=True)
-class RestrictedGroup(FiniteGroup):
-    """A subgroup presented as a group in its own right."""
-
-    parent: FiniteGroup
-    member_reps: tuple
-
-    def _reps(self):
-        return self.member_reps
-
-    def identity_rep(self):
-        return self.parent.identity_rep()
-
-    def compose_reps(self, a, b):
-        return self.parent.compose_reps(a, b)
-
-    def inverse_rep(self, a):
-        return self.parent.inverse_rep(a)
-
-    def label_of(self, rep) -> str:
-        return self.parent.label_of(rep)
-
-    def describe(self) -> str:
-        return f"{self.parent.describe()}<{self.order}>"
-
-
-@dataclass(frozen=True)
 class Subgroup:
     parent: FiniteGroup
     elements: tuple  # atom labels, in the parent's canonical order
@@ -424,11 +398,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def group(self) -> RestrictedGroup:
-        reps = tuple(self.parent._rep_by_label[a] for a in self.elements)
-        return RestrictedGroup(self.parent, reps)
 
     def as_set(self) -> MeasurableSet:
         return MeasurableSet.of_atoms(self.parent.carrier, self.elements)

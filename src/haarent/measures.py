@@ -1,9 +1,11 @@
-"""Spaces, measurable sets, densities, measures, and weight functions.
+"""Spaces, measurable sets, densities and measures.
 
 A Space is either a finite tuple of atoms or a closed real interval.
 Every measure is stored as a density against the base coordinate measure
 of its space (counting for finite spaces, Lebesgue for intervals), so
-chained references always bottom out in one canonical chart.
+chained references always bottom out in one canonical chart. A weight
+function phi is a Density with values in [0, +inf]; the measure it
+induces has density e^-phi (weight_density, measure_of_weight).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import AbsoluteContinuityError, DomainError
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
 
 __all__ = [
-    "Space", "MeasurableSet", "Density", "Measure", "WeightFunction",
+    "Space", "MeasurableSet", "Density", "Measure",
     "mass", "radon_nikodym", "measure_of_weight",
     "step_density", "table_density",
 ]
@@ -198,11 +200,6 @@ class MeasurableSet:
         return tuple(out)
 
 
-def merge_breakpoints(a, b) -> tuple:
-    """Sorted union of two breakpoint sequences."""
-    return tuple(sorted(set(a) | set(b)))
-
-
 def sample_grid(a: float, b: float, n: int, breakpoints) -> list:
     """n+1 evenly spaced points of [a, b], then the breakpoints inside it:
     the points where a quotient or density is sampled on an interval."""
@@ -221,9 +218,14 @@ class Density:
     piecewise_constant: the evaluator is constant on each open interval
     between consecutive breakpoints, so quadrature calls it once per
     panel instead of 15 times. A wrong True gives wrong integrals with no
-    error, so only Density.const and step_density set it, and the
-    combinators below (scaled, times, restricted_to, radon_nikodym and
-    the weight conversions) keep it only when every operand has it.
+    error, so only Density.const and step_density set it. It is read
+    only on interval sets.
+
+    A density built from others follows one rule, _combined: its
+    breakpoints are the sorted union of its operands' (and of a
+    restricting set's ends), and it is piecewise_constant only when
+    every operand is. scaled, times, restricted_to, radon_nikodym,
+    weight_density and entropy's integrands are built by it.
     """
 
     evaluator: Callable
@@ -255,8 +257,7 @@ class Density:
         if self.constant is not None:
             return Density.const(self.constant * factor)
         ev = self.evaluator
-        return Density(lambda x: ev(x) * factor, self.breakpoints,
-                       piecewise_constant=self.piecewise_constant)
+        return _combined(lambda x: ev(x) * factor, self)
 
     def times(self, other: "Density") -> "Density":
         if self.constant is not None:
@@ -264,25 +265,36 @@ class Density:
         if other.constant is not None:
             return self.scaled(other.constant)
         f, g = self.evaluator, other.evaluator
-        return Density(lambda x: f(x) * g(x),
-                       merge_breakpoints(self.breakpoints, other.breakpoints),
-                       piecewise_constant=(self.piecewise_constant
-                                           and other.piecewise_constant))
+        return _combined(lambda x: f(x) * g(x), self, other)
 
     def restricted_to(self, s: MeasurableSet) -> "Density":
         ev = self.evaluator
         if s.is_finite:
             members = frozenset(s.atoms)
-            return Density(lambda x: ev(x) if x in members else 0.0)
-        ivs = s.intervals
-        def gated(x, _ev=ev, _ivs=ivs):
-            for a, b in _ivs:
-                if a <= x <= b:
-                    return _ev(x)
-            return 0.0
-        return Density(gated, merge_breakpoints(self.breakpoints,
-                                                s.boundary_points()),
-                       piecewise_constant=self.piecewise_constant)
+            gated = lambda x: ev(x) if x in members else 0.0
+        else:
+            ivs = s.intervals
+            def gated(x, _ev=ev, _ivs=ivs):
+                for a, b in _ivs:
+                    if a <= x <= b:
+                        return _ev(x)
+                return 0.0
+        return _combined(gated, self, ends=s.boundary_points())
+
+
+def _combined(evaluator: Callable, *operands: Density,
+              ends: Sequence[float] = ()) -> Density:
+    """The Density with this evaluator, built from operands: its
+    breakpoints are the sorted union of theirs and of ends, and it is
+    piecewise_constant only when every operand is. The one rule for every
+    density computed pointwise from others (see Density)."""
+    bps: set = set()
+    for d in operands:
+        bps.update(d.breakpoints)
+    bps.update(ends)
+    return Density(evaluator, tuple(sorted(bps)),
+                   piecewise_constant=all(d.piecewise_constant
+                                          for d in operands))
 
 
 def step_density(edges: Sequence[float], values: Sequence[float]) -> Density:
@@ -385,29 +397,6 @@ class Measure:
                        self.label if label is None else label)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Pointwise weight in [0, +inf]; the measure it induces has density e^-phi.
-
-    piecewise_constant has the meaning and the promise it has on Density;
-    WeightFunction.const sets it.
-    """
-
-    evaluator: Callable
-    breakpoints: tuple = ()
-    piecewise_constant: bool = False
-
-    def __call__(self, x) -> float:
-        return self.evaluator(x)
-
-    @classmethod
-    def const(cls, a: float) -> "WeightFunction":
-        a = float(a)
-        if a < 0 or math.isnan(a):
-            raise DomainError(f"weight values must be in [0, +inf]: {a!r}")
-        return cls(lambda x, _a=a: _a, piecewise_constant=True)
-
-
 def mass(m: Measure, s: MeasurableSet,
          cfg: Integrator = DEFAULT_INTEGRATOR) -> float:
     """Total measure of s under m. Nonnegative; exact sums on finite spaces.
@@ -434,7 +423,7 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
 
     The quotient raises AbsoluteContinuityError at any evaluated point where
     the reference vanishes but m does not; 0/0 is taken as 0 (a null set for
-    both measures). Breakpoints are merged from both operands.
+    both measures). Its breakpoints and flag follow _combined.
     """
     if m.space != reference.space:
         raise DomainError("measures live on different spaces")
@@ -446,16 +435,13 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
             raise AbsoluteContinuityError(
                 "reference is the zero measure but the numerator is not")
         return Density.const(md.constant / rd.constant)
-    bps = merge_breakpoints(md.breakpoints, rd.breakpoints)
     c = rd.constant
     if c is not None and c > 0:
         # a positive constant reference never vanishes, and y / 1.0 == y
         # for a float y; an atom may be an int, which y / 1.0 makes a float
-        flat = md.piecewise_constant
         if c == 1.0 and not m.space.is_finite:
-            return Density(md.evaluator, bps, piecewise_constant=flat)
-        return Density(lambda x, _m=md.evaluator: _m(x) / c, bps,
-                       piecewise_constant=flat)
+            return _combined(md.evaluator, md, rd)
+        return _combined(lambda x, _m=md.evaluator: _m(x) / c, md, rd)
 
     def quot(x, _m=md.evaluator, _r=rd.evaluator):
         den = _r(x)
@@ -468,25 +454,24 @@ def radon_nikodym(m: Measure, reference: Measure) -> Density:
                 f"has density {num!r}")
         return num / den
 
-    return Density(quot, bps, piecewise_constant=(md.piecewise_constant
-                                                  and rd.piecewise_constant))
+    return _combined(quot, md, rd)
 
 
-def weight_density(phi: WeightFunction, reference: Measure) -> Density:
-    """e^-phi (e^-inf = 0 exactly): the density against reference of the
-    measure phi induces. The one check of a weight's values: DomainError
-    naming x where phi(x) is negative or NaN."""
+def weight_density(phi: Density, reference: Measure) -> Density:
+    """e^-phi (e^-inf = 0 exactly) for a weight phi, a Density with values
+    in [0, +inf]: the density against reference of the measure phi
+    induces. The one check of a weight's values: DomainError naming x
+    where phi(x) is negative or NaN."""
     def dens(x, _p=phi.evaluator):
         v = _p(x)
         if v < 0 or math.isnan(v):
             raise DomainError(f"weight value {v!r} at {x!r} is outside [0, +inf]")
         return math.exp(-v) if v != math.inf else 0.0
 
-    bps = merge_breakpoints(phi.breakpoints, reference.density.breakpoints)
-    return Density(dens, bps, piecewise_constant=phi.piecewise_constant)
+    return _combined(dens, phi, reference.density)
 
 
-def measure_of_weight(phi: WeightFunction, reference: Measure,
+def measure_of_weight(phi: Density, reference: Measure,
                       label: str = "") -> Measure:
     """The measure with density e^-phi against reference (e^-inf = 0 exactly)."""
     own = weight_density(phi, reference)

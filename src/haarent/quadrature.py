@@ -196,6 +196,10 @@ def _kronrod(f, a: float, b: float,
         else:
             if type(v) is not float or not isfinite(v):
                 v = _step_off(f, x, nudge, v)
+                if v != v:
+                    raise DomainError(
+                        f"the integrand is nan at {x!r} on the panel "
+                        f"[{a!r}, {b!r}]")
         fx.append(v)
     if piecewise_constant:
         # the sums over 15 nodes that all hold v
@@ -326,12 +330,15 @@ def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     narrow to split, or when the cap on bisections is reached first.
     Raises SumOverflowError when the sum or the integral is not finite:
     an infinite panel (an integrand that saturates to inf, say) is named
-    at once, and otherwise the worst panel.
+    at once, and otherwise the worst panel. Raises DomainError, naming x
+    and the panel, when the integrand is nan at a node and beside it.
 
     piecewise_constant promises that f is constant on each open interval
     between consecutive breakpoints; each panel then costs one call of f
     instead of 15, and the result is bit for bit the same. A false
     promise gives a wrong integral without any error, so callers pass
-    the flag of a Density or WeightFunction, never a guess.
+    the flag of a Density, never a guess: Density.const and
+    step_density set it, and a density built from others keeps it only
+    when every operand has it, the one rule of measures._combined.
     """
     return integrate_result(f, s, cfg, breakpoints, piecewise_constant).value

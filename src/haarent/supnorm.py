@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .errors import DomainError, NormalizationError
 from .groups import (Group, _translation_knots, translate_set,
                      translation_samples)
-from .measures import (Density, Measure, MeasurableSet, mass,
-                       merge_breakpoints, radon_nikodym, sample_grid)
+from .measures import (Density, Measure, MeasurableSet, _combined, mass,
+                       radon_nikodym, sample_grid)
 from .quadrature import DEFAULT_INTEGRATOR, Integrator
 
 __all__ = [
@@ -164,11 +164,12 @@ def check_translate_bound(rho: Measure, nu: Measure, group: Group,
     and every sample keeps A inside the window, so every one is compared.
     """
     c = sup_density(rho, nu, MeasurableSet.full(rho.space))
+    # the breakpoints and flag of the pair, by the rule of combined densities
+    pair = _combined(None, rho.density, nu.density)
     if group.is_finite:
         gs, scope = list(group.reps), "every translation ({} elements)"
-    elif rho.density.piecewise_constant and nu.density.piecewise_constant:
-        gs = _translation_knots(group, a_set, merge_breakpoints(
-            rho.density.breakpoints, nu.density.breakpoints))
+    elif pair.piecewise_constant:
+        gs = _translation_knots(group, a_set, pair.breakpoints)
         scope = "every translation ({} knots)"
     else:
         gs = translation_samples(group, 64, for_set=a_set)

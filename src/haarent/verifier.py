@@ -43,9 +43,8 @@ from .errors import CatalogError, DomainError
 from .groups import (AdditiveReals, Cyclic, Dihedral, FiniteGroup,
                      MultiplicativePositiveReals, haar, subgroups,
                      translate_set)
-from .measures import (Density, MeasurableSet, Measure, Space,
-                       WeightFunction, mass, measure_of_weight,
-                       step_density, table_density)
+from .measures import (Density, MeasurableSet, Measure, Space, mass,
+                       measure_of_weight, step_density, table_density)
 from .quadrature import DEFAULT_INTEGRATOR as CFG
 from .report import judge
 from .supnorm import check_translate_bound, sup_density
@@ -166,9 +165,7 @@ def _check_finite_form(rng, trial, tol):
 def _check_weight_form(rng, trial, tol):
     space = _Z10 if trial % 2 else Space.interval(0.0, 1.0)
     nu = _base(space)
-    d = _density(rng, space, 0.0, 3.0)
-    phi = WeightFunction(d.evaluator, breakpoints=d.breakpoints,
-                         piecewise_constant=d.piecewise_constant)
+    phi = _density(rng, space, 0.0, 3.0)
     s = MeasurableSet.full(space)
     lhs = entropy_weight(phi, nu, s, CFG)
     rhs = entropy_finite(measure_of_weight(phi, nu), nu, s, CFG)

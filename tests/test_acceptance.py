@@ -19,9 +19,8 @@ from haarent.groups import (AdditiveReals, Dihedral,
                             MultiplicativePositiveReals, haar,
                             subgroup_chains, translate_set)
 from haarent.maxent import concavity_probe, maximize_entropy
-from haarent.measures import (MeasurableSet, Measure, Space, WeightFunction,
-                              mass, measure_of_weight, step_density,
-                              table_density)
+from haarent.measures import (Density, MeasurableSet, Measure, Space, mass,
+                              measure_of_weight, step_density, table_density)
 
 
 def step_measure(space, rng, pieces=4, vlo=0.0, vhi=3.0):
@@ -170,7 +169,7 @@ def test_criterion_06_weight_form_identities():
     leb = Measure.lebesgue(space)
     full = MeasurableSet.full(space)
     for a in (0.0, 1.0, 7.0):
-        got = entropy_weight(WeightFunction.const(a), leb, full)
+        got = entropy_weight(Density.const(a), leb, full)
         assert got.nats == pytest.approx(math.log(3.0), abs=1e-9)
 
     unit = Space.interval(0.0, 1.0)
@@ -187,7 +186,7 @@ def test_criterion_06_weight_form_identities():
         def ev(x, _e=edges, _v=tuple(values)):
             return _v[bisect.bisect_right(_e, x)]
 
-        phi = WeightFunction(ev, breakpoints=edges)
+        phi = Density(ev, breakpoints=edges)
         a = entropy_weight(phi, leb1, full1)
         b = entropy_finite(measure_of_weight(phi, leb1), leb1, full1)
         assert a.nats == pytest.approx(b.nats, abs=1e-9)

@@ -9,7 +9,7 @@ import pytest
 from haarent import dsl
 from haarent.dsl import (BinOp, Call, Guard, Neg, Num, Piecewise, Var,
                          breakpoints, density_from_expr, evaluate,
-                         format_expr, parse, parse_set, weight_from_expr)
+                         format_expr, parse, parse_set)
 from haarent.errors import ExprEvalError, ExprSyntaxError
 from haarent.measures import MeasurableSet, Space
 
@@ -630,15 +630,17 @@ _EIGHTY_JUMPS = "abs(piecewise {%s; else: 1})" % "; ".join(
 
 
 class TestIsolateZeros:
-    # a zero stretch, a divisor that is 0 everywhere, an enclosure that
-    # holds 0 on every box wider than 0.5 (x + 0.5 - x), and 80 sign
-    # jumps: the boxes left pass _MAX_BOXES in the eighth round, so at
-    # most 1 + 2 + ... + 128 = 255 boxes are enclosed. The jumps get
-    # their 80 guard bounds and one point for each run of boxes.
+    # a zero stretch, a divisor that is 0 everywhere and an enclosure
+    # that holds 0 on every box wider than 0.5 (x + 0.5 - x): the boxes
+    # left pass _MAX_BOXES in the eighth round, so at most
+    # 1 + 2 + ... + 128 = 255 boxes are enclosed. The 80 sign jumps lie
+    # at the sub's own guard bounds, so its zeros are sought on each of
+    # the 80 pieces between them, bounds left out, where it is a nonzero
+    # constant: one box each, and the 81 bounds (ends included) alone.
     @pytest.mark.parametrize("source, a, b, most_points", [
         ("min(x, x)", 0.0, 1.0, 2), ("abs(0*x)", 0.0, 1.0, 2),
         ("1/(x - x)", 0.0, 1.0, 2), ("max(x + 0.5, x)", 0.01, 1000.0, 2),
-        (_EIGHTY_JUMPS, 0.0, 1.0, 160),
+        (_EIGHTY_JUMPS, 0.0, 1.0, 81),
     ], ids=["min", "abs", "divisor", "max", "jumps"])
     def test_bounded_work(self, monkeypatch, source, a, b, most_points):
         tree = parse(source)
@@ -651,6 +653,16 @@ class TestIsolateZeros:
         pts = breakpoints(tree, MeasurableSet.full(Space.interval(a, b)))
         assert len(pts) <= most_points
         assert 0 < sum(calls) <= 255
+
+    @pytest.mark.parametrize("source, want", [
+        ("abs(piecewise {x < 1: exp(x - 1) - 1; else: x - 1.5})", (1.0, 1.5)),
+        ("abs(piecewise {x < 1: x - 0.5; else: x - 1.5})", (0.5, 1.0, 1.5)),
+    ], ids=["zero-at-a-bound", "zero-in-each-piece"])
+    def test_zeros_between_own_guard_bounds(self, source, want):
+        # the enclosure of exp(x - 1) - 1 holds 0 on the boxes beside 1,
+        # a bound: that zero is the bound itself, not the float below it
+        assert breakpoints(parse(source), MeasurableSet.full(
+            Space.interval(0.0, 2.0))) == want
 
     # the enclosure of exp(x) - 1 holds 0 on every box within a few ulps
     # of 0, and so does that of log(3^x)
@@ -714,10 +726,6 @@ class TestMeasureBridges:
     def test_density_breakpoints_attached(self):
         d = density_from_expr("abs(x-0.5)", UNIT)
         assert any(abs(p - 0.5) < 1e-9 for p in d.breakpoints)
-
-    def test_weight_from_expr_evaluates(self):
-        w = weight_from_expr("x^2", UNIT)
-        assert w(0.5) == 0.25
 
     def test_parsed_tree_accepted_directly(self):
         d = density_from_expr(parse("x+1"), UNIT)

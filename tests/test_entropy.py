@@ -15,9 +15,8 @@ from haarent.entropy import (EntropyForm, NonUnitMassWarning, Verdict,
 from haarent.errors import (AbsoluteContinuityError, DegenerateMeasureError,
                             DomainError, NotInformationMeasureError)
 from haarent.groups import Dihedral, haar
-from haarent.measures import (Density, MeasurableSet, Measure, Space,
-                              WeightFunction, mass, measure_of_weight,
-                              step_density, table_density)
+from haarent.measures import (Density, MeasurableSet, Measure, Space, mass,
+                              measure_of_weight, step_density, table_density)
 from haarent.quadrature import DEFAULT_INTEGRATOR, Integrator
 from haarent.supnorm import is_information_measure, sup_density
 
@@ -44,8 +43,8 @@ def neg_log_weight(m):
     density quotient is m's own density; phi keeps its breakpoints and
     piecewise-constant flag."""
     d = m.density
-    return WeightFunction(lambda x: -math.log(d(x)), d.breakpoints,
-                          piecewise_constant=d.piecewise_constant)
+    return Density(lambda x: -math.log(d(x)), d.breakpoints,
+                   piecewise_constant=d.piecewise_constant)
 
 
 class TestProbabilityForm:
@@ -145,7 +144,7 @@ class TestFiniteForm:
 
 class TestWeightForm:
     def test_linear_weight_closed_form(self):
-        phi = WeightFunction(lambda x: x)
+        phi = Density(lambda x: x)
         got = entropy_weight(phi, LEB, FULL)
         m0 = 1.0 - math.exp(-1.0)
         want = math.log(m0) + (1.0 - 2.0 * math.exp(-1.0)) / m0
@@ -156,13 +155,12 @@ class TestWeightForm:
     @pytest.mark.parametrize("a", [0.0, 1.0, 7.0])
     def test_constant_weight_gives_log_reference_mass(self, a):
         space = Space.interval(0.0, 3.0)
-        got = entropy_weight(WeightFunction.const(a),
-                             Measure.lebesgue(space),
+        got = entropy_weight(Density.const(a), Measure.lebesgue(space),
                              MeasurableSet.full(space))
         assert got.nats == pytest.approx(math.log(3.0), abs=1e-9)
 
     def test_infinite_weight_region_contributes_nothing(self):
-        phi = WeightFunction(
+        phi = Density(
             lambda x: math.inf if x > 0.5 else 0.0, breakpoints=(0.5,))
         got = entropy_weight(phi, LEB, FULL)
         assert got.mass == pytest.approx(0.5, abs=1e-10)
@@ -170,7 +168,8 @@ class TestWeightForm:
 
     def test_everywhere_infinite_weight_rejected(self):
         with pytest.raises(DegenerateMeasureError):
-            entropy_weight(WeightFunction.const(math.inf), LEB, FULL)
+            entropy_weight(Density(lambda x: math.inf,
+                                   piecewise_constant=True), LEB, FULL)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     @pytest.mark.parametrize("space", [UNIT, DIE], ids=["interval", "atoms"])
@@ -180,7 +179,7 @@ class TestWeightForm:
         nu = Measure.counting(space) if space.is_finite \
             else Measure.lebesgue(space)
         s = MeasurableSet.full(space)
-        phi = WeightFunction(lambda x: bad)
+        phi = Density(lambda x: bad)
         with pytest.raises(DomainError, match=r"weight value .+ at "):
             entropy_weight(phi, nu, s)
         with pytest.raises(DomainError, match=r"weight value .+ at "):
@@ -197,7 +196,7 @@ class TestWeightForm:
             assert a.nats == pytest.approx(b.nats, abs=1e-9)
 
     def test_measure_of_weight_round_trip_entropy(self):
-        phi = WeightFunction(lambda x: x * x)
+        phi = Density(lambda x: x * x)
         a = entropy_weight(phi, LEB, FULL)
         b = entropy_finite(measure_of_weight(phi, LEB), LEB, FULL)
         assert a.nats == pytest.approx(b.nats, abs=1e-9)
@@ -439,7 +438,7 @@ class TestZeroWeightAtoms:
 
     def test_weight_form_skips_atoms_reference_misses(self):
         weights = {"a": 0.0, "b": 1.0}
-        phi = WeightFunction(lambda x: weights[x])  # KeyError off a and b
+        phi = Density(lambda x: weights[x])  # KeyError off a and b
         reference = self.table({"a": 1.0, "b": 1.0})
         got = entropy_weight(phi, reference, self.ALL)
         m0 = 1.0 + math.exp(-1.0)

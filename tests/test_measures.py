@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarent.dsl import density_from_expr
-from haarent.entropy import _checked
 from haarent.errors import AbsoluteContinuityError, DomainError
 from haarent.groups import AdditiveReals, MultiplicativePositiveReals, haar
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
-                              WeightFunction, mass, measure_of_weight,
-                              radon_nikodym, step_density, table_density)
+                              _combined, mass, measure_of_weight,
+                              radon_nikodym, step_density, table_density,
+                              weight_density)
 from haarent.quadrature import Integrator
 from haarent.supnorm import sup_density
 
@@ -177,13 +177,13 @@ class TestRadonNikodym:
 class TestWeightCorrespondence:
     def test_zero_weight_recovers_reference(self):
         nu = Measure.lebesgue(WIDE)
-        m = measure_of_weight(WeightFunction.const(0.0), nu)
+        m = measure_of_weight(Density.const(0.0), nu)
         assert mass(m, MeasurableSet.full(WIDE)) == pytest.approx(2.0,
                                                                   abs=1e-12)
 
     def test_constant_weight_scales_reference(self):
         nu = Measure.counting(DIE)
-        m = measure_of_weight(WeightFunction.const(1.5), nu)
+        m = measure_of_weight(Density.const(1.5), nu)
         full = MeasurableSet.full(DIE)
         assert mass(m, full) == pytest.approx(6.0 * math.exp(-1.5),
                                               abs=1e-12)
@@ -191,13 +191,14 @@ class TestWeightCorrespondence:
     def test_linear_weight_mass(self):
         nu = Measure.lebesgue(UNIT)
         m = measure_of_weight(
-            WeightFunction(lambda x: x), nu)
+            Density(lambda x: x), nu)
         assert mass(m, MeasurableSet.full(UNIT)) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-10)
 
     def test_infinite_weight_kills_density_exactly(self):
         nu = Measure.lebesgue(UNIT)
-        m = measure_of_weight(WeightFunction.const(math.inf), nu)
+        m = measure_of_weight(
+            Density(lambda x: math.inf, piecewise_constant=True), nu)
         assert m.density(0.5) == 0.0
 
     def test_round_trip_density(self):
@@ -208,8 +209,8 @@ class TestWeightCorrespondence:
             m = Measure.from_density(
                 UNIT, step_density([0.2, 0.5, 0.8], list(vals)))
             d = m.density
-            phi = WeightFunction(lambda x: -math.log(d(x)), d.breakpoints,
-                                 piecewise_constant=True)
+            phi = Density(lambda x: -math.log(d(x)), d.breakpoints,
+                          piecewise_constant=True)
             back = measure_of_weight(phi, nu)
             quot_m = radon_nikodym(m, nu)
             quot_b = radon_nikodym(back, nu)
@@ -265,8 +266,13 @@ class TestDensityHelpers:
                                                                   abs=1e-10)
 
     def test_weight_function_rejects_negative_constant(self):
+        # a weight is a Density; weight_density checks its values
+        phi = Density(lambda x: -0.5, piecewise_constant=True)
+        m = measure_of_weight(phi, Measure.lebesgue(UNIT))
+        with pytest.raises(DomainError, match="outside"):
+            mass(m, MeasurableSet.full(UNIT))
         with pytest.raises(DomainError):
-            WeightFunction.const(-0.5)
+            Density.const(-0.5)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_weights_rejected(self, bad):
@@ -291,9 +297,18 @@ class TestDensityHelpers:
         assert got == pytest.approx(2.0, rel=1e-6)
 
 
+def _union(*operands, ends=()):
+    """The sorted union of the operands' breakpoints and of ends: the
+    breakpoints of a density built from operands."""
+    return tuple(sorted({*(b for d in operands for b in d.breakpoints),
+                         *ends}))
+
+
 class TestPiecewiseConstantFlag:
     """Every density or weight flagged piecewise_constant is constant on
-    each open interval between consecutive breakpoints."""
+    each open interval between consecutive breakpoints; one built from
+    operands has the sorted union of their breakpoints (and of a
+    restricting set's ends), and is flagged only when all of them are."""
 
     LO, HI = 0.0, 2.0
 
@@ -307,6 +322,7 @@ class TestPiecewiseConstantFlag:
             assert len(values) == 1, (a, b, values)
 
     def _flagged(self, rng):
+        """name -> (density, the breakpoints the rule gives it)"""
         space = Space.interval(self.LO, self.HI)
         leb = Measure.lebesgue(space)
 
@@ -319,59 +335,76 @@ class TestPiecewiseConstantFlag:
         d, e = step(), step(0.5, 1.0)
         union = MeasurableSet.of_intervals(space, [(0.1, 0.7), (0.9, 1.6)])
         m, ref = Measure(space, d), Measure(space, e)
-        phi = WeightFunction(lambda x: -math.log(d(x)), d.breakpoints,
-                             piecewise_constant=True)
+        phi = Density(lambda x: -math.log(d(x)), d.breakpoints,
+                      piecewise_constant=True)
         quot = radon_nikodym(m, ref)
         c = float(rng.uniform(0.1, 3.0))
+        const = Density.const(c)
+        ends = union.boundary_points()
         return {
-            "const": Density.const(c),
-            "step": d,
-            "weight const": WeightFunction.const(c),
-            "scaled step": d.scaled(c),
-            "scaled const": Density.const(c).scaled(0.5),
-            "step times step": d.times(e),
-            "step times const": d.times(Density.const(c)),
-            "restricted step": d.restricted_to(union),
-            "restricted const": Density.const(c).restricted_to(union),
-            "quotient by lebesgue": radon_nikodym(m, leb),
-            "quotient by constant": radon_nikodym(
-                m, Measure(space, Density.const(c))),
-            "quotient by step": quot,
-            "constant quotient": radon_nikodym(leb, leb.scaled(c)),
-            "measure_of_weight": measure_of_weight(phi, ref).density,
-            "measure of a step weight": measure_of_weight(
-                WeightFunction(d.evaluator, d.breakpoints,
-                               piecewise_constant=True), leb).density,
-            "checked quotient": _checked(lambda x: min(quot(x), 1.0), quot),
-            "haar R+": haar(AdditiveReals((self.LO, self.HI)), 2.0).density,
+            "const": (const, ()),
+            "step": (d, _union(d)),
+            "scaled step": (d.scaled(c), _union(d)),
+            "scaled const": (const.scaled(0.5), ()),
+            "step times step": (d.times(e), _union(d, e)),
+            "step times const": (d.times(const), _union(d, const)),
+            "restricted step": (d.restricted_to(union),
+                                _union(d, ends=ends)),
+            "restricted const": (const.restricted_to(union),
+                                 _union(const, ends=ends)),
+            "quotient by lebesgue": (radon_nikodym(m, leb),
+                                     _union(d, leb.density)),
+            "quotient by constant": (radon_nikodym(m, Measure(space, const)),
+                                     _union(d, const)),
+            "quotient by step": (quot, _union(d, e)),
+            "constant quotient": (radon_nikodym(leb, leb.scaled(c)), ()),
+            "weight density": (weight_density(phi, ref), _union(phi, e)),
+            "measure_of_weight": (measure_of_weight(phi, ref).density,
+                                  _union(phi, e)),
+            "measure of a step weight": (measure_of_weight(d, leb).density,
+                                         _union(d)),
+            "checked quotient": (
+                _combined(lambda x: min(quot(x), 1.0), quot), _union(quot)),
+            "haar R+": (haar(AdditiveReals((self.LO, self.HI)), 2.0).density,
+                        ()),
         }
 
     def test_flagged_objects_are_constant_between_breakpoints(self):
         rng = np.random.default_rng(5)
         for trial in range(20):
-            for name, f in self._flagged(rng).items():
+            for name, (f, bps) in self._flagged(rng).items():
                 assert f.piecewise_constant is True, name
+                assert f.breakpoints == bps, name
                 self._assert_constant_between_breakpoints(f, rng)
 
     def test_other_closures_are_not_flagged(self):
         space = Space.interval(self.LO, self.HI)
         step = step_density([0.5], [1.0, 2.0])
         linear = Density(lambda x: x, ())
+        expr = density_from_expr("piecewise {x < 1: 0.5; else: 2}", space)
+        full = MeasurableSet.full(space)
         unflagged = {
-            "closure": linear,
-            "step times closure": step.times(linear),
-            "closure restricted": linear.restricted_to(
-                MeasurableSet.full(space)),
-            "quotient by a closure": radon_nikodym(
-                Measure(space, step), Measure(space, linear.scaled(2.0))),
-            "constant expression": density_from_expr("0.5", space),
-            "step expression": density_from_expr(
-                "piecewise {x < 1: 0.5; else: 2}", space),
-            "haar R*": haar(MultiplicativePositiveReals((0.5, 2.0))).density,
-            "weight closure": WeightFunction(lambda x: x),
+            "closure": (linear, ()),
+            "step times closure": (step.times(linear),
+                                   _union(step, linear)),
+            "closure restricted": (linear.restricted_to(full),
+                                   _union(linear, ends=(self.LO, self.HI))),
+            "quotient by a closure": (
+                radon_nikodym(Measure(space, step),
+                              Measure(space, linear.scaled(2.0))),
+                _union(step, linear)),
+            "expression times step": (expr.times(step), _union(expr, step)),
+            "constant expression": (density_from_expr("0.5", space), ()),
+            "step expression": (expr, (1.0,)),
+            "haar R*": (haar(MultiplicativePositiveReals((0.5, 2.0))).density,
+                        ()),
+            "weight density of a closure": (
+                weight_density(linear, Measure(space, step)), _union(step)),
+            "weight closure": (Density(lambda x: x), ()),
         }
-        for name, f in unflagged.items():
+        for name, (f, bps) in unflagged.items():
             assert f.piecewise_constant is False, name
+            assert f.breakpoints == bps, name
 
 
 @settings(max_examples=50, deadline=None)

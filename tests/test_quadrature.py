@@ -452,6 +452,23 @@ class TestIntervalOverflow:
         with pytest.raises(SumOverflowError, match="worst panel"):
             integrate(lambda x: 8e307, full(0.0, 3.0), breakpoints=(1.0, 2.0))
 
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_nan_integrand_is_no_overflow(self, flat):
+        # nan at a node and beside it is a domain fault, named with the
+        # node and the panel
+        with pytest.raises(DomainError,
+                           match=r"integrand is nan at .+ on the panel "
+                                 r"\[0.5, 1.0\]"):
+            integrate(lambda x: math.nan if x > 0.5 else 1.0,
+                      full(0.0, 1.0), breakpoints=(0.5,),
+                      piecewise_constant=flat)
+
+    def test_infinite_nodes_of_both_signs_stay_an_overflow(self):
+        # inf - inf is nan in the panel's sums, but no node value is nan
+        with pytest.raises(SumOverflowError, match="exceeds the float range"):
+            integrate(lambda x: math.inf if x > 0.5 else -math.inf,
+                      full(0.0, 1.0))
+
 
 class TestIntegratorConfig:
     def test_tolerances_validated(self):
