@@ -13,12 +13,15 @@ unary minus, so -x^2 parses as -(x^2)):
     piecewise := 'piecewise' '{' branch (';' branch)* '}'
     branch    := guard ':' expr | 'else' ':' expr
     guard     := signed CMP 'x' (CMP signed)? | 'x' CMP signed
+    signed    := '-'? NUMBER
     CMP       := '<' | '<=' | '>' | '>='
+    NUMBER    := (D+ '.'? D* | '.' D+) (('e' | 'E') ('+' | '-')? D+)?
 
 Functions: exp, log, abs, sqrt (one argument), min, max (two or more).
 Piecewise guards must be disjoint intervals in increasing order; at most
-one else branch, last. Syntax errors carry the byte offset and what was
-expected; evaluation errors carry the offending subexpression and x.
+one else branch, last. A NUMBER past the float range is a syntax error.
+Syntax errors carry the byte offset and what was expected; evaluation
+errors carry the offending subexpression and x.
 """
 
 from __future__ import annotations
@@ -113,10 +116,12 @@ class Piecewise(Expr):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(r"""
-      (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+_TOKEN_RE = re.compile(rf"""
+      (?P<num>{_NUMBER})
     | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<op><=|>=|[-+*/^(){},:;<>])
+    | (?P<op><=|>=|[-+*/^(){{}},:;<>])
     | (?P<ws>\s+)
 """, re.VERBOSE)
 
@@ -130,6 +135,15 @@ class _Token:
 
 def _byte_offset(src: str, index: int) -> int:
     return len(src[:index].encode("utf-8"))
+
+
+def _number(text: str, position: int) -> float:
+    """The value of a NUMBER literal; one past the float range is an error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ExprSyntaxError(f"number literal {text} overflows",
+                              position=position, found=text)
+    return value
 
 
 def _tokenize(src: str) -> list:
@@ -150,6 +164,9 @@ def _tokenize(src: str) -> list:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class _Parser:
@@ -174,8 +191,8 @@ class _Parser:
             position=tok.pos, expected=expected, found=found)
 
     def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
+        # a token's text fixes its kind (the end's text "" is never expected)
+        if self.peek().text == text:
             return self.advance()
         self.fail((repr(text),))
 
@@ -216,12 +233,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise ExprSyntaxError(
-                    f"number literal {tok.text} overflows",
-                    position=tok.pos, found=tok.text)
-            return Num(value)
+            return Num(_number(tok.text, tok.pos))
         if tok.kind == "name":
             if tok.text == "x":
                 self.advance()
@@ -288,15 +300,12 @@ class _Parser:
         return Piecewise(tuple(branches), otherwise)
 
     def signed_number(self) -> float:
-        neg = False
-        if self.peek().kind == "op" and self.peek().text == "-":
+        neg = self.peek().kind == "op" and self.peek().text == "-"
+        if neg:
             self.advance()
-            neg = True
-        tok = self.peek()
-        if tok.kind != "num":
+        if self.peek().kind != "num":
             self.fail(("number",))
-        self.advance()
-        value = float(tok.text)
+        value = self.atom().value
         return -value if neg else value
 
     def cmp(self) -> str:
@@ -306,48 +315,27 @@ class _Parser:
         self.fail(("'<'", "'<='", "'>'", "'>='"))
 
     def guard(self) -> Guard:
-        # forms: x CMP c | c CMP x | c CMP x CMP c
+        # forms: x CMP c | c CMP x | c CMP x CMP c, where c CMP x reads
+        # x _FLIP[CMP] c and a second CMP points the way of the first
         tok = self.peek()
         if tok.kind == "name" and tok.text == "x":
             self.advance()
-            op = self.cmp()
+            comparisons = [(self.cmp(), self.signed_number())]
+        else:
             c = self.signed_number()
-            if op == "<":
-                return Guard(-math.inf, False, c, False)
-            if op == "<=":
-                return Guard(-math.inf, False, c, True)
-            if op == ">":
-                return Guard(c, False, math.inf, False)
-            return Guard(c, True, math.inf, False)
-        lo = self.signed_number()
-        op1 = self.cmp()
-        var_tok = self.peek()
-        if not (var_tok.kind == "name" and var_tok.text == "x"):
-            self.fail(("'x'",))
-        self.advance()
-        if op1 in (">", ">="):
-            # c > x reads x < c
-            hi, hi_closed = lo, op1 == ">="
-            if self.peek().kind == "op" and self.peek().text in (">", ">="):
-                op2 = self.advance().text
-                lo2 = self.signed_number()
-                if lo2 >= hi:
-                    raise ExprSyntaxError(
-                        f"empty guard interval ({lo2!r}, {hi!r})",
-                        position=tok.pos, found=tok.text)
-                return Guard(lo2, op2 == ">=", hi, hi_closed)
-            return Guard(-math.inf, False, hi, hi_closed)
-        lo_closed = op1 == "<="
-        if self.peek().kind == "op" and self.peek().text in ("<", "<="):
-            op2 = self.advance().text
-            hi = self.signed_number()
-            guard = Guard(lo, lo_closed, hi, op2 == "<=")
-            if guard.lo >= guard.hi:
-                raise ExprSyntaxError(
-                    f"empty guard interval ({guard.lo!r}, {guard.hi!r})",
-                    position=tok.pos, found=tok.text)
-            return guard
-        return Guard(lo, lo_closed, math.inf, False)
+            op = self.cmp()
+            self.expect("x")
+            comparisons = [(_FLIP[op], c)]
+            if self.peek().kind == "op" and self.peek().text[0] == op[0]:
+                comparisons.append((self.cmp(), self.signed_number()))
+        ends = {">": (-math.inf, False), "<": (math.inf, False)}
+        for op, c in comparisons:  # x > c is a lower end, x < c an upper
+            ends[op[0]] = (c, op[1:] == "=")
+        (lo, lo_closed), (hi, hi_closed) = ends[">"], ends["<"]
+        if lo >= hi:
+            raise ExprSyntaxError(f"empty guard interval ({lo!r}, {hi!r})",
+                                  position=tok.pos, found=tok.text)
+        return Guard(lo, lo_closed, hi, hi_closed)
 
 
 def _comes_after(prev: Guard, nxt: Guard) -> bool:
@@ -853,8 +841,6 @@ def _wrap(text: str, need: bool) -> str:
 
 
 def _guard_text(g: Guard) -> str:
-    if math.isinf(g.lo) and math.isinf(g.hi):
-        return "x < inf"
     if math.isinf(g.lo):
         return f"x {'<=' if g.hi_closed else '<'} {g.hi!r}"
     if math.isinf(g.hi):
@@ -918,7 +904,7 @@ def density_from_expr(source, space: Space) -> Density:
 # Set syntax: "[a,b]" unions and "{atom, atom}" lists
 
 _INTERVAL_RE = re.compile(
-    r"\s*\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*")
+    rf"\s*\[\s*(-?)({_NUMBER})\s*,\s*(-?)({_NUMBER})\s*\]\s*")
 
 
 def parse_set(text: str, space: Space) -> MeasurableSet:
@@ -941,18 +927,17 @@ def parse_set(text: str, space: Space) -> MeasurableSet:
     pieces = re.split(r"∪|U|u", stripped)
     intervals = []
     for piece in pieces:
+        at = text.find(piece)
         m = _INTERVAL_RE.fullmatch(piece)
         if m is None:
             raise ExprSyntaxError(
                 f"expected an interval like [a,b], found {piece.strip()!r}",
-                position=_byte_offset(text, text.find(piece)))
-        try:
-            a, b = float(m.group(1)), float(m.group(2))
-        except ValueError:
-            raise ExprSyntaxError(
-                f"interval bounds must be numbers: {piece.strip()!r}",
-                position=_byte_offset(text, text.find(piece))) from None
-        intervals.append((a, b))
+                position=_byte_offset(text, at))
+        # a bound is an optional minus and a NUMBER literal, as in a guard
+        intervals.append(tuple(
+            (-1.0 if m[i - 1] else 1.0)
+            * _number(m[i], _byte_offset(text, at + m.start(i)))
+            for i in (2, 4)))
     try:
         return MeasurableSet.of_intervals(space, intervals)
     except DomainError as exc:

@@ -278,14 +278,15 @@ def nonneg_certificate(m: Measure, reference: Measure, s: MeasurableSet,
     1 + tol; NotInformationMeasureError names the sup when it fails. The
     quotient is evaluated at sup_density's points, so a sampled point where
     the reference is 0 and m is positive raises AbsoluteContinuityError, as
-    sup_density does. Raises DomainError when s is empty.
+    sup_density does. Raises DomainError when s is empty (or the quotient
+    is nan at a sampled point), and DegenerateMeasureError when m(s) is 0.
     """
     sup = sup_density(m, reference, s)
     if not sup <= 1.0 + tol:
         raise NotInformationMeasureError(
             f"sup of dm/dreference over the set is {sup!r}; an information "
             f"measure needs at most 1")
-    total = mass(m, s, cfg)
+    total = _positive_mass(mass(m, s, cfg), "measure")
     if total >= 1.0 - tol:
         return NonnegativityCertificate(Verdict.MASS_AT_LEAST_ONE, total, 1.0)
 

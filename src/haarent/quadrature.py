@@ -56,8 +56,8 @@ class Integrator:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1e-2):
             raise DomainError(f"rel_tol must be in (0, 1e-2), got {self.rel_tol!r}")
-        if self.abs_tol <= 0.0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        if not (0.0 < self.abs_tol < math.inf):
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
 
 
 DEFAULT_INTEGRATOR = Integrator()
@@ -110,9 +110,9 @@ def _split_panels(intervals: Iterable[tuple[float, float]],
 
 def _step_off(f: Callable[[float], float], x: float, nudge: float,
               v) -> float:
-    """The value at node x, given f's value v there (nan when f raised
-    OverflowError or ZeroDivisionError): v as a float when finite, else f
-    at nudge, but at least one float, off the node (off a singularity)."""
+    """The value at node x, given f's value v there (inf or nan where f
+    raised OverflowError or ZeroDivisionError): v as a float when finite,
+    else f at nudge, but at least one float, off the node (off a pole)."""
     if isinstance(v, float) and math.isfinite(v):
         return v
     if not isinstance(v, float):
@@ -184,22 +184,24 @@ def _kronrod(f, a: float, b: float,
         lo, hi = math.nextafter(a, b), math.nextafter(b, a)
         xs = [min(max(x, lo), hi) for x in xs]
     nudge = (b - a) * 1e-12
-    # one call of f per node; only a fault or a value that is not a finite
-    # float goes on to _step_off
+    # one call of f per node, an overflow read as inf and a division by
+    # zero as nan; only a value that is not a finite float goes on to
+    # _step_off
     isfinite = math.isfinite
     fx = []
     for x in xs:
         try:
             v = f(x)
-        except (OverflowError, ZeroDivisionError):
-            v = _step_off(f, x, nudge, math.nan)
-        else:
-            if type(v) is not float or not isfinite(v):
-                v = _step_off(f, x, nudge, v)
-                if v != v:
-                    raise DomainError(
-                        f"the integrand is nan at {x!r} on the panel "
-                        f"[{a!r}, {b!r}]")
+        except OverflowError:
+            v = math.inf
+        except ZeroDivisionError:
+            v = math.nan
+        if type(v) is not float or not isfinite(v):
+            v = _step_off(f, x, nudge, v)
+            if v != v:
+                raise DomainError(
+                    f"the integrand is nan at {x!r} on the panel "
+                    f"[{a!r}, {b!r}]")
         fx.append(v)
     if piecewise_constant:
         # the sums over 15 nodes that all hold v
@@ -241,6 +243,13 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
         except (OverflowError, ValueError):  # past the range, or inf - inf
             total = math.inf
         if not math.isfinite(total):
+            for atom, t in zip(s.iter_atoms(), terms):  # the first not finite
+                if t != t:
+                    raise DomainError(f"the summand is nan at the atom {atom!r}")
+                if math.isinf(t):
+                    raise SumOverflowError(
+                        f"the sum over {len(terms)} atoms exceeds the float "
+                        f"range: the term at the atom {atom!r} is {t!r}")
             raise SumOverflowError(
                 f"the sum over {len(terms)} atoms exceeds the float range "
                 f"(largest term {max(terms, key=abs)!r})")
@@ -328,10 +337,12 @@ def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     best estimate and error bound, and naming the worst panel) when the
     tolerance is not met and the panel with the largest estimate is too
     narrow to split, or when the cap on bisections is reached first.
-    Raises SumOverflowError when the sum or the integral is not finite:
-    an infinite panel (an integrand that saturates to inf, say) is named
-    at once, and otherwise the worst panel. Raises DomainError, naming x
-    and the panel, when the integrand is nan at a node and beside it.
+    Raises SumOverflowError when the sum or the integral is not finite,
+    naming an infinite term's atom, or an infinite panel (an integrand
+    that saturates to inf or raises OverflowError, say), else the worst
+    panel. Raises DomainError, naming the atom, or x and the panel, when
+    the integrand is nan (or raises ZeroDivisionError) at an atom, or at
+    a node and beside it.
 
     piecewise_constant promises that f is constant on each open interval
     between consecutive breakpoints; each panel then costs one call of f

@@ -50,6 +50,8 @@ def _max_on_set(quot: Density, s: MeasurableSet) -> tuple:
             v = evaluator(x)
             if v > best[0]:
                 best = (v, x)
+            elif v != v:
+                raise DomainError(f"the density quotient is nan at {x!r}")
 
     if s.is_finite:
         scan(s.iter_atoms())
@@ -93,7 +95,7 @@ def sup_density(m: Measure, reference: Measure, s: MeasurableSet) -> float:
     quotients on an interval (one evaluation per piece of s, so a piece
     outside s does not count). Otherwise this is a grid lower bound of the
     true sup (refined around the incumbent). Raises DomainError when s is
-    empty.
+    empty, or when the quotient is nan at a sampled point.
     """
     return _sup_and_argmax(m, reference, s)[0]
 

@@ -105,6 +105,134 @@ class TestSyntaxErrors:
             parse("piecewise {else: 1; x < 0.5: 2}")
 
 
+# The guard rule as it stood before one flip table replaced its eight
+# direction branches, kept as the reference the parser's guard must match
+# (reference_evaluate and reference_scan_zeros below are kept the same
+# way). Its numbers were read by float() alone, so an overflowing bound
+# became an infinite one.
+
+
+class ReferenceGuardParser(dsl._Parser):
+    def signed_number(self) -> float:
+        neg = False
+        if self.peek().kind == "op" and self.peek().text == "-":
+            self.advance()
+            neg = True
+        tok = self.peek()
+        if tok.kind != "num":
+            self.fail(("number",))
+        self.advance()
+        value = float(tok.text)
+        return -value if neg else value
+
+    def guard(self) -> Guard:
+        tok = self.peek()
+        if tok.kind == "name" and tok.text == "x":
+            self.advance()
+            op = self.cmp()
+            c = self.signed_number()
+            if op == "<":
+                return Guard(-math.inf, False, c, False)
+            if op == "<=":
+                return Guard(-math.inf, False, c, True)
+            if op == ">":
+                return Guard(c, False, math.inf, False)
+            return Guard(c, True, math.inf, False)
+        lo = self.signed_number()
+        op1 = self.cmp()
+        var_tok = self.peek()
+        if not (var_tok.kind == "name" and var_tok.text == "x"):
+            self.fail(("'x'",))
+        self.advance()
+        if op1 in (">", ">="):
+            hi, hi_closed = lo, op1 == ">="
+            if self.peek().kind == "op" and self.peek().text in (">", ">="):
+                op2 = self.advance().text
+                lo2 = self.signed_number()
+                if lo2 >= hi:
+                    raise ExprSyntaxError(
+                        f"empty guard interval ({lo2!r}, {hi!r})",
+                        position=tok.pos, found=tok.text)
+                return Guard(lo2, op2 == ">=", hi, hi_closed)
+            return Guard(-math.inf, False, hi, hi_closed)
+        lo_closed = op1 == "<="
+        if self.peek().kind == "op" and self.peek().text in ("<", "<="):
+            op2 = self.advance().text
+            hi = self.signed_number()
+            guard = Guard(lo, lo_closed, hi, op2 == "<=")
+            if guard.lo >= guard.hi:
+                raise ExprSyntaxError(
+                    f"empty guard interval ({guard.lo!r}, {guard.hi!r})",
+                    position=tok.pos, found=tok.text)
+            return guard
+        return Guard(lo, lo_closed, math.inf, False)
+
+
+_GUARD_NUMBERS = ("0", "2.5", "-1", "- 3", "1e308", "-1e308", "1e400",
+                  "-1e400")
+_CMPS = ("<", "<=", ">", ">=")
+
+
+def _guard_corpus():
+    """Guards of every shape, well formed or not: every CMP, one- and
+    two-sided, both orders, mixed directions, negative, huge and
+    overflowing numbers."""
+    forms = []
+    for op in _CMPS:
+        for n in _GUARD_NUMBERS:
+            forms += [f"x {op} {n}", f"{n} {op} x", f"{n} {op} y",
+                      f"{op} x", f"x {n}", f"x {op}", f"{n} {op} x {op}",
+                      f"x {op} {n} {op} 4", f"{n} {op} {n}", f"x {op} -"]
+            for op2 in _CMPS:
+                forms += [f"{n} {op} x {op2} {m}" for m in _GUARD_NUMBERS]
+    return [f"piecewise {{{form}: 1; else: 0}}" for form in forms]
+
+
+def _parse_outcome(parser, src):
+    try:
+        return parser(src).parse()
+    except ExprSyntaxError as exc:
+        return (str(exc), exc.position, exc.expected, exc.found)
+
+
+class TestGuardMatchesReference:
+    def test_guard_corpus(self):
+        accepted = overflowing = 0
+        for src in _guard_corpus():
+            got = _parse_outcome(dsl._Parser, src)
+            want = _parse_outcome(ReferenceGuardParser, src)
+            if "1e400" not in src:
+                assert got == want, src
+            else:
+                # an overflowing number is a syntax error at that number,
+                # unless the guard has failed before it is read
+                overflowing += 1
+                at = src.index("1e400")
+                assert isinstance(got, tuple), src
+                if got[0].startswith("number literal"):
+                    assert got == ("number literal 1e400 overflows", at, (),
+                                   "1e400"), src
+                else:
+                    assert got == want and got[1] <= at, src
+                    assert not got[0].startswith("empty"), src
+            if isinstance(got, Piecewise):
+                accepted += 1
+                assert parse(format_expr(got)) == got, src
+        assert accepted > 100 and overflowing > 300
+
+    @pytest.mark.parametrize("source, at", [
+        ("piecewise {x >= 1e400: 1}", 16),
+        ("piecewise {x < 1e400: 1}", 15),
+        ("piecewise {-1e400 < x < 0: 1}", 12),
+        ("piecewise {0 > x > -1e400: 1}", 20),
+    ])
+    def test_overflowing_bound_is_a_syntax_error(self, source, at):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(source)
+        assert str(info.value) == "number literal 1e400 overflows"
+        assert info.value.position == at
+
+
 class TestEvaluate:
     def test_polynomial(self):
         assert evaluate(parse("2*x^2+1"), 1.5) == 5.5
@@ -760,3 +888,21 @@ class TestParseSet:
     def test_escaping_interval_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse_set("[0, 2]", UNIT)
+
+    def test_bounds_are_number_literals(self):
+        line = Space.interval(-5.0, 5.0)
+        s = parse_set("[-1, -.5e-1] U [2.5E-1,5.]", line)
+        assert s.intervals == ((-1.0, -0.05), (0.25, 5.0))
+
+    @pytest.mark.parametrize("text", ["[1_0, 12]", "[+1, 2]", "[0, inf]",
+                                      "[nan, 1]", "[- 1, 2]", "[0, 1e]"])
+    def test_python_only_spellings_rejected(self, text):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_set(text, Space.interval(-20.0, 20.0))
+        assert str(info.value).startswith("expected an interval like [a,b]")
+
+    def test_overflowing_bound_is_the_literal_error(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_set("[0, 1] U [2, -1e400]", Space.interval(0.0, 3.0))
+        assert str(info.value) == "number literal 1e400 overflows"
+        assert info.value.position == 14

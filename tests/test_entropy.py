@@ -334,6 +334,18 @@ class TestNonnegativityCertificate:
         with pytest.raises(NotInformationMeasureError):
             nonneg_certificate(m, LEB, FULL)
 
+    @pytest.mark.parametrize("space", [DIE, UNIT],
+                             ids=["counting", "lebesgue"])
+    def test_zero_mass_is_degenerate(self, space):
+        if space.is_finite:
+            m = Measure.from_density(space, table_density(space, {}))
+            ref = Measure.counting(space)
+        else:
+            m, ref = Measure.from_density(space, Density.const(0.0)), LEB
+        with pytest.raises(DegenerateMeasureError,
+                           match="measure of the set is 0.0"):
+            nonneg_certificate(m, ref, MeasurableSet.full(space))
+
     def test_mass_branch_still_checks_quotient(self):
         space = Space.interval(0.0, 4.0)
         nu = Measure.lebesgue(space)

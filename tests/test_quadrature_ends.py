@@ -1,4 +1,5 @@
-"""The stop rule of the bisection, at integrable singular ends.
+"""The stop rule of the bisection, at integrable singular ends, and the
+reading of values that are not finite.
 
 A panel is not split when it is at most 2^-50 of the set's extent wide,
 or when its ends lie within 4 eps of its midpoint (QUADPACK qage's test);
@@ -6,13 +7,18 @@ when the worst panel is such a panel the integral raises ConvergenceError
 at once. So an error bound does not lie at a singular end: each integral
 below either meets |I - true| <= error_bound or raises. The rule rests on
 float spacing and math.nextafter, and these tests need no numpy.
+
+A nan integrand or summand is a DomainError, and an infinite one a
+SumOverflowError, each naming where it occurs; neither is reported as a
+finite sum past the float range.
 """
 
 import math
+import re
 
 import pytest
 
-from haarent.errors import ConvergenceError
+from haarent.errors import ConvergenceError, DomainError, SumOverflowError
 from haarent.measures import MeasurableSet, Space
 from haarent.quadrature import (Integrator, _step_off, integrate,
                                 integrate_result)
@@ -25,6 +31,10 @@ RELS = (1e-6, 1e-8, 1e-10)
 
 def full(lo, hi):
     return MeasurableSet.full(Space.interval(lo, hi))
+
+
+def atoms(names):
+    return MeasurableSet.full(Space.finite(list(names)))
 
 
 def singular_end(a, b, p, end):
@@ -96,3 +106,49 @@ class TestStepOff:
             with pytest.raises(ConvergenceError) as err:
                 integrate(f, full(0.0, 1.0), Integrator(rel_tol=rel))
             assert math.isfinite(err.value.estimate)
+
+
+class TestNotFinite:
+    def test_division_by_zero_on_a_stretch_is_nan(self):
+        def f(x):
+            if x > 0.5:
+                raise ZeroDivisionError("float division by zero")
+            return 1.0
+        with pytest.raises(DomainError, match=re.escape(
+                "the integrand is nan at 0.6038924775039493 on the panel "
+                "[0.0, 1.0]")):
+            integrate(f, full(0.0, 1.0))
+
+    def test_overflow_on_a_stretch_is_an_infinite_panel(self):
+        def f(x):
+            return math.exp(1e4 * x) if x > 0.5 else 1.0
+        with pytest.raises(SumOverflowError, match=re.escape(
+                "the integral exceeds the float range: inf on the panel "
+                "[0.0, 1.0]")):
+            integrate(f, full(0.0, 1.0))
+
+    def test_nan_term_names_its_atom(self):
+        with pytest.raises(DomainError,
+                           match="the summand is nan at the atom 'b'"):
+            integrate(lambda p: math.nan if p == "b" else 1.0, atoms("abc"))
+
+    @pytest.mark.parametrize("terms", [
+        {"b": math.inf}, {"b": -math.inf}, {"b": math.inf, "c": -math.inf},
+        {"b": math.inf, "c": math.nan}])
+    def test_infinite_term_names_its_atom(self, terms):
+        with pytest.raises(SumOverflowError, match=re.escape(
+                f"the sum over 3 atoms exceeds the float range: the term "
+                f"at the atom 'b' is {terms['b']!r}")):
+            integrate(lambda p: terms.get(p, 1.0), atoms("abc"))
+
+    def test_finite_terms_past_the_range(self):
+        with pytest.raises(SumOverflowError, match=re.escape(
+                "the sum over 3 atoms exceeds the float range (largest "
+                "term 1.7e+308)")):
+            integrate(lambda p: 1.7e308, atoms("abc"))
+
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_abs_tol_positive_and_finite(self, abs_tol):
+        with pytest.raises(DomainError, match="abs_tol must be positive "
+                                              "and finite"):
+            Integrator(abs_tol=abs_tol)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ class TestSupDensity:
         sup = sup_density(m, Measure.counting(space),
                           MeasurableSet.full(space))
         assert (type(sup), sup) == (float, 3.0)
+
+    @pytest.mark.parametrize("space, f, at", [
+        # exp(800) - exp(800) is inf - inf on (0.33, 0.34)
+        (UNIT, "piecewise {0.33 < x < 0.34: exp(800) - exp(800); "
+               "else: 0.5}", 0.33203125),
+        (UNIT, "piecewise {x < 0.5: 0.5; else: exp(800) - exp(800)}", 0.5),
+        (DIE, lambda a: math.nan if a == 4 else 0.5, 4)])
+    def test_nan_sample_raises(self, space, f, at):
+        density = (density_from_expr(f, space) if isinstance(f, str)
+                   else Density(f))
+        m = Measure(space, density)  # no check of the density's values
+        ref = Measure.lebesgue(space) if space is UNIT \
+            else Measure.counting(space)
+        full = MeasurableSet.full(space)
+        for check in (sup_density, is_information_measure,
+                      nonneg_certificate):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"the density quotient is nan at {at!r}")):
+                check(m, ref, full)
 
 
 class TestSupNormalize:
