@@ -16,6 +16,7 @@ unary minus, so -x^2 parses as -(x^2)):
     signed    := '-'? NUMBER
     CMP       := '<' | '<=' | '>' | '>='
     NUMBER    := (D+ '.'? D* | '.' D+) (('e' | 'E') ('+' | '-')? D+)?
+    D         := '0' | '1' | ... | '9'
 
 Functions: exp, log, abs, sqrt (one argument), min, max (two or more).
 Piecewise guards must be disjoint intervals in increasing order; at most
@@ -33,6 +34,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError, ExprEvalError, ExprSyntaxError
+from .groups import _NUMBER
 from .measures import Density, MeasurableSet, Space
 
 __all__ = [
@@ -115,8 +117,6 @@ class Piecewise(Expr):
 
 # ---------------------------------------------------------------------------
 # Tokenizer
-
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 
 _TOKEN_RE = re.compile(rf"""
       (?P<num>{_NUMBER})

@@ -12,17 +12,16 @@ The finite form is scale-invariant and equals the probability form of the
 unit-normalized measure; the weight form is the finite form of the measure
 with density e^-phi. All integrals run against the reference measure.
 
-Every form integrates a function of a density quotient against a measure,
-and points where that measure's density is 0 contribute 0. In the xlogx
-forms (probability, finite, nonnegativity certificate) the measure is the
-reference: on a finite set the quotient is still evaluated at atoms where
-the reference is 0, so a measure that charges such an atom raises
-AbsoluteContinuityError; on an interval such points are null and skipped.
+Every form integrates a function of a density quotient against a
+measure (the reference, or rho in the change of reference and the
+entropic gap) and skips the points where that measure's density is 0,
+atoms included: the quotient is not evaluated there. The xlogx forms
+(probability, finite, nonnegativity certificate) check absolute
+continuity first: on a finite set the quotient is evaluated at each atom
+where the reference is 0, so a measure that charges such an atom raises
+AbsoluteContinuityError. On an interval that check is not made yet.
 (The certificate's premise check, sup_density, evaluates the quotient at
-its own sample points, whatever the reference is there.) In the weight
-form, the change of reference and the entropic gap the measure is the one
-being averaged (the reference, rho, rho), and points where it is 0 are
-always skipped, atoms included.
+its own sample points, whatever the reference is there.)
 """
 
 from __future__ import annotations
@@ -92,23 +91,18 @@ class NonUnitMassWarning(UserWarning):
     """Probability-form entropy was asked of a measure of mass != 1."""
 
 
-def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator,
-              evaluate_null_atoms: bool) -> float:
+def _integral(h, f, m: Measure, s: MeasurableSet, cfg: Integrator) -> float:
     """integral over s of h(f) dm, f a Density; the integrand's breakpoints
     and flag are those _combined gives it from f and m's density.
 
-    Where m's density is 0 the integrand is 0 without evaluating f, except
-    at atoms when evaluate_null_atoms is set. A constant positive density
-    is never 0, and multiplies the integrand inline (or not at all for 1).
+    Where m's density is 0 the integrand is 0 without evaluating f, atoms
+    included. A positive constant density is never 0, and multiplies the
+    integrand inline (y * 1.0 == y, so a density of 1 changes no bit).
     """
     f_ev, w_ev = f.evaluator, m.density.evaluator
     c = m.density.constant
-    if c == 1.0:
-        integrand = lambda x: h(f_ev(x))   # y * 1.0 == y
-    elif c is not None and c > 0:
+    if c is not None and c > 0:
         integrand = lambda x: h(f_ev(x)) * c
-    elif evaluate_null_atoms and s.is_finite:
-        integrand = lambda x: h(f_ev(x)) * w_ev(x)
     else:
         def integrand(x):
             wx = w_ev(x)
@@ -126,23 +120,46 @@ def _xlogx_integral(m: Measure, reference: Measure, s: MeasurableSet,
     """integral over s of xlogx(dm/dreference) dreference, remembered on m
     (see Measure) under the key (reference.density, s, cfg).
 
-    The quotient is evaluated at every atom, also where the reference is
-    0: a quotient that raises there is the absolute-continuity check.
+    First, on a finite s, the absolute-continuity check: the quotient is
+    evaluated at each atom where the reference is 0, and raises
+    AbsoluteContinuityError there unless m is 0 too. It runs before the
+    lookup, so it raises on a repeat too. (On an interval, points where
+    the reference is 0 are skipped unchecked.)
     """
     quot = radon_nikodym(m, reference)
+    if s.is_finite:
+        r_ev = reference.density.evaluator
+        for atom in s.atoms:
+            if r_ev(atom) == 0.0:
+                quot(atom)  # raises unless m is 0 there too
     key = (reference.density, s, cfg)
     slot = m._memo.get("xlogx")
     if slot is not None and slot[0] == key:
         return slot[1]
-    val = _integral(xlogx, quot, reference, s, cfg, True)
+    val = _integral(xlogx, quot, reference, s, cfg)
     m._memo["xlogx"] = (key, val)
     return val
 
 
-def _weighted_integral(h, f, m: Measure, s: MeasurableSet,
-                       cfg: Integrator) -> float:
-    """integral over s of h(f) dm; f is not evaluated where m's density is 0."""
-    return _integral(h, f, m, s, cfg, False)
+def _checked_quotient(m: Measure, reference: Measure, name: str,
+                      upper: float) -> Density:
+    """dm/dreference, named name in errors, for a log taken against rho:
+    NotInformationMeasureError where it exceeds upper (the gap's 1 + tol;
+    inf for the change of reference), AbsoluteContinuityError where it
+    is <= 0."""
+    quot = radon_nikodym(m, reference)
+    q_ev = quot.evaluator
+
+    def checked(x):
+        q = q_ev(x)
+        if q > upper:
+            raise NotInformationMeasureError(f"{name} is {q!r} > 1 at {x!r}")
+        if q <= 0.0:
+            raise AbsoluteContinuityError(
+                f"{name} is {q!r} at {x!r} where rho has positive density")
+        return q
+
+    return _combined(checked, quot)
 
 
 def _positive_mass(total: float, what: str) -> float:
@@ -191,9 +208,9 @@ def entropy_weight(phi: Density, reference: Measure, s: MeasurableSet,
     to either integral.
     """
     w = weight_density(phi, reference)
-    m0 = _positive_mass(_weighted_integral(lambda y: y, w, reference, s, cfg),
+    m0 = _positive_mass(_integral(lambda y: y, w, reference, s, cfg),
                         "weight measure")
-    num = _weighted_integral(lambda y: -xlogx(y), w, reference, s, cfg)
+    num = _integral(lambda y: -xlogx(y), w, reference, s, cfg)
     return EntropyValue(math.log(m0) + num / m0, EntropyForm.WEIGHT, m0)
 
 
@@ -218,18 +235,8 @@ def change_reference(rho: Measure, mu: Measure, nu: Measure,
     Haar references.
     """
     base = entropy_finite(rho, mu, s, cfg)
-    quot = radon_nikodym(mu, nu)
-    q_ev = quot.evaluator
-
-    def positive_quot(x):
-        q = q_ev(x)
-        if q <= 0.0:
-            raise AbsoluteContinuityError(
-                f"dmu/dnu is {q!r} at {x!r} where rho has positive density")
-        return q
-
-    corr = _weighted_integral(math.log, _combined(positive_quot, quot), rho,
-                              s, cfg)
+    quot = _checked_quotient(mu, nu, "dmu/dnu", math.inf)
+    corr = _integral(math.log, quot, rho, s, cfg)
     return EntropyValue(base.nats - corr / base.mass,
                         EntropyForm.FINITE, base.mass)
 
@@ -245,21 +252,8 @@ def entropic_gap(rho: Measure, xi: Measure, haar_ref: Measure,
     the quotient exceeds 1 beyond tol at an evaluated point.
     """
     total = _positive_mass(mass(rho, s, cfg), "rho measure")
-    quot = radon_nikodym(xi, haar_ref)
-    q_ev = quot.evaluator
-
-    def checked_quot(x):
-        q = q_ev(x)
-        if q > 1.0 + tol:
-            raise NotInformationMeasureError(
-                f"dxi/dhaar is {q!r} > 1 at {x!r}")
-        if q <= 0.0:
-            raise AbsoluteContinuityError(
-                f"dxi/dhaar is {q!r} at {x!r} where rho has positive density")
-        return q
-
-    corr = _weighted_integral(lambda q: math.log(min(q, 1.0)),
-                              _combined(checked_quot, quot), rho, s, cfg)
+    quot = _checked_quotient(xi, haar_ref, "dxi/dhaar", 1.0 + tol)
+    corr = _integral(lambda q: math.log(min(q, 1.0)), quot, rho, s, cfg)
     return -corr / total
 
 

@@ -16,11 +16,11 @@ On the windowed kinds `_translation_range` alone decides which
 translations keep a set inside the window; `translation_samples` and
 `_translation_knots` stay inside it.
 
-Every subgroup of a finite kind (in `subgroups`, `subgroup_chains` and
-`generated_subgroup`) comes from one closure routine, `_extend`: Dimino's
-walk over the right cosets of a subgroup H inside <H, x>, or is a
-conjugate of one that does (`subgroups` extends one subgroup per
-conjugacy class).
+Subgroups of a finite kind are closed by one routine, `_extend`, Dimino's
+walk over the right cosets of H inside <H, x>: `generated_subgroup` uses
+it alone, and `subgroups` (read by `subgroup_chains`) walks each cyclic
+subgroup by the powers of one generator, extends by `_extend` from there,
+and takes in the conjugates of each subgroup it extends.
 """
 
 from __future__ import annotations
@@ -686,16 +686,19 @@ def translation_samples(group: Group, count: int = 64,
     return [min(max(g, glo), ghi) for g in gs]
 
 
+# dsl's NUMBER literal (ASCII digits), kept here so groups need not load dsl
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
 _DESCRIPTOR_RE = re.compile(
-    r"^(?:(?P<cyc>[ZC])(?P<cycn>\d+)|D(?P<dihn>\d+)|S(?P<symn>\d+)|"
-    r"R\+add:\[(?P<alo>[^,\]]+),(?P<ahi>[^,\]]+)\]|"
-    r"R\*mul:\[(?P<mlo>[^,\]]+),(?P<mhi>[^,\]]+)\]|"
+    r"^(?:(?P<cyc>[ZC])(?P<cycn>[0-9]+)|D(?P<dihn>[0-9]+)|S(?P<symn>[0-9]+)|"
+    rf"R\+add:\[\s*(?P<alo>-?{_NUMBER})\s*,\s*(?P<ahi>-?{_NUMBER})\s*\]|"
+    rf"R\*mul:\[\s*(?P<mlo>-?{_NUMBER})\s*,\s*(?P<mhi>-?{_NUMBER})\s*\]|"
     r"(?P<circ>circle))$")
 
 
 def group_from_descriptor(text: str) -> Group:
     """Parse CLI descriptors like "Z6", "D4", "S4", "R+add:[0,10]",
-    "R*mul:[0.1,100]", "circle"."""
+    "R*mul:[0.1,100]", "circle"; a window bound is '-'? NUMBER, as in --set."""
     m = _DESCRIPTOR_RE.match(text.strip())
     if not m:
         raise DomainError(f"unrecognized group descriptor {text!r}")

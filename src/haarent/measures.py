@@ -26,48 +26,38 @@ __all__ = [
     "step_density", "table_density",
 ]
 
-FINITE = "finite"
-INTERVAL = "interval"
-
-
 @dataclass(frozen=True)
 class Space:
-    """Carrier of all sets and measures: finite atoms or one closed interval."""
+    """Carrier of all sets and measures: finite atoms, or the closed
+    interval between bounds."""
 
-    kind: str
     atoms: tuple = ()
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.kind == FINITE:
+        if self.bounds is None:
             if not self.atoms:
                 raise DomainError("finite space needs at least one atom")
             if len(set(self.atoms)) != len(self.atoms):
                 raise DomainError("atoms must be distinct")
-            if self.bounds is not None:
-                raise DomainError("finite space takes no bounds")
-        elif self.kind == INTERVAL:
+        else:
             if self.atoms:
                 raise DomainError("interval space takes no atoms")
-            if self.bounds is None:
-                raise DomainError("interval space needs bounds")
             lo, hi = self.bounds
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise DomainError(f"invalid interval bounds {self.bounds!r}")
-        else:
-            raise DomainError(f"unknown space kind {self.kind!r}")
 
     @classmethod
     def finite(cls, atoms: Iterable) -> "Space":
-        return cls(FINITE, atoms=tuple(atoms))
+        return cls(atoms=tuple(atoms))
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "Space":
-        return cls(INTERVAL, bounds=(float(lo), float(hi)))
+        return cls(bounds=(float(lo), float(hi)))
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == FINITE
+        return self.bounds is None
 
     @cached_property
     def _atom_positions(self) -> dict:
@@ -163,9 +153,6 @@ class MeasurableSet:
     @property
     def is_empty(self) -> bool:
         return not self.atoms and not self.intervals
-
-    def iter_atoms(self):
-        return iter(self.atoms)
 
     def contains_point(self, x) -> bool:
         if self.is_finite:

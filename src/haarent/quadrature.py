@@ -237,13 +237,13 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     """Like integrate, but returns the value with its error bound, the
     nodes evaluated and the final partition's size and worst panel."""
     if s.is_finite:
-        terms = [f(a) for a in s.iter_atoms()]
+        terms = [f(a) for a in s.atoms]
         try:
             total = math.fsum(terms)
         except (OverflowError, ValueError):  # past the range, or inf - inf
             total = math.inf
         if not math.isfinite(total):
-            for atom, t in zip(s.iter_atoms(), terms):  # the first not finite
+            for atom, t in zip(s.atoms, terms):  # the first not finite
                 if t != t:
                     raise DomainError(f"the summand is nan at the atom {atom!r}")
                 if math.isinf(t):

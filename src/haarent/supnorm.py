@@ -54,7 +54,7 @@ def _max_on_set(quot: Density, s: MeasurableSet) -> tuple:
                 raise DomainError(f"the density quotient is nan at {x!r}")
 
     if s.is_finite:
-        scan(s.iter_atoms())
+        scan(s.atoms)
         return best
     for a, b in s.intervals:
         if quot.piecewise_constant:

@@ -28,6 +28,7 @@ means slack >= -tolerance.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 import warnings
@@ -132,14 +133,11 @@ def _base(space: Space) -> Measure:
 _Z10, _Z12, _Z16 = (Cyclic(n).carrier for n in (10, 12, 16))
 _FINITE_POOL = (Cyclic(8), Cyclic(12), Cyclic(16), Dihedral(3), Dihedral(4))
 _SYMMETRY_POOL = (Cyclic(8), Cyclic(10), Cyclic(12), Cyclic(16), Dihedral(6))
-_SUBGROUPS: dict = {}
 
 
-def _subgroups_of(group: FiniteGroup):
-    key = group.describe()
-    if key not in _SUBGROUPS:
-        _SUBGROUPS[key] = tuple(subgroups(group))
-    return _SUBGROUPS[key]
+@functools.cache
+def _subgroups_of(group: FiniteGroup) -> tuple:
+    return tuple(subgroups(group))
 
 
 def _pick(rng, seq):
@@ -204,7 +202,7 @@ def _check_discrete_counting(rng, trial, tol):
     xi = Measure.from_density(space, _table(rng, space, 0.05, 1.0))
     a_set = _subset(rng, space)
     value = entropy_finite(xi, nu, a_set, CFG).nats
-    weights = [xi.density.evaluator(a) for a in a_set.iter_atoms()]
+    weights = [xi.density.evaluator(a) for a in a_set.atoms]
     total = math.fsum(weights)
     shannon = -math.fsum(w / total * math.log(w / total) for w in weights)
     card = entropy_finite(nu, nu, a_set, CFG).nats
@@ -381,9 +379,7 @@ def _check_relative_symmetry(rng, trial, tol):
         mode_note = f"A a plain superset, |H|={h_sub.order}, |A|={len(a_labels)}"
     h_set = MeasurableSet.of_atoms(space, h_labels)
     a_set = MeasurableSet.of_atoms(space, a_labels)
-    xi = Measure.from_density(
-        space, table_density(space, {a: rng.uniform(0.0, 1.0)
-                                     for a in space.atoms}))
+    xi = Measure.from_density(space, _table(rng, space, 0.0, 1.0))
     counting = Measure.counting(space)
     if mode != 0:
         diff = a_set.difference(h_set)
@@ -710,16 +706,11 @@ class RunSummary:
 
 
 def _summarize(seed: int, trials: int, reports: list) -> RunSummary:
-    order = []
     buckets: dict = {}
     for r in reports:
-        if r.claim_id not in buckets:
-            order.append(r.claim_id)
-            buckets[r.claim_id] = []
-        buckets[r.claim_id].append(r)
+        buckets.setdefault(r.claim_id, []).append(r)
     claims = []
-    for cid in order:
-        group = buckets[cid]
+    for cid, group in buckets.items():
         skipped = sum(1 for r in group if r.skipped)
         failed = sum(1 for r in group if not r.passed)
         passed = len(group) - failed - skipped

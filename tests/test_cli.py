@@ -529,6 +529,15 @@ class TestExitCodes:
         assert main(["entropy", "--measure", spaceless_uniform,
                      "--group", "Q8"]) == 2
 
+    @pytest.mark.parametrize("group", [
+        "Z\u0661\u0662",   # an Arabic-Indic twelve is not the order 12
+        "R+add:[a,1]"])   # a bound float() rejects: was a traceback
+    def test_descriptor_literals_exit_two(self, spaceless_uniform, capsys,
+                                          group):
+        assert main(["entropy", "--measure", spaceless_uniform,
+                     "--group", group]) == 2
+        assert "unrecognized group descriptor" in capsys.readouterr().err
+
 
 class TestEnvironmentTolerance:
     def test_env_tol_applies(self, monkeypatch, capsys):

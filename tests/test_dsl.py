@@ -195,6 +195,27 @@ def _parse_outcome(parser, src):
         return (str(exc), exc.position, exc.expected, exc.found)
 
 
+class TestAsciiDigits:
+    """A NUMBER's digits are ASCII 0-9; other Unicode decimal digits are
+    not read as numbers, so the text printed is the text written."""
+
+    @pytest.mark.parametrize("text, position", [
+        ("\u0661 + x", 0),            # ARABIC-INDIC DIGIT ONE
+        ("x + 1\u0662", 5),           # 1 then ARABIC-INDIC DIGIT TWO
+        ("x * \uff13", 4),            # FULLWIDTH DIGIT THREE
+        ("2.\u0665", 2),
+        ("piecewise {x < \u0661: 1; else: 2}", 15)])
+    def test_non_ascii_digit_is_unexpected(self, text, position):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value).startswith("unexpected character")
+        assert info.value.position == position
+
+    def test_ascii_digits_still_read(self):
+        assert parse("1234567890 + .5e1") == BinOp(
+            "+", Num(1234567890.0), Num(5.0))
+
+
 class TestGuardMatchesReference:
     def test_guard_corpus(self):
         accepted = overflowing = 0
@@ -895,7 +916,8 @@ class TestParseSet:
         assert s.intervals == ((-1.0, -0.05), (0.25, 5.0))
 
     @pytest.mark.parametrize("text", ["[1_0, 12]", "[+1, 2]", "[0, inf]",
-                                      "[nan, 1]", "[- 1, 2]", "[0, 1e]"])
+                                      "[nan, 1]", "[- 1, 2]", "[0, 1e]",
+                                      "[\u0660, \u0661]", "[0, 1\u0660]"])
     def test_python_only_spellings_rejected(self, text):
         with pytest.raises(ExprSyntaxError) as info:
             parse_set(text, Space.interval(-20.0, 20.0))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarent import entropy, quadrature
+from haarent.dsl import density_from_expr
 from haarent.entropy import (EntropyForm, NonUnitMassWarning, Verdict,
                              change_reference, entropic_gap, entropy_finite,
                              entropy_prob, entropy_weight, nonneg_certificate,
@@ -15,9 +17,10 @@ from haarent.entropy import (EntropyForm, NonUnitMassWarning, Verdict,
 from haarent.errors import (AbsoluteContinuityError, DegenerateMeasureError,
                             DomainError, NotInformationMeasureError)
 from haarent.groups import Dihedral, haar
-from haarent.measures import (Density, MeasurableSet, Measure, Space, mass,
-                              measure_of_weight, step_density, table_density)
-from haarent.quadrature import DEFAULT_INTEGRATOR, Integrator
+from haarent.measures import (Density, MeasurableSet, Measure, Space,
+                              _combined, mass, measure_of_weight,
+                              radon_nikodym, step_density, table_density)
+from haarent.quadrature import DEFAULT_INTEGRATOR, Integrator, xlogx
 from haarent.supnorm import is_information_measure, sup_density
 
 UNIT = Space.interval(0.0, 1.0)
@@ -623,3 +626,250 @@ class TestRememberedIntegrals:
             assert ref() is None
         finally:
             gc.enable()
+
+
+# The parent's integrand selection, kept test-local as the reference for
+# entropy._integral: four forms chosen by the density and by the flag
+# evaluate_null_atoms (the xlogx forms set it, and on a finite set then
+# evaluated the quotient at every atom, the reference's null atoms too).
+def reference_integral(h, f, m, s, cfg, evaluate_null_atoms):
+    f_ev, w_ev = f.evaluator, m.density.evaluator
+    c = m.density.constant
+    if c == 1.0:
+        integrand = lambda x: h(f_ev(x))
+    elif c is not None and c > 0:
+        integrand = lambda x: h(f_ev(x)) * c
+    elif evaluate_null_atoms and s.is_finite:
+        integrand = lambda x: h(f_ev(x)) * w_ev(x)
+    else:
+        def integrand(x):
+            wx = w_ev(x)
+            if wx == 0.0:
+                return 0.0
+            return h(f_ev(x)) * wx
+    g = _combined(integrand, f, m.density)
+    return quadrature.integrate(g.evaluator, s, cfg,
+                                breakpoints=g.breakpoints,
+                                piecewise_constant=g.piecewise_constant)
+
+
+# The parent's two hand-written checked quotients, of change_reference and
+# of entropic_gap, kept test-local as the references for
+# entropy._checked_quotient.
+def reference_change_quotient(mu, nu):
+    quot = radon_nikodym(mu, nu)
+    q_ev = quot.evaluator
+
+    def positive_quot(x):
+        q = q_ev(x)
+        if q <= 0.0:
+            raise AbsoluteContinuityError(
+                f"dmu/dnu is {q!r} at {x!r} where rho has positive density")
+        return q
+
+    return _combined(positive_quot, quot)
+
+
+def reference_gap_quotient(xi, haar_ref, tol):
+    quot = radon_nikodym(xi, haar_ref)
+    q_ev = quot.evaluator
+
+    def checked_quot(x):
+        q = q_ev(x)
+        if q > 1.0 + tol:
+            raise NotInformationMeasureError(
+                f"dxi/dhaar is {q!r} > 1 at {x!r}")
+        if q <= 0.0:
+            raise AbsoluteContinuityError(
+                f"dxi/dhaar is {q!r} at {x!r} where rho has positive density")
+        return q
+
+    return _combined(checked_quot, quot)
+
+
+def outcome(run):
+    """The bits of a float result, or the type and message it raised."""
+    try:
+        return run().hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_EXPRS = ("exp(-x)", "x^2", "abs(x - 0.5)", "0.75",
+          "piecewise {x < 0.3: 0; else: 2*x}",
+          "piecewise {0.2 < x < 0.6: 0.5; else: 0}",
+          "max(0.5 - x, 0)")
+
+
+def _finite_corpus(rng, space):
+    """Measures on a finite space: tables with zero atoms, constants."""
+    def table():
+        return Measure.from_density(space, table_density(space, {
+            a: (0.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 1.5)))
+            for a in space.atoms}))
+    out = [table() for _ in range(4)]
+    out += [Measure(space, Density.const(c)) for c in (0.0, 1.0, 2.5)]
+    return out
+
+
+def _interval_corpus(rng, space):
+    """Measures on an interval: steps with zero pieces, expressions,
+    constants."""
+    def step():
+        cuts = sorted(float(c) for c in rng.uniform(0.05, 0.95, 3))
+        vals = [0.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 1.5))
+                for _ in range(4)]
+        return Measure.from_density(space, step_density(cuts, vals))
+    out = [step(), step()]
+    out += [Measure.from_density(space, density_from_expr(
+        _EXPRS[rng.integers(len(_EXPRS))], space)) for _ in range(2)]
+    out += [Measure(space, Density.const(c)) for c in (0.0, 1.0, 2.5)]
+    return out
+
+
+def _corpus_cases(seed):
+    """(measures, sets) of one seeded case: a finite space with random
+    subsets, or the unit interval with random subintervals."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        space = Space.finite(["a", "b", "c", "d", "e"])
+        measures = _finite_corpus(rng, space)
+        sets = [MeasurableSet.full(space), MeasurableSet.of_atoms(
+            space, [a for a in space.atoms if rng.random() < 0.5] or ["c"])]
+    else:
+        measures = _interval_corpus(rng, UNIT)
+        a = float(rng.uniform(0.0, 0.5))
+        sets = [FULL, MeasurableSet.of_interval(UNIT, a, a + 0.4)]
+    return rng, measures, sets
+
+
+_CFG = Integrator(rel_tol=1e-8)
+
+
+class TestOneIntegralMatchesReference:
+    """entropy._integral, the null-atom check of _xlogx_integral and
+    _checked_quotient give the parent's bits, or its exception type and
+    message, on a seeded corpus: finite tables with zero atoms on either
+    side, constant references of 0, 1 and 2.5, step and expression
+    densities on intervals, dmu/dnu <= 0 and dxi/dhaar > 1 + tol."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integral(self, seed):
+        rng, measures, sets = _corpus_cases(seed)
+        hs = (xlogx, lambda y: y, lambda y: -xlogx(y), math.log,
+              lambda q: math.log(min(q, 1.0)))
+        for _ in range(30):
+            num, den, weight = (measures[rng.integers(len(measures))]
+                                for _ in range(3))
+            s = sets[rng.integers(len(sets))]
+            h = hs[rng.integers(len(hs))]
+            try:
+                f = radon_nikodym(num, den)
+            except AbsoluteContinuityError:
+                continue
+            got = outcome(lambda: entropy._integral(h, f, weight, s, _CFG))
+            want = outcome(lambda: reference_integral(h, f, weight, s, _CFG,
+                                                      False))
+            assert got == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_xlogx_integral(self, seed):
+        rng, measures, sets = _corpus_cases(seed)
+        for m in measures:
+            for reference in measures:
+                for s in sets:
+                    def want():
+                        return reference_integral(
+                            xlogx, radon_nikodym(m, reference), reference,
+                            s, _CFG, True)
+                    fresh = Measure(m.space, m.density)
+                    got = [outcome(lambda: entropy._xlogx_integral(
+                        fresh, reference, s, _CFG)) for _ in range(2)]
+                    assert got == [outcome(want)] * 2  # a repeat too
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_checked_quotients(self, seed):
+        rng, measures, sets = _corpus_cases(seed)
+        tol = 1e-9
+        for num in measures:
+            for den in measures:
+                # the gap's xi a multiple of num, some of it above 1
+                xi = num.scaled(float(rng.choice([0.5, 1.0, 3.0])))
+                for rho in measures[:3]:
+                    s = sets[rng.integers(len(sets))]
+                    got = outcome(lambda: entropy._integral(
+                        math.log, entropy._checked_quotient(
+                            num, den, "dmu/dnu", math.inf), rho, s, _CFG))
+                    want = outcome(lambda: reference_integral(
+                        math.log, reference_change_quotient(num, den), rho,
+                        s, _CFG, False))
+                    assert got == want
+                    log_min = lambda q: math.log(min(q, 1.0))
+                    got = outcome(lambda: entropy._integral(
+                        log_min, entropy._checked_quotient(
+                            xi, den, "dxi/dhaar", 1.0 + tol), rho, s, _CFG))
+                    want = outcome(lambda: reference_integral(
+                        log_min, reference_gap_quotient(xi, den, tol), rho,
+                        s, _CFG, False))
+                    assert got == want
+
+    def test_corpus_reaches_every_outcome(self):
+        # the corpus is not vacuous: it has values, absolute-continuity
+        # failures of both quotients and of the null-atom check, and
+        # quotients above 1
+        seen = set()
+        for seed in range(12):
+            rng, measures, sets = _corpus_cases(seed)
+            for num in measures:
+                for den in measures:
+                    for s in sets:
+                        for build in (
+                                lambda: entropy._checked_quotient(
+                                    num, den, "dmu/dnu", math.inf),
+                                lambda: entropy._checked_quotient(
+                                    num.scaled(3.0), den, "dxi/dhaar", 1.0)):
+                            r = outcome(lambda: entropy._integral(
+                                math.log, build(), den, s, _CFG))
+                            seen.add(r[0] if isinstance(r, tuple) else float)
+                        r = outcome(lambda: entropy._xlogx_integral(
+                            Measure(num.space, num.density), den, s, _CFG))
+                        seen.add(r[0] if isinstance(r, tuple) else float)
+        assert {float, AbsoluteContinuityError,
+                NotInformationMeasureError} <= seen
+
+
+class TestNullAtomCheck:
+    """The xlogx forms check absolute continuity at the reference's null
+    atoms before the remembered integral is looked up."""
+
+    ABC = Space.finite(["a", "b", "c", "d"])
+    ALL = MeasurableSet.full(ABC)
+
+    def test_raised_on_a_repeat_after_the_density_changed(self):
+        # a memo hit must not hide an atom the reference does not charge
+        weights = {"a": 0.5, "b": 0.25}
+        m = Measure(self.ABC, Density(lambda x: weights.get(x, 0.0)))
+        reference = Measure.from_density(
+            self.ABC, table_density(self.ABC, {"a": 1.0, "b": 1.0, "d": 1.0}))
+        first = entropy._xlogx_integral(m, reference, self.ALL, _CFG)
+        assert first == xlogx(0.5) + xlogx(0.25)
+        weights["c"] = 0.125
+        for _ in range(2):
+            with pytest.raises(AbsoluteContinuityError,
+                               match="vanishes at 'c' where the measure "
+                                     "has density 0.125"):
+                entropy._xlogx_integral(m, reference, self.ALL, _CFG)
+
+    def test_precedes_a_negative_atom(self):
+        # a raw Measure negative at a, with mass at c where the reference
+        # is 0: the null-atom check now raises first; the parent's
+        # integrand met a first and raised DomainError from xlogx
+        table = {"a": -0.1, "b": 1.0, "c": 0.5, "d": 0.0}
+        m = Measure(self.ABC, Density(table.__getitem__))
+        reference = Measure.from_density(
+            self.ABC, table_density(self.ABC, {"a": 1.0, "b": 1.0, "d": 1.0}))
+        with pytest.raises(AbsoluteContinuityError, match="vanishes at 'c'"):
+            entropy_finite(m, reference, self.ALL)
+        with pytest.raises(DomainError, match="xlogx is undefined"):
+            reference_integral(xlogx, radon_nikodym(m, reference), reference,
+                               self.ALL, DEFAULT_INTEGRATOR, True)

@@ -692,6 +692,24 @@ class TestDescriptors:
         with pytest.raises(DomainError):
             group_from_descriptor("R+add:[0,10")
 
+    @pytest.mark.parametrize("text", [
+        "Z\u0661\u0662", "D\u0664", "S\u0664", "C\uff14",
+        "R+add:[1_0,1_2]", "R*mul:[ +1 , 5]", "R+add:[0,inf]",
+        "R+add:[nan,1]", "R+add:[\u0660,1]", "R*mul:[1,5e]",
+        "R+add:[- 1,2]", "R+add:[a,1]"])
+    def test_bounds_and_orders_are_ascii_literals(self, text):
+        # orders are ASCII digits and a window bound is '-'? NUMBER, as
+        # a --set bound is; Python-only spellings do not match
+        with pytest.raises(DomainError,
+                           match="^unrecognized group descriptor"):
+            group_from_descriptor(text)
+
+    def test_window_bounds_take_number_literals(self):
+        g = group_from_descriptor("R+add:[ -1 , 2.5e-1 ]")
+        assert g.window == (-1.0, 0.25)
+        h = group_from_descriptor("R*mul:[.5,1E1]")
+        assert h.window == (0.5, 10.0)
+
 
 class TestWindowValidation:
     def test_additive_window_ordered(self):

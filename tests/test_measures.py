@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,27 @@ class TestSpace:
             Space.finite([])
         with pytest.raises(DomainError):
             Space.finite(["a", "a"])
+
+    def test_fields_are_atoms_and_bounds(self):
+        # a space is its atoms or its bounds; no third field can disagree
+        assert [f.name for f in dataclasses.fields(Space)] == ["atoms",
+                                                               "bounds"]
+        assert DIE == Space(atoms=(1, 2, 3, 4, 5, 6)) and DIE.is_finite
+        line = Space.interval(0, 2)
+        assert line == Space(bounds=(0.0, 2.0)) and not line.is_finite
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Space.finite([]), "finite space needs at least one atom"),
+        (lambda: Space.finite(["a", "a"]), "atoms must be distinct"),
+        (lambda: Space.interval(1.0, 1.0),
+         r"invalid interval bounds \(1.0, 1.0\)"),
+        (lambda: Space.interval(0.0, math.nan),
+         r"invalid interval bounds \(0.0, nan\)"),
+        (lambda: Space(atoms=(1,), bounds=(0.0, 1.0)),
+         "interval space takes no atoms")])
+    def test_messages(self, build, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()
 
     def test_resolve_atom_accepts_string_tokens(self):
         assert DIE.resolve_atom("3") == 3
