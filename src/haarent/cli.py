@@ -35,14 +35,15 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from . import dsl
 from .entropy import entropy_finite
 from .errors import (CatalogError, DomainError, ExprEvalError, ExprSyntaxError,
                      HaarentError, NormalizationError)
-from .groups import (Group, MultiplicativePositiveReals, generated_subgroup,
-                     group_from_descriptor, haar)
+from .groups import (_NUMBER, Group, MultiplicativePositiveReals,
+                     generated_subgroup, group_from_descriptor, haar)
 from .measures import Density, Measure, Space, table_density
 from .quadrature import Integrator
 from .report import reports_to_csv, reports_to_json, reports_to_table
@@ -170,12 +171,34 @@ def _load_measure(path: str, default_space: Space | None = None) -> Measure:
 # Small helpers
 
 
+def _ascii_reader(kind: type, pattern: str):
+    """kind(text) for a text that matches `pattern` once stripped, else
+    ValueError: int() and float() read every Unicode digit, so "٣" would
+    be 3. Named after kind, so argparse says "invalid int value"."""
+    rule = re.compile(pattern, re.IGNORECASE | re.ASCII)
+
+    def read(text: str):
+        text = text.strip()
+        if not rule.fullmatch(text):
+            raise ValueError(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__
+    return read
+
+
+# a sign and digits; a sign and a NUMBER literal, or a name of inf or nan,
+# which the range checks after parsing reject
+_read_int = _ascii_reader(int, r"[+-]?[0-9]+")
+_read_float = _ascii_reader(float, rf"[+-]?(?:{_NUMBER}|inf|infinity|nan)")
+
+
 def _env_tol() -> float | None:
     raw = os.environ.get("HAARENT_TOL")
     if raw is None:
         return None
     try:
-        v = float(raw)
+        v = _read_float(raw)
     except ValueError:
         raise _UsageError(f"HAARENT_TOL is not a number: {raw!r}") from None
     if not (v > 0 and math.isfinite(v)):
@@ -350,7 +373,7 @@ def _cmd_maxent(args, tol: float | None) -> int:
     from .maxent import maximize_entropy
     if args.nu is not None:
         try:
-            nu = [float(t) for t in args.nu.split(",") if t.strip()]
+            nu = [_read_float(t) for t in args.nu.split(",") if t.strip()]
         except ValueError:
             raise _UsageError(f"--nu must be comma-separated numbers, "
                               f"got {args.nu!r}") from None
@@ -433,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", metavar="SET",
                    help="evaluation set, e.g. \"[0,2]\" or \"{0,3}\" "
                         "(default: full space)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_read_float, default=None,
                    help="quadrature tolerance (default 1e-8; HAARENT_TOL "
                         "overrides the default)")
     common(p)
@@ -457,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="every claim plus the worked examples")
     which.add_argument("--claim", action="append", metavar="ID",
                        help="one claim id; repeatable")
-    p.add_argument("--trials", type=int, default=20,
+    p.add_argument("--trials", type=_read_int, default=20,
                    help="random instances per claim (default 20)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_read_int, default=0,
                    help="base seed (default 0)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_read_float, default=None,
                    help="pass threshold of the reports (default per claim; "
                         "HAARENT_TOL overrides the default)")
     common(p)
@@ -471,19 +494,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxent",
                        help="maximize entropy over the scaled simplex")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_read_int, default=None,
                    help="number of weights (uniform reference)")
     p.add_argument("--nu", metavar="W1,W2,...",
                    help="reference weights (overrides --n)")
-    p.add_argument("--mass", type=float, default=1.0,
+    p.add_argument("--mass", type=_read_float, default=1.0,
                    help="total mass of the weight vector (default 1)")
-    p.add_argument("--iters", type=int, default=500,
+    p.add_argument("--iters", type=_read_int, default=500,
                    help="cap on ascent iterations (default 500); the "
                         "ascent stops early once its state can no longer "
                         "change, which never changes the result")
-    p.add_argument("--step", type=float, default=0.1,
+    p.add_argument("--step", type=_read_float, default=0.1,
                    help="initial step size (default 0.1)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_read_int, default=0,
                    help="seed for the random start (default 0)")
     common(p)
     return parser

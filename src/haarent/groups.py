@@ -16,11 +16,21 @@ On the windowed kinds `_translation_range` alone decides which
 translations keep a set inside the window; `translation_samples` and
 `_translation_knots` stay inside it.
 
+A finite kind defines its law once, in bulk: `_right_products(xs, b)` is
+[x*b for x in xs], and `compose_reps` is its one-element case. The group
+tables are built from it whole: `_column(g)`, right multiplication by
+reps[g] as element indices, is one bulk product. Symmetric labels its
+reps from the permutations of its digit string, which follow the reps'
+order.
+
 Subgroups of a finite kind are closed by one routine, `_extend`, Dimino's
-walk over the right cosets of H inside <H, x>: `generated_subgroup` uses
-it alone, and `subgroups` (read by `subgroup_chains`) walks each cyclic
-subgroup by the powers of one generator, extends by `_extend` from there,
-and takes in the conjugates of each subgroup it extends.
+walk over the right cosets of H inside <H, x>, which stops with all of G
+once its cosets hold more than half the group (Lagrange):
+`generated_subgroup` uses it alone, and `subgroups` (read by
+`subgroup_chains`) walks each cyclic subgroup by the powers of one
+generator, extends by `_extend` from there, and takes in the conjugates of
+each subgroup it extends, conjugating by index through the columns and
+the inverse map.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import compress, permutations
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import (DomainError, UnsupportedOperationError,
@@ -97,7 +108,8 @@ class Group:
 class FiniteGroup(Group):
     is_finite = True
 
-    # subclasses provide _reps() (canonical order) and label_of()
+    # subclasses provide _reps() (canonical order), _right_products() and
+    # label_of()
 
     def _reps(self) -> tuple:
         raise NotImplementedError
@@ -131,7 +143,7 @@ class FiniteGroup(Group):
     @cached_property
     def _index(self) -> dict:
         """Position of each rep in the canonical order."""
-        return {r: i for i, r in enumerate(self.reps)}
+        return dict(zip(self.reps, range(len(self.reps))))
 
     @cached_property
     def _columns(self) -> dict:
@@ -139,12 +151,21 @@ class FiniteGroup(Group):
 
     def _column(self, g: int) -> list:
         """Right multiplication by reps[g]: entry i is the index of
-        reps[i]*reps[g]. Built on first use, n compositions."""
-        if g not in self._columns:
-            b, index = self.reps[g], self._index
-            self._columns[g] = [index[self.compose_reps(a, b)]
-                                for a in self.reps]
-        return self._columns[g]
+        reps[i]*reps[g]. Built on first use, by one _right_products."""
+        col = self._columns.get(g)
+        if col is None:
+            index = self._index
+            col = self._columns[g] = [
+                index[x] for x in self._right_products(self.reps,
+                                                       self.reps[g])]
+        return col
+
+    def compose_reps(self, a, b):
+        return self._right_products((a,), b)[0]
+
+    def _right_products(self, xs, b) -> list:
+        """[x*b for x in xs]: the group law, once per kind, in bulk."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -163,8 +184,9 @@ class Cyclic(FiniteGroup):
     def identity_rep(self):
         return 0
 
-    def compose_reps(self, a, b):
-        return (a + b) % self.n
+    def _right_products(self, xs, b):
+        n = self.n
+        return [(a + b) % n for a in xs]
 
     def inverse_rep(self, a):
         return (-a) % self.n
@@ -189,9 +211,10 @@ class Dihedral(FiniteGroup):
     def identity_rep(self):
         return (0, 0)
 
-    def compose_reps(self, a, b):
-        (r1, f1), (r2, f2) = a, b
-        return ((r1 + (r2 if f1 == 0 else -r2)) % self.n, (f1 + f2) % 2)
+    def _right_products(self, xs, b):
+        n, (r2, f2) = self.n, b
+        return [((r1 + (r2 if f1 == 0 else -r2)) % n, (f1 + f2) % 2)
+                for r1, f1 in xs]
 
     def inverse_rep(self, a):
         r, f = a
@@ -221,8 +244,13 @@ class Symmetric(FiniteGroup):
     def identity_rep(self):
         return tuple(range(self.n))
 
-    def compose_reps(self, a, b):
-        return tuple([a[i] for i in b])
+    def _right_products(self, xs, b):
+        # (x*b)[i] = x[b[i]]; itemgetter of one index gives the item, not
+        # a 1-tuple, so S1 wraps it
+        get = itemgetter(*b)
+        if len(b) == 1:
+            return [(get(x),) for x in xs]
+        return list(map(get, xs))
 
     def inverse_rep(self, a):
         out = [0] * self.n
@@ -232,6 +260,13 @@ class Symmetric(FiniteGroup):
 
     def label_of(self, rep) -> str:
         return "".join(str(d) for d in rep)
+
+    @cached_property
+    def _rep_by_label(self) -> dict:
+        # the permutations of the digit string come out in the order of
+        # the reps, the permutations of range(n): no str call per digit
+        return dict(zip(map("".join, permutations("012345"[:self.n])),
+                        self.reps))
 
     def describe(self) -> str:
         return f"S{self.n}"
@@ -428,7 +463,7 @@ def _mask(n: int, members: Iterable[int]) -> bytes:
 
 
 def _members(mask: bytes) -> list[int]:
-    return [i for i, bit in enumerate(mask) if bit]
+    return list(compress(range(len(mask)), mask))
 
 
 def _extend(group: FiniteGroup, h: list[int], h_mask: bytes,
@@ -440,10 +475,13 @@ def _extend(group: FiniteGroup, h: list[int], h_mask: bytes,
     generators permutes these cosets transitively. So the walk starts from
     H, maps each coset through each generator's column, and keeps the image
     when its first element is not yet in the mask (cosets are disjoint).
+    The walk stops as soon as its cosets hold more than half the group:
+    by Lagrange the order of <H, x> divides |G|, so it is then G.
     """
     cols = [group._column(g) for g in gens]
     mask = bytearray(h_mask)
     cosets = [h]
+    most = len(mask) // (2 * len(h))  # cosets that hold at most half of G
     for coset in cosets:
         for col in cols:
             if not mask[col[coset[0]]]:
@@ -451,12 +489,13 @@ def _extend(group: FiniteGroup, h: list[int], h_mask: bytes,
                 for i in new:
                     mask[i] = 1
                 cosets.append(new)
+                if len(cosets) > most:
+                    return b"\x01" * len(mask)
     return bytes(mask)
 
 
 def _subgroup(group: FiniteGroup, mask: bytes) -> Subgroup:
-    atoms = group.carrier.atoms
-    return Subgroup(group, tuple(atoms[i] for i in _members(mask)))
+    return Subgroup(group, tuple(compress(group.carrier.atoms, mask)))
 
 
 def _closure(group: FiniteGroup, xs: Iterable[int]) -> tuple[bytes, tuple]:
@@ -484,11 +523,11 @@ def generated_subgroup(group: FiniteGroup, xs: Iterable) -> Subgroup:
         group, [index[group.check_rep(x)] for x in xs])[0])
 
 
-def _conjugation(group: FiniteGroup, g: int) -> list[int]:
-    """Conjugation by reps[g]: entry i is the index of g^-1 * reps[i] * g."""
-    ginv, index = group.inverse_rep(group.reps[g]), group._index
-    col = group._column(g)
-    return [col[index[group.compose_reps(ginv, r)]] for r in group.reps]
+def _conjugation(col: list[int], inv: list[int]) -> list[int]:
+    """Conjugation by the element g whose column is col: entry i is the
+    index of g^-1 * r * g for r = reps[i], read as ((r^-1 * g)^-1) * g
+    through inv, where inv[i] is the index of reps[i]^-1."""
+    return [col[inv[col[j]]] for j in inv]
 
 
 def _conjugates(mask: bytes, conj: list[list[int]]) -> set[bytes]:
@@ -552,7 +591,9 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
             if math.gcd(k, len(powers)) == 1:
                 done[powers[k]] = 1
     pool = [x for key, x in cyclic.items() if _is_prime_power(sum(key))]
-    conj = [_conjugation(group, g) for g in _closure(group, pool)[1]]
+    inv = [index[group.inverse_rep(r)] for r in reps]
+    conj = [_conjugation(group._column(g), inv)
+            for g in _closure(group, pool)[1]]
 
     found = {trivial}
     queue: list[tuple[bytes, tuple]] = []  # (K, its generators), one per class

@@ -61,7 +61,7 @@ class Space:
 
     @cached_property
     def _atom_positions(self) -> dict:
-        return {a: i for i, a in enumerate(self.atoms)}
+        return dict(zip(self.atoms, range(len(self.atoms))))
 
     def atom_position(self, atom) -> int:
         try:
@@ -76,12 +76,11 @@ class Space:
         if token in self._atom_positions:
             return token
         if isinstance(token, str):
-            try:
-                as_int = int(token)
-            except ValueError:
-                as_int = None
-            if as_int is not None and as_int in self._atom_positions:
-                return as_int
+            # ASCII digits only, as a NUMBER literal: int() would read
+            # every Unicode digit, so "١" would name the atom 1
+            if (token.isascii() and token.isdigit()
+                    and int(token) in self._atom_positions):
+                return int(token)
             for a in self.atoms:
                 if str(a) == token:
                     return a
@@ -122,12 +121,14 @@ class MeasurableSet:
 
     @classmethod
     def of_atoms(cls, space: Space, atoms: Iterable) -> "MeasurableSet":
-        chosen = set()
+        positions, chosen = space._atom_positions, set()
         for a in atoms:
-            space.atom_position(a)  # membership check
-            chosen.add(a)
-        ordered = tuple(a for a in space.atoms if a in chosen)
-        return cls(space, atoms=ordered)
+            try:
+                chosen.add(positions[a])
+            except (KeyError, TypeError):
+                space.atom_position(a)  # raises the DomainError
+        return cls(space, atoms=tuple(map(space.atoms.__getitem__,
+                                          sorted(chosen))))
 
     @classmethod
     def of_intervals(cls, space: Space,
@@ -307,9 +308,10 @@ def table_density(space: Space, weights: Mapping) -> Density:
     """Per-atom weights for a finite space; missing atoms weigh 0."""
     if not space.is_finite:
         raise DomainError("table densities need a finite space")
-    table = {}
+    table, positions = {}, space._atom_positions
     for atom, w in weights.items():
-        atom = space.resolve_atom(atom)
+        if atom not in positions:
+            atom = space.resolve_atom(atom)
         w = float(w)
         if w < 0:
             raise DomainError(f"negative weight {w!r} for atom {atom!r}")
@@ -348,8 +350,9 @@ class Measure:
                      label: str = "") -> "Measure":
         points = (space.atoms if space.is_finite else
                   sample_grid(*space.bounds, 16, density.breakpoints))
+        ev = density.evaluator
         for p in points:
-            v = density(p)
+            v = ev(p)
             if v < 0 or math.isnan(v):
                 raise DomainError(
                     f"density of {label or 'measure'} is {v!r} at {p!r}")

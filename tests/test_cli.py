@@ -539,6 +539,59 @@ class TestExitCodes:
         assert "unrecognized group descriptor" in capsys.readouterr().err
 
 
+class TestNumberOptions:
+    """Numeric options and HAARENT_TOL are ASCII literals: int() and
+    float() would read every Unicode digit."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["maxent", "--n", "\u0663"], "argument --n: invalid int value"),
+        (["maxent", "--n", "3", "--iters", "\u0665"],
+         "argument --iters: invalid int value"),
+        (["maxent", "--n", "3", "--seed", "\uff17"],
+         "argument --seed: invalid int value"),
+        (["maxent", "--n", "3", "--mass", "\u0660.5"],
+         "argument --mass: invalid float value"),
+        (["maxent", "--n", "3", "--step", "\uff10.1"],
+         "argument --step: invalid float value"),
+        (["maxent", "--n", "3", "--iters", "1_0"],
+         "argument --iters: invalid int value"),
+        (["maxent", "--nu", "1,\u0662"], "--nu must be comma-separated "
+                                         "numbers, got '1,\u0662'"),
+        (["verify", "--claim", "lem-finite-form", "--trials", "\u0662"],
+         "argument --trials: invalid int value"),
+        (["verify", "--claim", "lem-finite-form", "--seed", "\u0667"],
+         "argument --seed: invalid int value"),
+        (["verify", "--claim", "lem-finite-form", "--tol", "\uff11e-6"],
+         "argument --tol: invalid float value"),
+        (["entropy", "--measure", "m.json", "--group", "Z6", "--tol",
+          "1e-\u0666"], "argument --tol: invalid float value")])
+    def test_non_ascii_digits_exit_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_env_tol_non_ascii_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("HAARENT_TOL", "\uff11e-6")
+        assert main(["verify", "--claim", "lem-finite-form"]) == 2
+        assert capsys.readouterr().err == (
+            "haarent: error: HAARENT_TOL is not a number: '\uff11e-6'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["maxent", "--n", " 3", "--iters", "+5", "--seed", "07"],
+        ["maxent", "--nu", "1, 2.5e0,.5", "--mass", "2.", "--step", "1E-1",
+         "--iters", "5"]])
+    def test_ascii_literals_still_read(self, capsys, argv):
+        assert main(argv) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["inf", "Infinity", "NaN", "0"])
+    def test_non_finite_names_reach_the_range_check(self, capsys, value):
+        assert main(["maxent", "--n", "3", "--mass", value]) == 2
+        assert capsys.readouterr().err == (
+            f"haarent: error: --mass must be positive and finite, got "
+            f"{float(value)!r}\n")
+
+
 class TestEnvironmentTolerance:
     def test_env_tol_applies(self, monkeypatch, capsys):
         monkeypatch.setenv("HAARENT_TOL", "1e-20")

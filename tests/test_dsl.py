@@ -906,6 +906,13 @@ class TestParseSet:
         with pytest.raises(ExprSyntaxError):
             parse_set("{1, 9}", DIE)
 
+    @pytest.mark.parametrize("text", ["{\u0661, \uff13}", "{1, \u0663}",
+                                      "{+1}", "{1_0}"])
+    def test_atom_tokens_are_ascii_digits(self, text):
+        # int() read "\u0661" and "\uff13" as 1 and 3
+        with pytest.raises(ExprSyntaxError, match="is not an atom"):
+            parse_set(text, Space.finite([1, 2, 3, 10]))
+
     def test_escaping_interval_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse_set("[0, 2]", UNIT)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 import pytest
@@ -562,6 +564,11 @@ class _Alternating4(Symmetric):
         return tuple(p for p in super()._reps()
                      if sum(a > b for a, b in combinations(p, 2)) % 2 == 0)
 
+    @cached_property
+    def _rep_by_label(self):
+        # Symmetric's labels are those of all of S4, in S4's order
+        return {self.label_of(r): r for r in self.reps}
+
     def describe(self) -> str:
         return "A4"
 
@@ -620,6 +627,93 @@ class TestClassWiseSearch:
         assert len(group._columns) <= 30
 
 
+def _written_law(group):
+    """Each finite kind's law as its definition writes it."""
+    n = group.n
+    if isinstance(group, Cyclic):
+        return lambda a, b: (a + b) % n
+    if isinstance(group, Dihedral):
+        return lambda a, b: ((a[0] + (b[0] if a[1] == 0 else -b[0])) % n,
+                             (a[1] + b[1]) % 2)
+    return lambda a, b: tuple(a[i] for i in b)
+
+
+TABLE_GROUPS = [*map(Cyclic, range(1, 13)), *map(Dihedral, range(1, 9)),
+                *map(Symmetric, range(1, 6))]
+SYMMETRIC_SIX = Symmetric(6)
+
+
+def _coset_rows(group) -> int:
+    """Coset rows _extend appends while subgroups(group) runs: its calls
+    of list.append, seen by a profile hook."""
+    code, rows = _extend.__code__, [0]
+
+    def hook(frame, event, arg):
+        if (event == "c_call" and frame.f_code is code
+                and arg.__name__ == "append"):
+            rows[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        subgroups(group)
+    finally:
+        sys.setprofile(previous)
+    return rows[0]
+
+
+class TestBulkTables:
+    """Columns and labels are built in bulk; the law they follow is each
+    kind's compose_reps, and that is the written law."""
+
+    @pytest.mark.parametrize("group", TABLE_GROUPS,
+                             ids=lambda g: g.describe())
+    def test_columns_follow_the_written_law(self, group):
+        law, reps, index = _written_law(group), group.reps, group._index
+        for a, b in product(reps, reps):
+            assert group.compose_reps(a, b) == law(a, b)
+        for g, b in enumerate(reps):
+            assert group._column(g) == [index[group.compose_reps(a, b)]
+                                        for a in reps]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 719), st.integers(0, 719))
+    def test_symmetric_six_sample(self, g, a):
+        group, law = SYMMETRIC_SIX, _written_law(SYMMETRIC_SIX)
+        reps, index = group.reps, group._index
+        assert group.compose_reps(reps[a], reps[g]) == law(reps[a], reps[g])
+        assert group._column(g) == [index[group.compose_reps(x, reps[g])]
+                                    for x in reps]
+
+    @pytest.mark.parametrize("group", [*TABLE_GROUPS, SYMMETRIC_SIX],
+                             ids=lambda g: g.describe())
+    def test_labels_are_label_of_in_rep_order(self, group):
+        want = {group.label_of(r): r for r in group.reps}
+        assert list(group._rep_by_label.items()) == list(want.items())
+
+    def test_s5_tables_need_no_compose_calls(self, monkeypatch):
+        calls = []
+        law = Symmetric.compose_reps
+
+        def counting(self, a, b):
+            calls.append(1)
+            return law(self, a, b)
+
+        monkeypatch.setattr(Symmetric, "compose_reps", counting)
+        assert len(subgroups(Symmetric(5))) == 156
+        # one call per column entry and per conjugation entry made 7,484
+        assert len(calls) <= 1000
+        calls.clear()
+        group = Symmetric(5)
+        assert generated_subgroup(group, ["10234", "12340"]).order == 120
+        assert group._columns and calls == []
+
+    def test_walks_stop_past_half_the_group(self):
+        # 441 of the 849 walks of subgroups(S5) end at S5; walks that go
+        # on past half the group append 9,747 coset rows, not 6,295
+        assert _coset_rows(Symmetric(5)) <= 6500
+
+
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -634,7 +728,8 @@ class TestDeclaredDomain:
             lattices.append(subgroups(group))
             return lattices[-1]
 
-        # one enumeration (1.5 s): keep the lattice subgroup_chains gets
+        # one enumeration (about 0.5 s): keep the lattice subgroup_chains
+        # gets
         monkeypatch.setattr(groups, "subgroups", spy)
         g = Symmetric(6)
         chains = subgroup_chains(g)

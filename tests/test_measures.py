@@ -67,6 +67,19 @@ class TestSpace:
         with pytest.raises(DomainError):
             DIE.resolve_atom("7")
 
+    @pytest.mark.parametrize("token", ["\u0663", "\uff13", "\u00b3",
+                                       "1_0", "+3", "3.0"])
+    def test_resolve_atom_reads_ascii_digits_only(self, token):
+        # int() reads each of these as 3 or 10; the text names no atom
+        with pytest.raises(DomainError, match="is not an atom"):
+            Space.finite([1, 2, 3, 10]).resolve_atom(token)
+
+    def test_resolve_atom_other_tokens(self):
+        space = Space.finite([-1, 7, "a"])
+        assert space.resolve_atom("07") == 7
+        assert space.resolve_atom("-1") == -1  # by its str, not by int()
+        assert space.resolve_atom("a") == "a"
+
 
 class TestMeasurableSet:
     def test_adjacent_intervals_merge(self):
@@ -92,6 +105,23 @@ class TestMeasurableSet:
     def test_unknown_atom_rejected(self):
         with pytest.raises(DomainError):
             MeasurableSet.of_atoms(DIE, [7])
+
+    @pytest.mark.parametrize("atom", ["1", [1], None])
+    def test_foreign_and_unhashable_atoms_rejected(self, atom):
+        with pytest.raises(DomainError, match="is not an atom"):
+            MeasurableSet.of_atoms(DIE, [1, atom])
+
+    def test_atoms_checked_by_one_lookup(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(Space, "atom_position",
+                            lambda self, a: checked.append(a))
+        assert MeasurableSet.of_atoms(DIE, iter([6, 2, 6])).atoms == (2, 6)
+        assert checked == []
+
+    def test_equal_atoms_are_the_space_own(self):
+        s = MeasurableSet.of_atoms(DIE, [2.0, True])
+        assert s.atoms == (1, 2)
+        assert [type(a) for a in s.atoms] == [int, int]
 
     def test_union_and_difference(self):
         a = MeasurableSet.of_atoms(DIE, [1, 2])
@@ -266,6 +296,29 @@ class TestDensityHelpers:
         assert d(3) == 0.0
         assert sup_density(Measure.from_density(DIE, d), Measure.counting(DIE),
                            MeasurableSet.full(DIE)) == 2.0
+
+    def test_table_density_keys_are_ascii_digits(self):
+        space = Space.finite([1, 2, 3])
+        with pytest.raises(DomainError, match="is not an atom"):
+            table_density(space, {"\u0661": 1.0})
+        assert table_density(space, {"1": 1.0})(1) == 1.0
+
+    def test_table_density_resolves_only_non_atoms(self, monkeypatch):
+        resolved = []
+        real = Space.resolve_atom
+
+        def spy(self, token):
+            resolved.append(token)
+            return real(self, token)
+
+        monkeypatch.setattr(Space, "resolve_atom", spy)
+        labels = Space.finite(["012", "102", "021"])
+        d = table_density(labels, {"012": 0.5, "021": 2.0})
+        assert (d("012"), d("102"), d("021")) == (0.5, 0.0, 2.0)
+        assert resolved == []
+        d = table_density(DIE, {1: 0.5, "6": 2.0})
+        assert (d(1), d(6)) == (0.5, 2.0)
+        assert resolved == ["6"]
 
     def test_table_density_needs_finite_space(self):
         with pytest.raises(DomainError):
