@@ -8,11 +8,9 @@ agree with it after normalization. Built-in groups supply translation
 structure and Haar references; the verifier module turns every identity
 and inequality the library implements into seeded, reproducible checks.
 
-The maxent and verifier modules, and the names below that come from
-them, are imported on first use. Only maxent needs numpy: entropy,
-supnorm, the group API and the verifier run without it (the verifier
-draws from its own PCG64 stream, bit-equal to numpy's), except the
-maxent-concavity claim, which calls maxent.concavity_probe.
+The verifier module, and the names below that come from it, are imported
+on first use, which keeps the import cost of its catalog off every other
+command. haarent needs no package outside the standard library.
 """
 
 import importlib
@@ -32,6 +30,8 @@ from .groups import (AdditiveReals, Circle, Cyclic, Dihedral, FiniteGroup,
                      Symmetric, generated_subgroup,
                      group_from_descriptor, haar, subgroup_chains, subgroups,
                      translate_set, translation_samples)
+from .maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
+                     maximize_entropy)
 from .measures import (Density, MeasurableSet, Measure, Space, mass,
                        measure_of_weight, radon_nikodym, step_density,
                        table_density)
@@ -44,26 +44,21 @@ from .supnorm import (SupNormalizationReport, check_translate_bound,
 
 __version__ = "0.1.0"
 
-# name -> the submodule that defines it (PEP 562): maxent, which loads
-# numpy, and the verifier, which keeps the import cost of its catalog
-# off entropy and supnorm. Nothing resolved is bound here, so each lookup
-# sees the submodule's current binding (a wrapper put on
-# maximize_entropy, and its removal, included).
-_LAZY = {"maxent": "maxent", "verifier": "verifier",
-         **dict.fromkeys(("SimplexPoint", "concavity_probe",
-                          "entropy_of_weights", "maximize_entropy"),
-                         "maxent"),
-         **dict.fromkeys(("ClaimSpec", "ClaimSummary", "RunSummary",
-                          "catalog", "claim_ids", "run_all", "run_examples",
-                          "summary_to_table", "verify"), "verifier")}
+# the verifier and the names it defines (PEP 562): imported on first use,
+# which keeps the import cost of its catalog off entropy, supnorm and
+# maxent. Nothing resolved is bound here, so each lookup sees the
+# verifier's current binding (a wrapper put on verify, and its removal,
+# included).
+_LAZY = frozenset(("verifier", "ClaimSpec", "ClaimSummary", "RunSummary",
+                   "catalog", "claim_ids", "run_all", "run_examples",
+                   "summary_to_table", "verify"))
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    mod = importlib.import_module(f"{__name__}.{module}")
-    return mod if name == module else getattr(mod, name)
+    verifier = importlib.import_module(f"{__name__}.verifier")
+    return verifier if name == "verifier" else getattr(verifier, name)
 
 
 def __dir__() -> list:

@@ -11,11 +11,18 @@ Space-Efficient Statistically Good Algorithms for Random Number
 Generation", HMC-CS-2014-0905): a 128-bit LCG with the XSL-RR output.
 Its state and increment come from numpy's SeedSequence with a pool of
 four 32-bit words.
+
+seed_int is the one seed rule of the package's generators: this stream
+and the random.Random of haarent.maxent.
 """
 
 from __future__ import annotations
 
-__all__ = ["Stream"]
+import operator
+
+from .errors import DomainError
+
+__all__ = ["Stream", "seed_int"]
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -33,6 +40,20 @@ _POOL = 4
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _DOUBLE_UNIT = 2.0 ** -53
+
+
+def seed_int(seed) -> int:
+    """seed as an int, or DomainError unless it is a non-negative
+    integer (a bool counts as one, as numpy's seeding has it).
+    random.Random would take abs() of a negative int and hash a float."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise DomainError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def _words(entropy) -> list:

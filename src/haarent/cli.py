@@ -44,14 +44,14 @@ from .errors import (CatalogError, DomainError, ExprEvalError, ExprSyntaxError,
                      HaarentError, NormalizationError)
 from .groups import (_NUMBER, Group, MultiplicativePositiveReals,
                      generated_subgroup, group_from_descriptor, haar)
+from .maxent import maximize_entropy
 from .measures import Density, Measure, Space, table_density
 from .quadrature import Integrator
 from .report import reports_to_csv, reports_to_json, reports_to_table
 from .supnorm import sup_density, sup_normalize
 
-# the commands that use verifier and maxent import them when they run;
-# maxent loads numpy, so only maxent and verify's maxent-concavity claim
-# load it
+# verify and examples import the verifier when they run, which keeps
+# the import cost of its catalog off the other commands
 
 __all__ = ["main", "measure_from_spec"]
 
@@ -189,8 +189,26 @@ def _ascii_reader(kind: type, pattern: str):
 
 # a sign and digits; a sign and a NUMBER literal, or a name of inf or nan,
 # which the range checks after parsing reject
+_FLOAT = rf"(?:{_NUMBER}|inf|infinity|nan)"
 _read_int = _ascii_reader(int, r"[+-]?[0-9]+")
-_read_float = _ascii_reader(float, rf"[+-]?(?:{_NUMBER}|inf|infinity|nan)")
+_read_float = _ascii_reader(float, rf"[+-]?{_FLOAT}")
+
+# argparse takes a token after an option for its value when it looks like
+# "-5" or "-.5", and for another option when it is "-1e-3" or "-inf".
+# Joined to the option before it, as "--step=-1e-3", such a negative
+# number reaches the option's reader and range check on every Python.
+_NEGATIVE = re.compile(rf"-{_FLOAT}", re.IGNORECASE | re.ASCII)
+
+
+def _join_negatives(argv: list) -> list:
+    out = []
+    for arg in argv:
+        if (out and re.fullmatch(r"--[^=]+", out[-1])
+                and _NEGATIVE.fullmatch(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _env_tol() -> float | None:
@@ -370,7 +388,6 @@ def _cmd_examples(args, tol: float | None) -> int:
 
 
 def _cmd_maxent(args, tol: float | None) -> int:
-    from .maxent import maximize_entropy
     if args.nu is not None:
         try:
             nu = [_read_float(t) for t in args.nu.split(",") if t.strip()]
@@ -502,10 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total mass of the weight vector (default 1)")
     p.add_argument("--iters", type=_read_int, default=500,
                    help="cap on ascent iterations (default 500); the "
-                        "ascent stops early once its state can no longer "
-                        "change, which never changes the result")
-    p.add_argument("--step", type=_read_float, default=0.1,
-                   help="initial step size (default 0.1)")
+                        "ascent stops early once its iterates repeat, "
+                        "which never changes the result")
+    p.add_argument("--step", type=_read_float, default=0.9,
+                   help="mirror ascent step, below 2 (default 0.9)")
     p.add_argument("--seed", type=_read_int, default=0,
                    help="seed for the random start (default 0)")
     common(p)
@@ -529,7 +546,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negatives(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -545,6 +545,12 @@ def _out(lo: float, hi: float, steps: int = 1) -> tuple:
     return lo, hi
 
 
+def _nonnegative(r: tuple) -> tuple:
+    # the enclosure of a function that returns no negative float (exp,
+    # sqrt, an even power), whose lower end outward rounding took below 0
+    return max(0.0, r[0]), r[1]
+
+
 def _saturating(f, *args) -> float:
     try:
         return f(*args)
@@ -618,7 +624,8 @@ def _power_range(e: BinOp, a: tuple, lo: float, hi: float) -> Optional[tuple]:
         rlo, rhi = min(c1, c2), max(c1, c2)
         if n > 0 and n % 2 == 0 and alo < 0 < ahi:
             rlo = 0.0
-        return _out(rlo, rhi, 2)
+        r = _out(rlo, rhi, 2)
+        return _nonnegative(r) if n % 2 == 0 else r
     if not (alo > 0 or alo == ahi == 0):
         return None  # a negative base, or one that may be 0, may fault
     b = _range(e.right, lo, hi)
@@ -648,10 +655,13 @@ def _call_range(e: Call, lo: float, hi: float) -> Optional[tuple]:
             return -vhi, -vlo
         return 0.0, max(-vlo, vhi)
     if e.func == "exp":
-        return _out(_saturating(math.exp, vlo), _saturating(math.exp, vhi), 2)
+        return _nonnegative(_out(_saturating(math.exp, vlo),
+                                 _saturating(math.exp, vhi), 2))
     if e.func == "log":
         return None if vlo <= 0 else _out(math.log(vlo), math.log(vhi), 2)
-    return None if vlo < 0 else _out(math.sqrt(vlo), math.sqrt(vhi), 2)
+    if vlo < 0:
+        return None
+    return _nonnegative(_out(math.sqrt(vlo), math.sqrt(vhi), 2))
 
 
 def _piecewise_range(e: Piecewise, lo: float, hi: float) -> Optional[tuple]:

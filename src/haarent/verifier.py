@@ -8,9 +8,10 @@ tolerance tightens to 1e-12.
 
 Each trial draws from its own stream: a PCG64 generator
 (_pcg64.Stream) seeded with [seed, trial, crc32(claim id)], bit-equal to
-numpy.random.default_rng with that seed. So the verifier runs without
-numpy; only the maxent-concavity claim loads it, through
-maxent.concavity_probe.
+numpy.random.default_rng with that seed, so the verifier runs without
+numpy. The maxent-concavity claim draws its pairs from the
+random.Random that maxent.concavity_probe seeds from the trial's
+stream.
 
 A checker is called as checker(rng, trial, tol) with the trial's stream
 and returns what it compared, never a report: a tuple
@@ -30,13 +31,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ._pcg64 import Stream
+from ._pcg64 import Stream, seed_int
 from .entropy import (NonUnitMassWarning, Verdict, change_reference,
                       entropic_gap, entropy_finite, entropy_prob,
                       entropy_weight, nonneg_certificate, uniform_measure)
@@ -44,6 +44,7 @@ from .errors import CatalogError, DomainError
 from .groups import (AdditiveReals, Cyclic, Dihedral, FiniteGroup,
                      MultiplicativePositiveReals, haar, subgroups,
                      translate_set)
+from .maxent import concavity_probe
 from .measures import (Density, MeasurableSet, Measure, Space, mass,
                        measure_of_weight, step_density, table_density)
 from .quadrature import DEFAULT_INTEGRATOR as CFG
@@ -226,9 +227,6 @@ def _check_uniform_maximizer(rng, trial, tol):
 
 
 def _check_concavity(rng, trial, tol):
-    # the one claim that loads numpy: concavity_probe draws Dirichlet
-    # points from numpy's own generator
-    from .maxent import concavity_probe
     n = rng.integers(2, 11)
     nu = tuple(rng.uniform(0.2, 2.0, n))
     # the pairs come from this trial's generator: the chord excess does
@@ -562,19 +560,6 @@ def claim_ids() -> tuple:
     return tuple(spec.claim_id for spec in _CATALOG)
 
 
-def _seed_int(seed) -> int:
-    """seed as an int, or DomainError unless it is a non-negative
-    integer (a bool counts as one, as numpy's seeding has it)."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise DomainError(
-            f"seed must be a non-negative integer, got {seed!r}")
-    return value
-
-
 def verify(claim_id: str, trials: int = 20, seed: int = 0,
            tol: Optional[float] = None) -> list:
     """Run one claim's checker on `trials` seeded random instances.
@@ -588,7 +573,7 @@ def verify(claim_id: str, trials: int = 20, seed: int = 0,
     if spec is None:
         raise CatalogError(f"unknown claim id {claim_id!r}; known: "
                            f"{', '.join(claim_ids())}")
-    seed = _seed_int(seed)
+    seed = seed_int(seed)
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials!r}")
     reports = []
@@ -728,7 +713,7 @@ def run_all(seed: int = 0, trials: int = 20,
     and a warning is emitted; trials < 0 raises DomainError (from the first
     verify call), as does a seed that is not a non-negative integer.
     """
-    seed = _seed_int(seed)
+    seed = seed_int(seed)
     if trials == 0:
         warnings.warn("trials=0: all claims skipped, nothing verified",
                       stacklevel=2)

@@ -584,6 +584,31 @@ class TestNumberOptions:
         assert main(argv) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["maxent", "--n", "3", "--step", "-1e-3"],
+         "--step must be positive and finite, got -0.001"),
+        (["maxent", "--n", "3", "--step", "-inf"],
+         "--step must be positive and finite, got -inf"),
+        (["maxent", "--n", "3", "--mass", "-inf"],
+         "--mass must be positive and finite, got -inf"),
+        (["maxent", "--n", "3", "--mass", "-2.5E+3"],
+         "--mass must be positive and finite, got -2500.0"),
+        (["maxent", "--n", "3", "--mass", "-NaN"],
+         "--mass must be positive and finite, got nan"),
+        (["maxent", "--nu", "-1e-3"], "--nu weights must be positive "
+                                      "numbers"),
+        (["maxent", "--n", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["verify", "--claim", "lem-finite-form", "--tol", "-1e-3"],
+         "tolerance must be positive, got -0.001"),
+        (["entropy", "--measure", "m.json", "--group", "Z6", "--tol",
+          "-1e-3"], "tolerance must be positive, got -0.001")])
+    def test_negative_numbers_reach_the_range_check(self, capsys, argv,
+                                                    message):
+        # argparse alone would take "-1e-3" and "-inf" for options and
+        # exit 2 with "expected one argument"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"haarent: error: {message}\n"
+
     @pytest.mark.parametrize("value", ["inf", "Infinity", "NaN", "0"])
     def test_non_finite_names_reach_the_range_check(self, capsys, value):
         assert main(["maxent", "--n", "3", "--mass", value]) == 2
@@ -622,8 +647,9 @@ class TestEnvironmentTolerance:
         capsys.readouterr()
 
     def test_maxent_takes_no_tol(self, capsys):
-        assert main(["maxent", "--n", "3", "--tol", "1e-3"]) == 2
-        assert "--tol" in capsys.readouterr().err
+        for tol in ("1e-3", "-1e-3"):
+            assert main(["maxent", "--n", "3", "--tol", tol]) == 2
+            assert "--tol" in capsys.readouterr().err
 
 
 class TestOutputFile:

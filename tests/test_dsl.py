@@ -593,7 +593,7 @@ class TestRangeEnclosure:
         assert dsl._range(parse(source), lo, hi) is None
 
     def test_integer_powers(self):
-        assert dsl._range(parse("x^2"), -3.0, 2.0)[0] <= 0.0
+        assert dsl._range(parse("x^2"), -3.0, 2.0)[0] == 0.0
         lo, hi = dsl._range(parse("x^2"), -3.0, -2.0)
         assert lo <= 4.0 < 4.0000001 and 8.9999999 < 9.0 <= hi
         lo, hi = dsl._range(parse("x^(-1)"), -4.0, -2.0)
@@ -604,6 +604,18 @@ class TestRangeEnclosure:
         assert dsl._range(parse("x^3"), -1e200, -1.0) == whole_line
         assert dsl._range(parse("(-exp(x))^3"), -750.0, 710.0) == whole_line
         assert evaluate(parse("(-exp(x))^3"), 560.0) == math.inf
+
+    @pytest.mark.parametrize("source, lo, hi", [
+        ("exp(x)", -800.0, -700.0),    # underflows to 0 and subnormals
+        ("sqrt(x)", 0.0, 1e-300),      # sqrt(0) is 0
+        ("x^2", -1.0, 1.0),            # the even power's minimum is 0
+        ("x^4", -1e-200, 1e-300),      # underflows to 0
+        ("abs(x)", -1.0, 1.0),
+    ])
+    def test_nonnegative_functions_enclose_from_zero(self, source, lo, hi):
+        # outward rounding would take these lower ends to -1e-323; none of
+        # the functions returns a negative float
+        assert dsl._range(parse(source), lo, hi)[0] == 0.0
 
     def test_zero_base(self):
         # 0^y is 0 for every y > 0, as evaluate gives

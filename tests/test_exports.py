@@ -21,17 +21,14 @@ def test_every_exported_name_resolves():
 
 
 def test_lazy_names_resolve_in_a_fresh_interpreter():
-    # maxent and verifier are imported on first use (maxent needs numpy,
-    # the verifier does not, but resolving concavity_probe loads maxent);
-    # dir() lists their names before that, and the submodule names and the
-    # names they export resolve
+    # the verifier is imported on first use; dir() lists its names before
+    # that, and the submodule name and the names it exports resolve
     script = """
 import json, sys, types
 import haarent
 doc = {"not_in_dir": sorted(set(haarent.__all__) - set(dir(haarent))),
-       "numpy_loaded": "numpy" in sys.modules}
-doc["submodules"] = [isinstance(getattr(haarent, m), types.ModuleType)
-                     for m in ("maxent", "verifier")]
+       "verifier_loaded": "haarent.verifier" in sys.modules}
+doc["submodule"] = isinstance(haarent.verifier, types.ModuleType)
 doc["unresolved"] = [n for n in haarent.__all__ if not hasattr(haarent, n)]
 print(json.dumps(doc))
 """
@@ -43,8 +40,8 @@ print(json.dumps(doc))
                           capture_output=True, text=True, check=True,
                           timeout=120)
     assert json.loads(proc.stdout) == {"not_in_dir": [],
-                                       "numpy_loaded": False,
-                                       "submodules": [True, True],
+                                       "verifier_loaded": False,
+                                       "submodule": True,
                                        "unresolved": []}
 
 
@@ -54,11 +51,11 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_lazy_names_follow_the_submodule_binding(monkeypatch):
-    # nothing is cached on the package, so a wrapper put on a submodule
+    # nothing is cached on the package, so a wrapper put on a verifier
     # function (as bench/tracer.py does) and removed again shows through
-    original = haarent.maxent.maximize_entropy
-    assert haarent.maximize_entropy is original
-    monkeypatch.setattr(haarent.maxent, "maximize_entropy", len)
-    assert haarent.maximize_entropy is len
+    original = haarent.verifier.verify
+    assert haarent.verify is original
+    monkeypatch.setattr(haarent.verifier, "verify", len)
+    assert haarent.verify is len
     monkeypatch.undo()
-    assert haarent.maximize_entropy is original
+    assert haarent.verify is original

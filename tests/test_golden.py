@@ -2,11 +2,10 @@
 
 tests/golden_cli.json holds the stdout and stderr bytes and the exit code
 of every case below. Any change to a printed bit fails this test. The
-bytes depend on numpy's random streams and on the platform's libm and SIMD
-rounding, so the file also names the numpy, Python and platform it was
-recorded under, and the test fails first, with that message, on any
-other. When an output is meant to change, re-record the file and say why
-in the commit:
+bytes depend on the platform's libm rounding, so the file also names the
+Python and platform it was recorded under, and the test fails first,
+with that message, on any other. When an output is meant to change,
+re-record the file and say why in the commit:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -19,8 +18,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import numpy as np
 
 from haarent import cli, verifier
 
@@ -93,8 +90,7 @@ def _run(argv, specs, workdir: Path) -> dict:
 
 def _environment() -> dict:
     """What the recorded bytes depend on besides haarent itself."""
-    return {"numpy": np.__version__,
-            "platform": f"{platform.system()} {platform.machine()}",
+    return {"platform": f"{platform.system()} {platform.machine()}",
             "python": "{} {}.{}".format(platform.python_implementation(),
                                         *sys.version_info[:2])}
 

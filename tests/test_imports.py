@@ -1,10 +1,10 @@
-"""numpy is loaded only by the code that uses it.
+"""Every subcommand runs without numpy.
 
-entropy, supnorm, the group API, the verifier and the worked examples
-run without numpy: the verifier draws from haarent's own PCG64 stream.
-maxent loads it on first use, and so does the maxent-concavity claim,
-through maxent.concavity_probe. Each check runs in a fresh interpreter,
-since this process has numpy loaded already.
+haarent needs nothing outside the standard library: the verifier draws
+from its own PCG64 stream and maxent from random.Random. Each check runs
+in a fresh interpreter whose import system refuses numpy, since the
+test process may have loaded it (other tests use it as an oracle), and
+compares the bytes with this process's or with the golden file's.
 """
 
 import contextlib
@@ -20,18 +20,29 @@ from haarent import cli
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
-MAXENT = ["maxent", "--nu", "1,2,3", "--iters", "200", "--format", "json"]
+MAXENT_N = ["maxent", "--n", "3", "--format", "json"]
+MAXENT_NU = ["maxent", "--nu", "1,2,3", "--format", "json"]
 VERIFY = ["verify", "--claim", "lem-finite-form", "--trials", "4",
           "--seed", "7", "--format", "json"]
 CONCAVITY = ["verify", "--claim", "maxent-concavity", "--trials", "4",
              "--seed", "7", "--format", "json"]
+ALL = ["verify", "--all", "--trials", "2", "--seed", "7", "--format",
+       "json"]
 EXAMPLES = ["examples", "--format", "json"]
 
-# Computes the Z16 subgroup lattice, then runs each argv list of
-# sys.argv[1] through cli.main, in order, and records after each step
-# whether numpy is loaded. Prints one JSON document.
+# Blocks numpy on the meta path, computes the Z16 subgroup lattice, then
+# runs each argv list of sys.argv[1] through cli.main, in order. Prints
+# one JSON document, which records whether numpy stayed unimportable.
 _SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, importlib.abc, io, json, sys
+
+class NoNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoNumpy())
 from haarent import cli, groups
 
 def run(argv):
@@ -41,11 +52,13 @@ def run(argv):
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 doc = {"lattice": len(groups.subgroups(groups.group_from_descriptor("Z16"))),
-       "runs": []}
-doc["numpy_loaded"] = ["numpy" in sys.modules]
-for argv in json.loads(sys.argv[1]):
-    doc["runs"].append(run(argv))
-    doc["numpy_loaded"].append("numpy" in sys.modules)
+       "runs": [run(argv) for argv in json.loads(sys.argv[1])]}
+try:
+    import numpy
+except ImportError:
+    doc["numpy_blocked"] = "numpy" not in sys.modules
+else:
+    doc["numpy_blocked"] = False
 print(json.dumps(doc))
 """
 
@@ -57,12 +70,14 @@ def _env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def _fresh(calls: list) -> dict:
+def _without_numpy(calls: list) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, json.dumps(calls)],
         env=_env(), capture_output=True, text=True,
         check=True, timeout=120)
-    return json.loads(proc.stdout)
+    doc = json.loads(proc.stdout)
+    assert doc["numpy_blocked"]
+    return doc
 
 
 def _spec(tmp_path, name: str, density: dict) -> str:
@@ -82,32 +97,32 @@ def test_entropy_supnorm_and_groups_run_without_numpy(tmp_path):
     inv = _spec(tmp_path, "inv.json", {"kind": "expr", "payload": "1/x"})
     pair = _spec(tmp_path, "pair.json",
                  {"kind": "table", "payload": {"0": 1.0, "3": 1.0}})
-    numpy_free = [
+    calls = [
         ["entropy", "--measure", inv, "--group", "R*mul:[0.01,1000.0]",
          "--format", "json"],
         ["entropy", "--measure", pair, "--group", "Z6", "--format", "json"],
         ["supnorm", "--measure", inv, "--group", "R*mul:[0.01,1000.0]",
          "--format", "json"],
     ]
-    doc = _fresh(numpy_free + [MAXENT])
-    # numpy first loads at maxent
-    assert doc["numpy_loaded"] == [False, False, False, False, True]
+    doc = _without_numpy(calls)
     assert doc["lattice"] == 5
-    runs = doc["runs"]
-    # the same bytes as in this process, which has numpy loaded
-    assert runs[:3] == [_in_process(argv) for argv in numpy_free]
-    assert [r["exit"] for r in runs] == [0, 0, 0, 0]
-    # the numpy command still works in the same process afterwards
-    assert runs[3] == _in_process(MAXENT)
+    # the same bytes as in this process, which may have numpy loaded
+    assert doc["runs"] == [_in_process(argv) for argv in calls]
+    assert [r["exit"] for r in doc["runs"]] == [0, 0, 0]
+
+
+def test_maxent_runs_without_numpy():
+    doc = _without_numpy([MAXENT_N, MAXENT_NU])
+    assert doc["runs"] == [_in_process(MAXENT_N), _in_process(MAXENT_NU)]
+    assert [r["exit"] for r in doc["runs"]] == [0, 0]
 
 
 def test_verify_and_examples_run_without_numpy(monkeypatch):
     # the golden cases were made at the default tolerance
     monkeypatch.delenv("HAARENT_TOL", raising=False)
-    doc = _fresh([VERIFY, EXAMPLES, CONCAVITY])
-    # numpy first loads at the maxent-concavity claim
-    assert doc["numpy_loaded"] == [False, False, False, True]
+    doc = _without_numpy([VERIFY, CONCAVITY, ALL, EXAMPLES])
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
     assert doc["runs"] == [golden["verify/lem-finite-form"],
-                           golden["examples/json"],
-                           golden["verify/maxent-concavity"]]
+                           golden["verify/maxent-concavity"],
+                           golden["verify/all"],
+                           golden["examples/json"]]

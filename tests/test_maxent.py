@@ -1,6 +1,7 @@
 import math
+import random
+import types
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,49 +12,62 @@ from haarent.maxent import (SimplexPoint, concavity_probe, entropy_of_weights,
                             maximize_entropy)
 
 
-def full_run_maximize(nu_weights, mass=1.0, iters=500, step=0.1, seed=0,
-                      start=None):
-    """maximize_entropy without the early stop: every call runs all
-    `iters` iterations. The reference for the stop's exactness."""
-    nu = np.asarray(tuple(nu_weights), dtype=float)
-    if start is None:
-        rng = np.random.default_rng(seed)
-        w = rng.random(len(nu)) + 0.1
-        p = mass * w / w.sum()
-    else:
-        p = np.asarray(tuple(start), dtype=float)
-    value = entropy_of_weights(p, nu)
-    floor = 1e-16 * mass / len(nu)
-    trial = step
-    decreases = 0
-    for _ in range(iters):
-        grad = -(np.log(np.maximum(p, floor) / nu) + 1.0)
-        cand = maxent._project_simplex(p + trial * grad, mass)
-        cand_value = entropy_of_weights(cand, nu)
-        if cand_value > value or np.array_equal(cand, p):
-            p, value = cand, cand_value
-            decreases = 0
-            trial = min(step, trial * 2.0)
-        else:
-            if cand_value < value - maxent._DECREASE_TOL:
-                decreases += bool(p.min() >= floor)
-                if decreases >= maxent._MAX_DECREASES:
-                    raise StepSizeError(
-                        f"entropy decreased {decreases} consecutive "
-                        f"iterations (trial step {trial!r}, best value "
-                        f"{value!r}); the step size diverges")
-            trial /= 2.0
-    return SimplexPoint(tuple(float(x) for x in p), mass), value
+def uniform_reference(key, n, low=0.1, high=5.0):
+    rng = random.Random(key)
+    return [rng.uniform(low, high) for _ in range(n)]
+
+
+def simplex_draw(rng, n):
+    """A uniform point of the probability simplex: n exponentials,
+    normalized."""
+    gams = [rng.expovariate(1.0) for _ in range(n)]
+    total = math.fsum(gams)
+    return [g / total for g in gams]
 
 
 def outcome_bits(solver, *args, **kwargs):
-    """Weights and value as raw bytes, or the error type and message."""
+    """Weights and value as exact reprs, or the error type and message."""
     try:
         point, value = solver(*args, **kwargs)
     except StepSizeError as exc:
         return ("StepSizeError", str(exc))
-    return (np.array(point.weights).tobytes(), point.mass,
-            np.float64(value).tobytes())
+    return repr(point.weights), point.mass, repr(value)
+
+
+def full_run_outcomes(nu, caps, mass=1.0, step=0.9, seed=0, start=None):
+    """maximize_entropy without the early stop: max(caps) calls of one
+    iteration each, each from the point the one before returned. The
+    outcome after each cap in caps; the reference for the stop's
+    exactness."""
+    def one_iteration(start):
+        return maximize_entropy(nu, mass=mass, iters=1, step=step,
+                                seed=seed, start=start)
+
+    out = {}
+    try:
+        point, value = one_iteration(start)
+        for done in range(1, max(caps) + 1):
+            if done > 1:
+                point, value = one_iteration(point.weights)
+            if done in caps:
+                out[done] = outcome_bits(lambda: (point, value))
+    except StepSizeError as exc:
+        return dict.fromkeys(caps, ("StepSizeError", str(exc)))
+    return out
+
+
+def counted_objective(monkeypatch):
+    """Record the length of every entropy_of_weights argument that
+    maxent passes through its module-global binding."""
+    calls = []
+    original = maxent.entropy_of_weights
+
+    def counted(p, nu):
+        calls.append(len(p))
+        return original(p, nu)
+
+    monkeypatch.setattr(maxent, "entropy_of_weights", counted)
+    return calls
 
 
 class TestSimplexPoint:
@@ -98,11 +112,11 @@ class TestEntropyOfWeights:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_bounded_by_log_reference_total(self, key):
-        rng = np.random.default_rng([3, key])
-        n = int(rng.integers(2, 8))
-        nu = rng.uniform(0.1, 3.0, n)
-        p = rng.dirichlet(np.ones(n))
-        assert entropy_of_weights(p, nu) <= math.log(nu.sum()) + 1e-10
+        rng = random.Random(key)
+        n = rng.randrange(2, 8)
+        nu = [rng.uniform(0.1, 3.0) for _ in range(n)]
+        p = simplex_draw(rng, n)
+        assert entropy_of_weights(p, nu) <= math.log(math.fsum(nu)) + 1e-10
 
 
 class TestMaximizeEntropy:
@@ -135,6 +149,16 @@ class TestMaximizeEntropy:
         for w in point.weights:
             assert w == pytest.approx(0.5, abs=1e-6)
 
+    def test_vertex_start_with_a_weighted_reference(self, monkeypatch):
+        # the zero weights enter the log at the floor 1e-16 * mass / n;
+        # log(p / p*) then shrinks by 1/2 per iteration from about 38
+        calls = counted_objective(monkeypatch)
+        point, _ = maximize_entropy([1.0, 2.0, 3.0], step=0.5,
+                                    start=(1.0, 0.0, 0.0))
+        assert 50 <= len(calls) - 1 <= 70
+        for w, want in zip(point.weights, (1 / 6, 2 / 6, 3 / 6)):
+            assert abs(w - want) <= 2e-15
+
     def test_random_starts_agree(self):
         nu = [0.5, 1.5, 2.0, 1.0]
         values = [maximize_entropy(nu, iters=1500, seed=s)[1]
@@ -156,32 +180,45 @@ class TestMaximizeEntropy:
         assert long >= short - 1e-12
 
     def test_zero_weight_does_not_raise(self):
-        # the ascent reaches a zero weight, whose stand-in gradient
-        # overshoots at every trial size down to about 1e-5
-        nu = np.random.default_rng([11, 512]).uniform(0.1, 5.0, 512)
-        for step in (0.05, 0.1, 0.2):
-            point, value = maximize_entropy(nu, mass=1.5, iters=1500,
-                                            step=step, seed=512)
-            best = 1.5 * nu / nu.sum()
-            assert np.max(np.abs(np.array(point.weights) - best)) < 1e-6
-            assert value == pytest.approx(
-                entropy_of_weights(best, nu), abs=1e-6)
+        # a vertex start on 512 atoms: 511 zero weights
+        nu = uniform_reference(11_512, 512)
+        best = [1.5 * v / math.fsum(nu) for v in nu]
+        for step in (0.5, 0.9, 1.5):
+            point, value = maximize_entropy(nu, mass=1.5, step=step,
+                                            start=[1.5] + [0.0] * 511)
+            assert max(abs(w - b) for w, b in zip(point.weights, best)) \
+                < 1e-15
+            assert value == pytest.approx(entropy_of_weights(best, nu),
+                                          abs=1e-12)
+
+    @pytest.mark.parametrize("step", [0.1, 0.5, 0.9, 1.5, 1.9])
+    def test_converges_to_the_maximizer(self, step):
+        # within 1e-14 relative of mass * nu / sum(nu), at every weight
+        for n in [*range(1, 17), 31, 64, 100, 255, 256, 511, 512]:
+            nu = uniform_reference(7_000 + n, n)
+            total = math.fsum(nu)
+            point, _ = maximize_entropy(nu, mass=1.5, step=step, seed=n)
+            for w, v in zip(point.weights, nu):
+                want = 1.5 * v / total
+                assert abs(w - want) <= 1e-14 * want, (n, step)
 
     def test_huge_step_raises(self):
         with pytest.raises(StepSizeError):
             maximize_entropy([1.0, 2.0, 3.0], iters=200, step=1e8)
 
+    @pytest.mark.parametrize("step", [2.0, 2.5, 1e8])
+    def test_step_of_two_raises_before_the_first_iteration(
+            self, monkeypatch, step):
+        calls = counted_objective(monkeypatch)
+        with pytest.raises(StepSizeError, match="diverges"):
+            maximize_entropy([1.0, 2.0, 3.0], step=step)
+        assert calls == []
+
     def test_stops_early_once_state_is_fixed(self, monkeypatch):
-        evals = []
-
-        def counted(p, nu):
-            evals.append(1)
-            return entropy_of_weights(p, nu)
-
-        monkeypatch.setattr(maxent, "entropy_of_weights", counted)
+        calls = counted_objective(monkeypatch)
         maximize_entropy([1.0, 2.0, 3.0], iters=1500, step=0.2)
         # one evaluation at the start, then one per iteration
-        assert len(evals) - 1 < 300
+        assert len(calls) - 1 < 300
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -190,6 +227,8 @@ class TestMaximizeEntropy:
             maximize_entropy([1.0, -1.0])
         with pytest.raises(DomainError):
             maximize_entropy([1.0, math.inf])
+        with pytest.raises(DomainError):
+            maximize_entropy([[1.0, 2.0]])
         with pytest.raises(DomainError):
             maximize_entropy([1.0, 2.0], mass=0.0)
         with pytest.raises(DomainError):
@@ -209,9 +248,23 @@ class TestMaximizeEntropy:
         with pytest.raises(DomainError):
             maximize_entropy([1.0, 2.0, 3.0], **kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_is_a_domain_error(self, seed):
+        # random.Random would take abs() of -1 and hash 1.5
+        with pytest.raises(DomainError,
+                           match="seed must be a non-negative integer"):
+            maximize_entropy([1.0, 1.0], seed=seed)
+
+    def test_bool_seed_counts_as_an_int(self):
+        assert maximize_entropy([1.0, 2.0], iters=3, seed=True) == \
+            maximize_entropy([1.0, 2.0], iters=3, seed=1)
+
 
 class TestEarlyStopIsExact:
-    """The early stop returns exactly what running all `iters` returns."""
+    """The early stop returns exactly what running all `iters` returns:
+    at a fixed point, and from a two-cycle at either parity of the cap."""
+
+    CAPS = (1, 2, 5, 50, 51, 400, 401)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512])
     @pytest.mark.parametrize("reference", ["uniform", "random"])
@@ -219,42 +272,60 @@ class TestEarlyStopIsExact:
         if reference == "uniform":
             nu = [1.0] * n
         else:
-            nu = np.random.default_rng([11, n]).uniform(0.1, 5.0, n)
-        for step in (0.05, 0.1, 0.2, 0.5):
-            for iters in (1, 5, 50, 1500):
-                kwargs = dict(mass=1.5, iters=iters, step=step, seed=n)
-                assert outcome_bits(maximize_entropy, nu, **kwargs) == \
-                    outcome_bits(full_run_maximize, nu, **kwargs), \
-                    (step, iters)
+            nu = uniform_reference(11_000 + n, n)
+        for step in (0.1, 0.5, 0.9, 1.5, 1.9):
+            want = full_run_outcomes(nu, self.CAPS, mass=1.5, step=step,
+                                     seed=n)
+            for iters in self.CAPS:
+                got = outcome_bits(maximize_entropy, nu, mass=1.5,
+                                   iters=iters, step=step, seed=n)
+                assert got == want[iters], (step, iters)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(iters=200, step=1e8),
-        dict(iters=3000, step=1e3),
-        dict(iters=1500, step=0.2, start=(0.0, 0.5, 0.5)),
-        dict(iters=1500, step=0.2, start=(1.0, 0.0, 0.0)),
+        dict(step=1e8),
+        dict(step=1e3),
+        dict(step=0.2, start=(0.0, 0.5, 0.5)),
+        dict(step=0.2, start=(1.0, 0.0, 0.0)),
     ], ids=["step-1e8", "step-1e3", "zero-start", "vertex-start"])
     def test_edge_cases_match_full_run(self, kwargs):
         nu = [1.0, 2.0, 3.0] if "start" not in kwargs else [1.0, 1.0, 1.0]
-        assert outcome_bits(maximize_entropy, nu, **kwargs) == \
-            outcome_bits(full_run_maximize, nu, **kwargs)
+        want = full_run_outcomes(nu, self.CAPS, **kwargs)
+        for iters in self.CAPS:
+            assert outcome_bits(maximize_entropy, nu, iters=iters,
+                                **kwargs) == want[iters]
+
+    def test_two_cycle_returns_the_caps_parity(self, monkeypatch):
+        # at step 1.9 on three atoms the iterates end in a two-cycle, so
+        # an odd and an even cap past it return its two points
+        nu = [1.0, 2.0, 3.0]
+        calls = counted_objective(monkeypatch)
+        even = maximize_entropy(nu, iters=1000, step=1.9)
+        odd = maximize_entropy(nu, iters=1001, step=1.9)
+        assert len(calls) < 1000  # both stopped early
+        assert even != odd
+        monkeypatch.undo()
+        want = full_run_outcomes(nu, (1000, 1001), step=1.9)
+        assert outcome_bits(lambda: even) == want[1000]
+        assert outcome_bits(lambda: odd) == want[1001]
 
 
-def one_pair_at_a_time_probe(nu_weights, trials=1000, seed=0, tol=1e-10):
-    """concavity_probe as it was before the batched objective: three 1-D
-    entropy_of_weights calls per sampled pair (trials >= 1). The
-    reference for the batch's exactness."""
-    nu = np.asarray(tuple(nu_weights), dtype=float)
+def one_pair_at_a_time_probe(nu, trials=1000, seed=0, tol=1e-10):
+    """concavity_probe recomputed pair by pair: the chain of points from
+    random.Random's own exponential draws, l from random(), and each
+    pair's chord excess from three fresh entropy_of_weights calls
+    (trials >= 1)."""
+    rng = random.Random(seed)
     n = len(nu)
-    rng = np.random.default_rng(seed)
     worst = (-math.inf, 0)
     violations = 0
+    q = simplex_draw(rng, n)
     for t in range(trials):
-        p = rng.dirichlet(np.ones(n))
-        q = rng.dirichlet(np.ones(n))
-        lam = rng.uniform()
+        p, q = q, simplex_draw(rng, n)
+        lam = rng.random()
         chord = lam * entropy_of_weights(p, nu) \
             + (1.0 - lam) * entropy_of_weights(q, nu)
-        mixed = entropy_of_weights(lam * p + (1.0 - lam) * q, nu)
+        mixed = entropy_of_weights(
+            [lam * a + (1.0 - lam) * b for a, b in zip(p, q)], nu)
         gap = chord - mixed
         if gap > tol:
             violations += 1
@@ -267,61 +338,43 @@ def one_pair_at_a_time_probe(nu_weights, trials=1000, seed=0, tol=1e-10):
 class TestConcavityProbe:
     @pytest.mark.parametrize("n", [2, 3, 7, 10, 64])
     def test_batch_matches_one_pair_at_a_time(self, n):
-        rng = np.random.default_rng([5, n])
+        # a probe's batch of pairs, against the pair-by-pair reference
+        rng = random.Random(5000 + n)
         for seed in range(40):
-            nu = tuple(float(v) for v in rng.uniform(0.2, 2.0, n))
-            trials = int(rng.integers(1, 60))
+            nu = tuple(rng.uniform(0.2, 2.0) for _ in range(n))
+            trials = rng.randrange(1, 60)
             for tol in (1e-10, -1.0):  # -1.0: every pair a violation
                 got = concavity_probe(nu, trials, seed, tol)
                 want = one_pair_at_a_time_probe(nu, trials, seed, tol)
                 assert repr(got) == repr(want)
 
     def test_pair_draws_match_scalar_loop(self, monkeypatch):
-        # each (p, q) is one dirichlet call of size 2; the old loop made
-        # two calls of size 1. Same doubles, same stream state after.
+        # n doubles for the first point, then n for the next point and one
+        # for l per pair: the stream ends where that many random() calls
+        # leave it
         made = []
-        default_rng = np.random.default_rng
 
         def spy(seed):
-            made.append(default_rng(seed))
+            made.append(random.Random(seed))
             return made[-1]
 
-        monkeypatch.setattr(maxent.np.random, "default_rng", spy)
+        monkeypatch.setattr(maxent, "random",
+                            types.SimpleNamespace(Random=spy))
         for n in (1, 3, 8, 12, 16, 24):
             nu = [1.0 + 0.1 * i for i in range(n)]
-            for seed in range(300):
+            for seed in range(100):
                 trials = 1 + seed % 4
-                got = concavity_probe(nu, trials, seed)
-                rng = default_rng(seed)
-                for _ in range(trials):
-                    rng.dirichlet(np.ones(n))
-                    rng.dirichlet(np.ones(n))
-                    rng.uniform()
-                assert made[-1].bit_generator.state == \
-                    rng.bit_generator.state
-                assert repr(got) == repr(
-                    one_pair_at_a_time_probe(nu, trials, seed))
+                concavity_probe(nu, trials, seed)
+                rng = random.Random(seed)
+                for _ in range(n + (n + 1) * trials):
+                    rng.random()
+                assert made[-1].getstate() == rng.getstate()
 
-    def test_one_objective_call_per_probe(self, monkeypatch):
-        calls = []
-        original = maxent.entropy_of_weights
-
-        def counted(p, nu):
-            calls.append(np.shape(p))
-            return original(p, nu)
-
-        monkeypatch.setattr(maxent, "entropy_of_weights", counted)
+    def test_one_objective_call_per_point_and_mixture(self, monkeypatch):
+        # 41 points make the 40 pairs, and each pair has one mixture
+        calls = counted_objective(monkeypatch)
         concavity_probe([0.5, 1.0, 2.0], trials=40, seed=2)
-        assert calls == [(120, 3)]
-
-    def test_batch_rows_equal_single_calls(self):
-        rng = np.random.default_rng(9)
-        nu = rng.uniform(0.2, 2.0, 6)
-        batch = rng.dirichlet(np.ones(6), 5)
-        batch[1, 2] = 0.0  # 0 log 0 = 0 inside a batch too
-        got = entropy_of_weights(batch, nu)
-        assert [float(v) for v in got] == \
-            [entropy_of_weights(row, nu) for row in batch]
+        assert calls == [3] * 81
 
     def test_uniform_reference_concave(self):
         gap, notes = concavity_probe([1.0] * 5, trials=400, seed=0)
@@ -335,20 +388,22 @@ class TestConcavityProbe:
     def test_endpoints_give_zero_gap(self):
         # lam 0 or 1 makes chord == mixed; sampled lam is interior, so
         # check directly instead
-        nu = np.array([1.0, 2.0])
-        p = np.array([0.25, 0.75])
-        q = np.array([0.5, 0.5])
+        nu = [1.0, 2.0]
+        p = [0.25, 0.75]
+        q = [0.5, 0.5]
         for lam in (0.0, 1.0):
             chord = lam * entropy_of_weights(p, nu) \
                 + (1.0 - lam) * entropy_of_weights(q, nu)
-            mixed = entropy_of_weights(lam * p + (1.0 - lam) * q, nu)
+            mixed = entropy_of_weights(
+                [lam * a + (1.0 - lam) * b for a, b in zip(p, q)], nu)
             assert chord == pytest.approx(mixed, abs=1e-15)
 
     def test_equal_arguments_give_zero_gap(self):
-        nu = np.array([1.0, 2.0, 1.5])
-        p = np.array([0.2, 0.3, 0.5])
+        nu = [1.0, 2.0, 1.5]
+        p = [0.2, 0.3, 0.5]
         for lam in (0.25, 0.5, 0.9):
-            mixed = entropy_of_weights(lam * p + (1.0 - lam) * p, nu)
+            mixed = entropy_of_weights(
+                [lam * a + (1.0 - lam) * a for a in p], nu)
             assert mixed == pytest.approx(entropy_of_weights(p, nu),
                                           abs=1e-15)
 
@@ -356,6 +411,12 @@ class TestConcavityProbe:
         for trials in (0, -1):
             with pytest.raises(DomainError, match="trials must be at least 1"):
                 concavity_probe([1.0, 2.0], trials=trials)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError,
+                           match="seed must be a non-negative integer"):
+            concavity_probe([1.0, 2.0], trials=1, seed=seed)
 
     def test_deterministic(self):
         a = concavity_probe([1.0, 2.0], trials=100, seed=3)
