@@ -194,10 +194,11 @@ _read_int = _ascii_reader(int, r"[+-]?[0-9]+")
 _read_float = _ascii_reader(float, rf"[+-]?{_FLOAT}")
 
 # argparse takes a token after an option for its value when it looks like
-# "-5" or "-.5", and for another option when it is "-1e-3" or "-inf".
-# Joined to the option before it, as "--step=-1e-3", such a negative
-# number reaches the option's reader and range check on every Python.
-_NEGATIVE = re.compile(rf"-{_FLOAT}", re.IGNORECASE | re.ASCII)
+# "-5" or "-.5", and for another option when it is "-1e-3", "-inf" or
+# "-1,2". Joined to the option before it, as "--step=-1e-3", such a
+# negative number, or a comma list that starts with one, reaches the
+# option's reader and range check on every Python.
+_NEGATIVE = re.compile(rf"-{_FLOAT}(?:,[^,]*)*", re.IGNORECASE | re.ASCII)
 
 
 def _join_negatives(argv: list) -> list:
@@ -415,8 +416,11 @@ def _cmd_maxent(args, tol: float | None) -> int:
                           f"got {args.step!r}")
     point, value = maximize_entropy(nu, mass=args.mass, iters=args.iters,
                                     step=args.step, seed=args.seed)
-    total = math.fsum(nu)
-    maximizer = [args.mass * v / total for v in nu]
+    # nu over a power of two: a finite sum, and the same maximizer bits
+    shift = min(0, 1022 - math.frexp(max(nu))[1] - len(nu).bit_length())
+    scaled = [math.ldexp(v, shift) for v in nu]
+    total = math.fsum(scaled)
+    maximizer = [args.mass * v / total for v in scaled]
     sup_distance = max(abs(w - o)
                        for w, o in zip(point.weights, maximizer))
     if args.format == "csv":
@@ -519,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total mass of the weight vector (default 1)")
     p.add_argument("--iters", type=_read_int, default=500,
                    help="cap on ascent iterations (default 500); the "
-                        "ascent stops early once its iterates repeat, "
+                        "ascent stops early once its iterates cycle, "
                         "which never changes the result")
     p.add_argument("--step", type=_read_float, default=0.9,
                    help="mirror ascent step, below 2 (default 0.9)")

@@ -19,6 +19,8 @@ __all__ = ["SimplexPoint", "entropy_of_weights", "maximize_entropy",
            "concavity_probe"]
 
 _MASS_TOL = 1e-12
+_TINY = 2.0 ** -1022  # the smallest normal float
+_CYCLE = 8  # the longest cycle of iterates that the early stop finds
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,25 @@ def _scaled(weights: list, mass: float) -> list:
     return [scale * w for w in weights]
 
 
+def _powers(p: list, nu: list, scaled_nu, keep: float,
+            floor: float) -> list:
+    """p^keep * nu^(1 - keep) up to a common factor, a zero weight at
+    `floor`. scaled_nu is nu times a power of two, or None."""
+    if scaled_nu is not None:
+        # nu * (p / nu)^keep, each ratio over the extreme one: at p* the
+        # ratios are equal, so near it the powers are near 1 and round least
+        ratios = [(w if w > 0 else floor) / v for w, v in zip(p, scaled_nu)]
+        low, high = min(ratios), max(ratios)
+        if low >= _TINY * max(high, 1.0):
+            top = high if keep >= 0 else low
+            return [v * (r / top) ** keep for v, r in zip(scaled_nu, ratios)]
+    # ratios whose quotients could round to 0 or inf: logs, less the top
+    logs = [keep * math.log(w if w > 0 else floor) + (1.0 - keep)
+            * math.log(v) for w, v in zip(p, nu)]
+    top = max(logs)
+    return [math.exp(g - top) for g in logs]
+
+
 def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
                      step: float = 0.9, seed: int = 0, start=None):
     """Entropic mirror ascent for S(p) (Beck & Teboulle, Operations
@@ -74,10 +95,11 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
     1e-16 * mass / n, so the ascent leaves a vertex too.
 
     `iters` is a cap. Each iterate is a function of the one before, so
-    once p equals one of its two previous iterates the ascent has reached
-    a fixed point or a two-cycle, and it stops. From a two-cycle it
-    returns the iterate that the cap's parity reaches, so the result is
-    bit for bit that of running all `iters` iterations.
+    once p equals one of its last eight iterates the ascent has reached a
+    cycle (a fixed point is a cycle of one), and it stops. It returns the
+    iterate of the cycle that the cap reaches, so the result is bit for
+    bit that of running all `iters` iterations. A run that enters no
+    such cycle goes on to the cap.
     """
     nu = _validate_nu(nu_weights)
     if mass <= 0 or not math.isfinite(mass):
@@ -101,27 +123,23 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
                               "weight")
         SimplexPoint(tuple(p), mass)
     value = entropy_of_weights(p, nu)
+    # nu times a power of two that brings it near 1 leaves every iterate
+    # as it is, bit for bit, and keeps the sum of the powers finite; a nu
+    # too wide for that takes the logs in every iteration
+    low, high = math.frexp(min(nu))[1], math.frexp(max(nu))[1]
+    scaled_nu = ([math.ldexp(v, -((low + high) // 2)) for v in nu]
+                 if high - low < 2000 else None)
     keep = 1.0 - step
-    # p^keep * nu^step is nu * (p / nu)^keep. Each ratio p_i / nu_i is
-    # taken over the extreme one, a common factor that the normalization
-    # removes, which puts every power in (0, 1]; the ratios are equal at
-    # p*, so near it the powers are near 1 and carry small rounding errors
-    pick = max if keep >= 0 else min
     floor = 1e-16 * mass / len(nu)
-    last = older = None  # (p, value) one and two iterations back
+    history = []  # (p, value) of the last _CYCLE iterates, oldest first
     for done in range(1, iters + 1):
-        ratios = [(w if w > 0 else floor) / v for w, v in zip(p, nu)]
-        top = pick(ratios)
-        powers = [v * (r / top) ** keep for v, r in zip(nu, ratios)]
-        last, older = (p, value), last
-        p = _scaled(powers, mass)
+        history = [*history[1 - _CYCLE:], (p, value)]
+        p = _scaled(_powers(p, nu, scaled_nu, keep, floor), mass)
         value = entropy_of_weights(p, nu)
-        if p == last[0]:
-            break
-        if older is not None and p == older[0]:
-            if (iters - done) % 2:
-                p, value = last
-            break
+        for back in range(1, len(history) + 1):
+            if p == history[-back][0]:  # a cycle of `back` iterates
+                p, value = history[(iters - done) % back - back]
+                return SimplexPoint(tuple(p), mass), value
     return SimplexPoint(tuple(p), mass), value
 
 

@@ -323,6 +323,18 @@ class TestMaxentCommand:
         rec = json.loads(capsys.readouterr().out)
         assert rec["entropy"] == pytest.approx(math.log(4.0), abs=1e-7)
 
+    @pytest.mark.parametrize("nu, want", [
+        ("1e-170,1e170", [0.0, 1.0]), ("1e170,1e-170", [1.0, 0.0]),
+        ("1e308,1e308", [0.5, 0.5])])
+    def test_references_past_the_float_range(self, capsys, nu, want):
+        # the ratios of the first two span more than the floats, and the
+        # sum of the last is past the largest one
+        assert main(["maxent", "--nu", nu, "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["maximizer"] == want
+        assert rec["sup_distance"] <= 2.0 ** -53
+        assert rec["weights"][want.index(min(want))] <= min(want)
+
     def test_csv_rows(self, capsys):
         assert main(["maxent", "--nu", "1,1", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -597,6 +609,8 @@ class TestNumberOptions:
          "--mass must be positive and finite, got nan"),
         (["maxent", "--nu", "-1e-3"], "--nu weights must be positive "
                                       "numbers"),
+        (["maxent", "--nu", "-1,2"], "--nu weights must be positive "
+                                     "numbers"),
         (["maxent", "--n", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["verify", "--claim", "lem-finite-form", "--tol", "-1e-3"],
          "tolerance must be positive, got -0.001"),

@@ -202,6 +202,23 @@ class TestMaximizeEntropy:
                 want = 1.5 * v / total
                 assert abs(w - want) <= 1e-14 * want, (n, step)
 
+    @pytest.mark.parametrize("nu", [
+        [1e-170, 1e170], [1e170, 1e-170], [1e-300, 1e300],
+        [1e-300, 1.0, 1e300], [1e308, 1e308], [1e308, 1e308, 1.0]],
+        ids=["tiny-huge", "huge-tiny", "wider", "three", "sum-overflows",
+             "sum-overflows-3"])
+    @pytest.mark.parametrize("step", [0.1, 0.5, 0.9, 1.5, 1.9])
+    def test_references_past_the_float_range(self, nu, step):
+        # the ratios p_i / nu_i span more than the floats, or the sum of
+        # nu is past the largest one; best is p*, from nu over 2^1000
+        total = math.fsum(math.ldexp(v, -1000) for v in nu)
+        best = [math.ldexp(v, -1000) / total for v in nu]
+        point, value = maximize_entropy(nu, step=step)
+        assert max(abs(w - b) for w, b in zip(point.weights, best)) \
+            <= 2.0 ** -50
+        assert value == pytest.approx(entropy_of_weights(best, nu),
+                                      rel=1e-15)
+
     def test_huge_step_raises(self):
         with pytest.raises(StepSizeError):
             maximize_entropy([1.0, 2.0, 3.0], iters=200, step=1e8)
@@ -262,7 +279,7 @@ class TestMaximizeEntropy:
 
 class TestEarlyStopIsExact:
     """The early stop returns exactly what running all `iters` returns:
-    at a fixed point, and from a two-cycle at either parity of the cap."""
+    at a fixed point, and from a cycle at every residue of the cap."""
 
     CAPS = (1, 2, 5, 50, 51, 400, 401)
 
@@ -281,14 +298,18 @@ class TestEarlyStopIsExact:
                                    iters=iters, step=step, seed=n)
                 assert got == want[iters], (step, iters)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(step=1e8),
-        dict(step=1e3),
-        dict(step=0.2, start=(0.0, 0.5, 0.5)),
-        dict(step=0.2, start=(1.0, 0.0, 0.0)),
-    ], ids=["step-1e8", "step-1e3", "zero-start", "vertex-start"])
-    def test_edge_cases_match_full_run(self, kwargs):
-        nu = [1.0, 2.0, 3.0] if "start" not in kwargs else [1.0, 1.0, 1.0]
+    @pytest.mark.parametrize("nu, kwargs", [
+        ([1.0, 2.0, 3.0], dict(step=1e8)),
+        ([1.0, 2.0, 3.0], dict(step=1e3)),
+        ([1.0, 1.0, 1.0], dict(step=0.2, start=(0.0, 0.5, 0.5))),
+        ([1.0, 1.0, 1.0], dict(step=0.2, start=(1.0, 0.0, 0.0))),
+        *[(nu, dict(step=step)) for nu in ([1e-170, 1e170],
+                                           [1e308, 1e308, 1.0])
+          for step in (0.1, 0.9, 1.9)],
+    ], ids=["step-1e8", "step-1e3", "zero-start", "vertex-start",
+            *[f"{name}-{step}" for name in ("wide", "sum-overflows")
+              for step in (0.1, 0.9, 1.9)]])
+    def test_edge_cases_match_full_run(self, nu, kwargs):
         want = full_run_outcomes(nu, self.CAPS, **kwargs)
         for iters in self.CAPS:
             assert outcome_bits(maximize_entropy, nu, iters=iters,
@@ -307,6 +328,26 @@ class TestEarlyStopIsExact:
         want = full_run_outcomes(nu, (1000, 1001), step=1.9)
         assert outcome_bits(lambda: even) == want[1000]
         assert outcome_bits(lambda: odd) == want[1001]
+
+    @pytest.mark.parametrize("n, key, step, period", [
+        (3, 1, 1.5, 4), (3, 1, 1.9, 4), (4, 7, 1.5, 3)])
+    def test_longer_cycles_stop_at_every_residue(self, monkeypatch, n, key,
+                                                  step, period):
+        # these iterates end in a cycle of three or four points, which
+        # the caps 400 to 403 reach at each of its positions
+        nu = uniform_reference(key, n)
+        caps = range(400, 404)
+        calls = counted_objective(monkeypatch)
+        got = []
+        for iters in caps:
+            calls.clear()
+            got.append(outcome_bits(maximize_entropy, nu, iters=iters,
+                                    step=step))
+            assert len(calls) - 1 < iters  # stopped before the cap
+        assert len(set(got)) == period
+        monkeypatch.undo()
+        want = full_run_outcomes(nu, caps, step=step)
+        assert got == [want[iters] for iters in caps]
 
 
 def one_pair_at_a_time_probe(nu, trials=1000, seed=0, tol=1e-10):
