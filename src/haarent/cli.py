@@ -44,7 +44,7 @@ from .errors import (CatalogError, DomainError, ExprEvalError, ExprSyntaxError,
                      HaarentError, NormalizationError)
 from .groups import (_NUMBER, Group, MultiplicativePositiveReals,
                      generated_subgroup, group_from_descriptor, haar)
-from .maxent import maximize_entropy
+from .maxent import _maximizer, maximize_entropy
 from .measures import Density, Measure, Space, table_density
 from .quadrature import Integrator
 from .report import reports_to_csv, reports_to_json, reports_to_table
@@ -416,11 +416,7 @@ def _cmd_maxent(args, tol: float | None) -> int:
                           f"got {args.step!r}")
     point, value = maximize_entropy(nu, mass=args.mass, iters=args.iters,
                                     step=args.step, seed=args.seed)
-    # nu over a power of two: a finite sum, and the same maximizer bits
-    shift = min(0, 1022 - math.frexp(max(nu))[1] - len(nu).bit_length())
-    scaled = [math.ldexp(v, shift) for v in nu]
-    total = math.fsum(scaled)
-    maximizer = [args.mass * v / total for v in scaled]
+    maximizer = _maximizer(nu, args.mass)
     sup_distance = max(abs(w - o)
                        for w, o in zip(point.weights, maximizer))
     if args.format == "csv":
@@ -523,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total mass of the weight vector (default 1)")
     p.add_argument("--iters", type=_read_int, default=500,
                    help="cap on ascent iterations (default 500); the "
-                        "ascent stops early once its iterates cycle, "
-                        "which never changes the result")
+                        "ascent stops early at the maximizer, which "
+                        "never changes the result")
     p.add_argument("--step", type=_read_float, default=0.9,
                    help="mirror ascent step, below 2 (default 0.9)")
     p.add_argument("--seed", type=_read_int, default=0,

@@ -60,7 +60,7 @@ class NormalizationError(HaarentError):
 
 
 class StepSizeError(HaarentError):
-    """Gradient ascent diverged: ten consecutive entropy-decreasing steps."""
+    """The ascent cannot converge: a mirror step of 2 or more."""
 
 
 class ExprSyntaxError(HaarentError):

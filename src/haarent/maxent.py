@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from ._pcg64 import seed_int
@@ -19,8 +20,8 @@ __all__ = ["SimplexPoint", "entropy_of_weights", "maximize_entropy",
            "concavity_probe"]
 
 _MASS_TOL = 1e-12
-_TINY = 2.0 ** -1022  # the smallest normal float
-_CYCLE = 8  # the longest cycle of iterates that the early stop finds
+_NORMAL = sys.float_info.min  # the smallest normal float
+_SETTLED = 2.0 ** -54  # a spread of log(p / nu) whose exps all round to 1
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,13 @@ class SimplexPoint:
 
 
 def entropy_of_weights(p, nu) -> float:
-    """-sum p_i log(p_i / nu_i), with 0 log 0 = 0."""
-    return -math.fsum([w * math.log(w / v) for w, v in zip(p, nu) if w > 0])
+    """-sum p_i log(p_i / nu_i), with 0 log 0 = 0. A quotient p_i / nu_i
+    that is 0, subnormal or inf takes the logs apart, so each term is
+    finite wherever p_i log p_i and p_i log nu_i are."""
+    return -math.fsum([
+        w * (math.log(r) if _NORMAL <= (r := w / v) < math.inf
+             else math.log(w) - math.log(v))
+        for w, v in zip(p, nu) if w > 0])
 
 
 def _validate_nu(nu_weights) -> list:
@@ -62,23 +68,13 @@ def _scaled(weights: list, mass: float) -> list:
     return [scale * w for w in weights]
 
 
-def _powers(p: list, nu: list, scaled_nu, keep: float,
-            floor: float) -> list:
-    """p^keep * nu^(1 - keep) up to a common factor, a zero weight at
-    `floor`. scaled_nu is nu times a power of two, or None."""
-    if scaled_nu is not None:
-        # nu * (p / nu)^keep, each ratio over the extreme one: at p* the
-        # ratios are equal, so near it the powers are near 1 and round least
-        ratios = [(w if w > 0 else floor) / v for w, v in zip(p, scaled_nu)]
-        low, high = min(ratios), max(ratios)
-        if low >= _TINY * max(high, 1.0):
-            top = high if keep >= 0 else low
-            return [v * (r / top) ** keep for v, r in zip(scaled_nu, ratios)]
-    # ratios whose quotients could round to 0 or inf: logs, less the top
-    logs = [keep * math.log(w if w > 0 else floor) + (1.0 - keep)
-            * math.log(v) for w, v in zip(p, nu)]
-    top = max(logs)
-    return [math.exp(g - top) for g in logs]
+def _maximizer(nu: list, mass: float) -> list:
+    """p* = mass * nu / sum(nu). nu times a power of two that puts its
+    middle binade near 1, and its largest weight in [1, 2^1000], sums to
+    a finite total of at least 1, so mass / total is finite too."""
+    low, high = math.frexp(min(nu))[1], math.frexp(max(nu))[1]
+    shift = min(1 - (low + high) // 2, 1000 - high)
+    return _scaled([math.ldexp(v, shift) for v in nu], mass)
 
 
 def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
@@ -89,17 +85,18 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
 
     Returns (SimplexPoint, entropy). Each iteration takes p to
     mass * normalize(p^(1-step) * nu^step), a gradient step of size
-    `step` on log p. log(p / p*) shrinks by the factor |1 - step| per
-    iteration, up to a constant, so a step of 2 or more raises
-    StepSizeError before the first iteration. A zero weight counts as
-    1e-16 * mass / n, so the ascent leaves a vertex too.
+    `step` on log p. Its state is l = log(p / nu), up to a constant,
+    which the step multiplies by 1 - step; the iterate is
+    mass * normalize(exp(l + log nu - max)). A step of 2 or more does not
+    contract l, so it raises StepSizeError before the first iteration. A
+    zero weight counts as 1e-16 * mass / n, so the ascent leaves a
+    vertex too.
 
-    `iters` is a cap. Each iterate is a function of the one before, so
-    once p equals one of its last eight iterates the ascent has reached a
-    cycle (a fixed point is a cycle of one), and it stops. It returns the
-    iterate of the cycle that the cap reaches, so the result is bit for
-    bit that of running all `iters` iterations. A run that enters no
-    such cycle goes on to the cap.
+    `iters` is a cap. Once max l - min l < 2^-54, every exp(l_i - max l)
+    rounds to 1.0, so the iterate, mass * normalize(nu * exp(l - max l)),
+    is p* = mass * nu / sum(nu); the spread never grows, so every later
+    iterate is p* too. The ascent returns p* there, which is what running
+    all `iters` iterations returns.
     """
     nu = _validate_nu(nu_weights)
     if mass <= 0 or not math.isfinite(mass):
@@ -122,24 +119,24 @@ def maximize_entropy(nu_weights, mass: float = 1.0, iters: int = 500,
             raise DomainError("start must have one weight per reference "
                               "weight")
         SimplexPoint(tuple(p), mass)
+    # one objective call at the start and one per iteration, by which
+    # callers count the iterations
     value = entropy_of_weights(p, nu)
-    # nu times a power of two that brings it near 1 leaves every iterate
-    # as it is, bit for bit, and keeps the sum of the powers finite; a nu
-    # too wide for that takes the logs in every iteration
-    low, high = math.frexp(min(nu))[1], math.frexp(max(nu))[1]
-    scaled_nu = ([math.ldexp(v, -((low + high) // 2)) for v in nu]
-                 if high - low < 2000 else None)
+    log_nu = [math.log(v) for v in nu]
+    # the log of the floor 1e-16 * mass / n, which may underflow itself
+    log_floor = math.log(1e-16) + math.log(mass) - math.log(len(nu))
+    ell = [(math.log(w) if w > 0 else log_floor) - g
+           for w, g in zip(p, log_nu)]
     keep = 1.0 - step
-    floor = 1e-16 * mass / len(nu)
-    history = []  # (p, value) of the last _CYCLE iterates, oldest first
-    for done in range(1, iters + 1):
-        history = [*history[1 - _CYCLE:], (p, value)]
-        p = _scaled(_powers(p, nu, scaled_nu, keep, floor), mass)
+    for _ in range(iters):
+        ell = [keep * x for x in ell]
+        if max(ell) - min(ell) < _SETTLED:
+            p = _maximizer(nu, mass)
+            return SimplexPoint(tuple(p), mass), entropy_of_weights(p, nu)
+        logs = [x + g for x, g in zip(ell, log_nu)]
+        top = max(logs)
+        p = _scaled([math.exp(g - top) for g in logs], mass)
         value = entropy_of_weights(p, nu)
-        for back in range(1, len(history) + 1):
-            if p == history[-back][0]:  # a cycle of `back` iterates
-                p, value = history[(iters - done) % back - back]
-                return SimplexPoint(tuple(p), mass), value
     return SimplexPoint(tuple(p), mass), value
 
 

@@ -191,7 +191,11 @@ class MeasurableSet:
 def sample_grid(a: float, b: float, n: int, breakpoints) -> list:
     """n+1 evenly spaced points of [a, b], then the breakpoints inside it:
     the points where a quotient or density is sampled on an interval."""
-    pts = [a + (b - a) * i / n for i in range(n + 1)]
+    if b - a < math.inf:
+        pts = [a + (b - a) * i / n for i in range(n + 1)]
+    else:  # the width overflows; half of it does not
+        step = (0.5 * b - 0.5 * a) / n
+        pts = [min(a + step * i + step * i, b) for i in range(n + 1)]
     pts.extend(bp for bp in breakpoints if a <= bp <= b)
     return pts
 

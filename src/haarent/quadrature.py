@@ -176,14 +176,14 @@ def _kronrod(f, a: float, b: float,
     value with the same float operations as on 15 equal node values, so
     the result is bit for bit the one the 15 calls would give.
     """
-    h = 0.5 * (b - a)
+    h = 0.5 * b - 0.5 * a  # b - a may overflow; its half does not
     c = a + h
     xs = [c + h * t for t in (_FIRST if piecewise_constant else _NODES)]
     if xs[0] <= a or xs[-1] >= b:
         # a panel a few ulps wide: rounding put an outer node on an end
         lo, hi = math.nextafter(a, b), math.nextafter(b, a)
         xs = [min(max(x, lo), hi) for x in xs]
-    nudge = (b - a) * 1e-12
+    nudge = h * 2e-12
     # one call of f per node, an overflow read as inf and a division by
     # zero as nan; only a value that is not a finite float goes on to
     # _step_off
@@ -291,7 +291,7 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
             if met or stop:
                 break
         e, _, a, b, v = heapq.heappop(heap)
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b
         if b - a <= least or max(abs(a), abs(b)) <= _NARROW * (abs(m) + _TINY):
             done.append((a, b, v, -e))
             stuck = True  # too narrow to split: stop at once, as qage does

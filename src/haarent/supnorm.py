@@ -63,7 +63,7 @@ def _max_on_set(quot: Density, s: MeasurableSet) -> tuple:
                  or [a])
             continue
         scan(sample_grid(a, b, _GRID, breakpoints))
-        h = (b - a) / _GRID
+        h = (0.5 * b - 0.5 * a) / (_GRID / 2)  # b - a may overflow
         for _ in range(_REFINE_ROUNDS):
             c = best[1]
             if c is not None:

@@ -188,6 +188,15 @@ class TestSupnormCommand:
         assert rec["scale_rho"] == pytest.approx(0.5, abs=1e-9)
         assert rec["scale_xi"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_window_as_wide_as_the_float_range(self, tmp_path, capsys):
+        # the width 2e308 overflows; the load-time grid and the refined
+        # sup grid step by halves of it
+        m = write_spec(tmp_path, "m.json", {
+            "density": {"kind": "expr", "payload": "0.5*exp(-x^2)"}})
+        assert main(["supnorm", "--measure", m, "--group",
+                     "R+add:[-1e308,1e308]", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"sup": 0.5}
+
     @pytest.mark.parametrize("density", [
         {"kind": "builtin", "payload": "uniform"},
         {"kind": "table", "payload": {"0": 0.5, "1": 1.0}}])
@@ -334,6 +343,31 @@ class TestMaxentCommand:
         assert rec["maximizer"] == want
         assert rec["sup_distance"] <= 2.0 ** -53
         assert rec["weights"][want.index(min(want))] <= min(want)
+
+    @pytest.mark.parametrize("nu, mass, entropy", [
+        ("1e300,1e300", "1e-300", 1.3822442029769874e-297),
+        ("1e-300,1e-300", "1e300", -1.3808579086158676e+303)])
+    def test_extreme_masses_print_a_finite_entropy(self, capsys, nu, mass,
+                                                   entropy):
+        # each weight over its nu underflows or overflows; the entropy is
+        # finite, and the output is JSON (no -Infinity)
+        assert main(["maxent", "--nu", nu, "--mass", mass,
+                     "--format", "json"]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+        rec = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rec["entropy"] == entropy
+        assert rec["sup_distance"] == 0.0
+
+    def test_huge_mass_over_a_wide_reference(self, capsys):
+        # mass * nu / sum(nu) is 1e300 for the second weight; a sum of
+        # nu over a fixed power of two put inf there
+        assert main(["maxent", "--nu", "1e-30,1e300", "--mass", "1e300",
+                     "--step", "0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "sup_distance  0.0" in lines
+        assert "maximizer     1e-30 1e+300" in lines
 
     def test_csv_rows(self, capsys):
         assert main(["maxent", "--nu", "1,1", "--format", "csv"]) == 0

@@ -80,9 +80,10 @@ def _without_numpy(calls: list) -> dict:
     return doc
 
 
-def _spec(tmp_path, name: str, density: dict) -> str:
+def _spec(tmp_path, name: str, density: dict, **rest) -> str:
     path = tmp_path / name
-    path.write_text(json.dumps({"density": density}), encoding="utf-8")
+    path.write_text(json.dumps({"density": density, **rest}),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -109,6 +110,45 @@ def test_entropy_supnorm_and_groups_run_without_numpy(tmp_path):
     # the same bytes as in this process, which may have numpy loaded
     assert doc["runs"] == [_in_process(argv) for argv in calls]
     assert [r["exit"] for r in doc["runs"]] == [0, 0, 0]
+
+
+def test_entropy_checks_run_without_numpy(tmp_path):
+    # the flat and the decaying density on a window; a quotient that is
+    # nan where supnorm samples it (exp(800) - exp(800) is inf - inf),
+    # which exits 3; a finite reference that is 0 at the atom c, against
+    # a measure that is 0 there too (exit 0) and one with mass there
+    # (AbsoluteContinuityError, exit 3); and the claims that run the
+    # weight path and the checked quotient of the identities
+    flat = _spec(tmp_path, "flat.json",
+                 {"kind": "builtin", "payload": "uniform"})
+    decay = _spec(tmp_path, "decay.json",
+                  {"kind": "expr", "payload": "exp(-x)"})
+    nan = _spec(tmp_path, "nan.json", {"kind": "expr", "payload":
+        "piecewise {0.33 < x < 0.34: exp(800) - exp(800); else: 0.5}"})
+    space = {"kind": "atoms", "atoms": ["a", "b", "c"]}
+    ref, null, charged = (
+        _spec(tmp_path, name, {"kind": "table", "payload": payload},
+              space=space)
+        for name, payload in (("ref.json", {"a": 1.0, "b": 2.0}),
+                              ("null.json", {"a": 0.5, "b": 0.25}),
+                              ("charged.json",
+                               {"a": 0.5, "b": 0.25, "c": 0.125})))
+    window = ["--group", "R+add:[0.0,2.0]"]
+    calls = [
+        ["entropy", "--measure", flat, *window],
+        ["entropy", "--measure", decay, *window],
+        ["supnorm", "--measure", flat, *window],
+        ["supnorm", "--measure", decay, *window],
+        ["supnorm", "--measure", nan, "--group", "R+add:[0,1]"],
+        ["entropy", "--measure", null, "--reference", ref],
+        ["entropy", "--measure", charged, "--reference", ref],
+        *[["verify", "--claim", claim, "--trials", "4", "--seed", "7"]
+          for claim in ("lem-weight-form", "lem-change-of-reference",
+                        "thm-entropic-gap")],
+    ]
+    doc = _without_numpy(calls)
+    assert doc["runs"] == [_in_process(argv) for argv in calls]
+    assert [r["exit"] for r in doc["runs"]] == [0, 0, 0, 0, 3, 0, 3, 0, 0, 0]
 
 
 def test_maxent_runs_without_numpy():

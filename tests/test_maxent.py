@@ -34,25 +34,35 @@ def outcome_bits(solver, *args, **kwargs):
     return repr(point.weights), point.mass, repr(value)
 
 
-def full_run_outcomes(nu, caps, mass=1.0, step=0.9, seed=0, start=None):
-    """maximize_entropy without the early stop: max(caps) calls of one
-    iteration each, each from the point the one before returned. The
-    outcome after each cap in caps; the reference for the stop's
-    exactness."""
-    def one_iteration(start):
-        return maximize_entropy(nu, mass=mass, iters=1, step=step,
-                                seed=seed, start=start)
-
+def run_to_the_cap(nu, caps, mass=1.0, step=0.9, seed=0, start=None):
+    """maximize_entropy without the early return: the same loop on
+    l = log(p / nu) run to max(caps), with p* for every iterate whose
+    spread of l is below 2^-54. The outcome after each cap in caps; the
+    reference for the stop's exactness."""
+    if step >= 2.0:  # raised before the first iteration, whatever the cap
+        return dict.fromkeys(caps, outcome_bits(maximize_entropy, nu,
+                                                step=step))
+    if start is None:
+        rng = random.Random(seed)
+        p = maxent._scaled([rng.random() + 0.1 for _ in nu], mass)
+    else:
+        p = list(start)
+    log_nu = [math.log(v) for v in nu]
+    log_floor = math.log(1e-16) + math.log(mass) - math.log(len(nu))
+    ell = [(math.log(w) if w > 0 else log_floor) - g
+           for w, g in zip(p, log_nu)]
     out = {}
-    try:
-        point, value = one_iteration(start)
-        for done in range(1, max(caps) + 1):
-            if done > 1:
-                point, value = one_iteration(point.weights)
-            if done in caps:
-                out[done] = outcome_bits(lambda: (point, value))
-    except StepSizeError as exc:
-        return dict.fromkeys(caps, ("StepSizeError", str(exc)))
+    for done in range(1, max(caps) + 1):
+        ell = [(1.0 - step) * x for x in ell]
+        if max(ell) - min(ell) < 2.0 ** -54:
+            p = maxent._maximizer(nu, mass)
+        else:
+            logs = [x + g for x, g in zip(ell, log_nu)]
+            top = max(logs)
+            p = maxent._scaled([math.exp(g - top) for g in logs], mass)
+        if done in caps:
+            out[done] = (repr(tuple(p)), mass,
+                         repr(entropy_of_weights(p, nu)))
     return out
 
 
@@ -117,6 +127,17 @@ class TestEntropyOfWeights:
         nu = [rng.uniform(0.1, 3.0) for _ in range(n)]
         p = simplex_draw(rng, n)
         assert entropy_of_weights(p, nu) <= math.log(math.fsum(nu)) + 1e-10
+
+    @pytest.mark.parametrize("w, v", [
+        (1e-300, 1e20), (1e-300, 1e23), (1e-300, 1e300), (1e300, 1e-300),
+        (1e10, 1e-300)],
+        ids=["subnormal", "least", "zero", "inf", "inf-small-weight"])
+    def test_quotient_past_the_normal_floats_takes_the_logs_apart(self, w,
+                                                                  v):
+        # w / v is subnormal (with few bits), 0 or inf, and
+        # -w (log w - log v) is finite
+        assert entropy_of_weights([w], [v]) == -w * (math.log(w)
+                                                     - math.log(v))
 
 
 class TestMaximizeEntropy:
@@ -219,6 +240,19 @@ class TestMaximizeEntropy:
         assert value == pytest.approx(entropy_of_weights(best, nu),
                                       rel=1e-15)
 
+    @pytest.mark.parametrize("nu, mass, entropy", [
+        ([1e300, 1e300], 1e-300, 1.3822442029769874e-297),
+        ([1e300, 1e300], 5e-324, -0.0),
+        ([1e-300, 1e-300], 1e300, -1.3808579086158676e+303),
+        ([1e-30, 1e300], 1e300, -0.0)],
+        ids=["tiny-mass", "subnormal-mass", "huge-mass", "huge-mass-wide"])
+    def test_extreme_masses_give_a_finite_entropy(self, nu, mass, entropy):
+        # w / nu underflows or overflows, though each w log w and
+        # w log nu is finite; S(p*) = mass log(sum(nu) / mass)
+        point, value = maximize_entropy(nu, mass=mass)
+        assert point.weights == tuple(maxent._maximizer(nu, mass))
+        assert repr(value) == repr(entropy)
+
     def test_huge_step_raises(self):
         with pytest.raises(StepSizeError):
             maximize_entropy([1.0, 2.0, 3.0], iters=200, step=1e8)
@@ -278,8 +312,7 @@ class TestMaximizeEntropy:
 
 
 class TestEarlyStopIsExact:
-    """The early stop returns exactly what running all `iters` returns:
-    at a fixed point, and from a cycle at every residue of the cap."""
+    """The early stop returns exactly what running all `iters` returns."""
 
     CAPS = (1, 2, 5, 50, 51, 400, 401)
 
@@ -290,9 +323,8 @@ class TestEarlyStopIsExact:
             nu = [1.0] * n
         else:
             nu = uniform_reference(11_000 + n, n)
-        for step in (0.1, 0.5, 0.9, 1.5, 1.9):
-            want = full_run_outcomes(nu, self.CAPS, mass=1.5, step=step,
-                                     seed=n)
+        for step in (0.1, 0.5, 0.9, 1.0, 1.5, 1.9):
+            want = run_to_the_cap(nu, self.CAPS, mass=1.5, step=step, seed=n)
             for iters in self.CAPS:
                 got = outcome_bits(maximize_entropy, nu, mass=1.5,
                                    iters=iters, step=step, seed=n)
@@ -306,48 +338,59 @@ class TestEarlyStopIsExact:
         *[(nu, dict(step=step)) for nu in ([1e-170, 1e170],
                                            [1e308, 1e308, 1.0])
           for step in (0.1, 0.9, 1.9)],
+        *[(nu, dict(mass=mass, step=step))
+          for nu, mass in (([1e-30, 1e300], 1e300), ([1e300, 1e300], 1e-300),
+                           ([1e300, 1e300], 5e-324))
+          for step in (0.1, 1.9)],
     ], ids=["step-1e8", "step-1e3", "zero-start", "vertex-start",
             *[f"{name}-{step}" for name in ("wide", "sum-overflows")
-              for step in (0.1, 0.9, 1.9)]])
+              for step in (0.1, 0.9, 1.9)],
+            *[f"{name}-{step}" for name in ("huge-mass", "tiny-mass",
+                                            "subnormal-mass")
+              for step in (0.1, 1.9)]])
     def test_edge_cases_match_full_run(self, nu, kwargs):
-        want = full_run_outcomes(nu, self.CAPS, **kwargs)
+        want = run_to_the_cap(nu, self.CAPS, **kwargs)
         for iters in self.CAPS:
             assert outcome_bits(maximize_entropy, nu, iters=iters,
                                 **kwargs) == want[iters]
 
-    def test_two_cycle_returns_the_caps_parity(self, monkeypatch):
-        # at step 1.9 on three atoms the iterates end in a two-cycle, so
-        # an odd and an even cap past it return its two points
-        nu = [1.0, 2.0, 3.0]
+    @pytest.mark.parametrize("nu, step, caps", [
+        ([1.0, 2.0, 3.0], 1.9, (1000, 1001)),
+        (uniform_reference(1, 3), 1.5, range(400, 404)),
+        (uniform_reference(1, 3), 1.9, range(400, 404)),
+        (uniform_reference(7, 4), 1.5, range(400, 404)),
+    ], ids=["three-1.9", "3-1-1.5", "3-1-1.9", "4-7-1.5"])
+    def test_caps_past_the_stop_agree(self, monkeypatch, nu, step, caps):
+        # the stop comes before each cap, and what it returns does not
+        # depend on how far off the cap is
         calls = counted_objective(monkeypatch)
-        even = maximize_entropy(nu, iters=1000, step=1.9)
-        odd = maximize_entropy(nu, iters=1001, step=1.9)
-        assert len(calls) < 1000  # both stopped early
-        assert even != odd
-        monkeypatch.undo()
-        want = full_run_outcomes(nu, (1000, 1001), step=1.9)
-        assert outcome_bits(lambda: even) == want[1000]
-        assert outcome_bits(lambda: odd) == want[1001]
-
-    @pytest.mark.parametrize("n, key, step, period", [
-        (3, 1, 1.5, 4), (3, 1, 1.9, 4), (4, 7, 1.5, 3)])
-    def test_longer_cycles_stop_at_every_residue(self, monkeypatch, n, key,
-                                                  step, period):
-        # these iterates end in a cycle of three or four points, which
-        # the caps 400 to 403 reach at each of its positions
-        nu = uniform_reference(key, n)
-        caps = range(400, 404)
-        calls = counted_objective(monkeypatch)
-        got = []
+        got = set()
         for iters in caps:
             calls.clear()
-            got.append(outcome_bits(maximize_entropy, nu, iters=iters,
-                                    step=step))
+            got.add(outcome_bits(maximize_entropy, nu, iters=iters,
+                                 step=step))
             assert len(calls) - 1 < iters  # stopped before the cap
-        assert len(set(got)) == period
+        assert len(got) == 1
         monkeypatch.undo()
-        want = full_run_outcomes(nu, caps, step=step)
-        assert got == [want[iters] for iters in caps]
+        want = run_to_the_cap(nu, caps, step=step)
+        assert got == set(want.values())
+
+    @pytest.mark.parametrize("nu, kwargs", [
+        ([1e-170, 1e170], {}), ([1e308, 1e308, 1.0], {}),
+        ([1e-300, 1.0, 1e300], {}), ([1e-30, 1e300], dict(mass=1e300)),
+        ([1e300, 1e300], dict(mass=1e-300)),
+        ([1.0, 1.0, 1.0], dict(start=(1.0, 0.0, 0.0))),
+        ([1.0, 1.0, 1.0], dict(start=(0.0, 0.5, 0.5)))],
+        ids=["tiny-huge", "sum-overflows", "wider", "huge-mass",
+             "tiny-mass", "vertex-start", "zero-start"])
+    @pytest.mark.parametrize("step", [0.1, 0.5, 0.9, 1.5, 1.9])
+    def test_whole_float_range_stops_at_the_maximizer(self, monkeypatch,
+                                                       nu, kwargs, step):
+        calls = counted_objective(monkeypatch)
+        point, _ = maximize_entropy(nu, iters=100_000, step=step, **kwargs)
+        assert len(calls) - 1 < 1000
+        assert point.weights == tuple(
+            maxent._maximizer(nu, kwargs.get("mass", 1.0)))
 
 
 def one_pair_at_a_time_probe(nu, trials=1000, seed=0, tol=1e-10):

@@ -11,8 +11,8 @@ from haarent.errors import AbsoluteContinuityError, DomainError
 from haarent.groups import AdditiveReals, MultiplicativePositiveReals, haar
 from haarent.measures import (Density, MeasurableSet, Measure, Space,
                               _combined, mass, measure_of_weight,
-                              radon_nikodym, step_density, table_density,
-                              weight_density)
+                              radon_nikodym, sample_grid, step_density,
+                              table_density, weight_density)
 from haarent.quadrature import Integrator
 from haarent.supnorm import sup_density
 
@@ -269,6 +269,21 @@ class TestWeightCorrespondence:
             for x in rng.uniform(0.0, 1.0, 12):
                 assert quot_b(float(x)) == pytest.approx(quot_m(float(x)),
                                                          abs=1e-12)
+
+
+class TestSampleGrid:
+    def test_evenly_spaced_then_breakpoints(self):
+        assert sample_grid(0.0, 1.0, 4, (0.3, 2.0)) == [
+            0.0, 0.25, 0.5, 0.75, 1.0, 0.3]
+
+    def test_window_as_wide_as_the_float_range(self):
+        # b - a overflows; the points are those of the exact spacing
+        assert sample_grid(-1e308, 1e308, 4, ()) == [
+            -1e308, -5e307, 0.0, 5e307, 1e308]
+        top = 1.7976931348623157e308
+        pts = sample_grid(-1.7e308, top, 256, ())
+        assert pts == sorted(pts)
+        assert pts[0] == -1.7e308 and top - pts[-1] <= math.ulp(top)
 
 
 class TestDensityHelpers:

@@ -86,6 +86,25 @@ def test_window_as_wide_as_the_float_range():
     assert r.panels == 3
 
 
+def test_one_panel_as_wide_as_the_float_range():
+    # b - a overflows on [-1e308, 1e308], but the half width the nodes
+    # are placed by does not
+    r = integrate_result(lambda x: 1e-300, full(-1e308, 1e308),
+                         piecewise_constant=True)
+    assert r.value == pytest.approx(2e8, rel=1e-15)
+    assert r.panels == 1
+
+
+def test_split_of_a_panel_whose_ends_sum_past_the_float_range():
+    # a + b overflows on [1e308, 1.7e308], but the midpoint 0.5 a + 0.5 b
+    # does not, so the panel holding the peak is split
+    c, w = 1.35e308, 1e306
+    r = integrate_result(lambda x: math.exp(-((x - c) / w) ** 2),
+                         full(1e308, 1.7e308))
+    assert abs(r.value - math.sqrt(math.pi) * w) <= r.error_bound
+    assert r.value == pytest.approx(math.sqrt(math.pi) * w, rel=1e-10)
+
+
 class TestStepOff:
     def test_steps_at_least_one_float(self):
         x = 1.0 / math.pi
