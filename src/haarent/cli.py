@@ -22,9 +22,10 @@ Sets on the command line are written "full", "[a,b] U [c,d]", or
 
 Exit codes: 0 success or all checks passed, 1 verification failure,
 2 usage error or unreadable input, 3 numeric failure (non-convergence,
-domain violations, window overflow). Identical invocations (flags, files,
-seed, environment) produce byte-identical output. Diagnostics go to
-standard error; results go to standard output or the --output path.
+domain violations, window overflow, a result outside the float range).
+Identical invocations (flags, files, seed, environment) produce
+byte-identical output. Diagnostics go to standard error; results go to
+standard output or the --output path.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import sys
 from . import dsl
 from .entropy import entropy_finite
 from .errors import (CatalogError, DomainError, ExprEvalError, ExprSyntaxError,
-                     HaarentError, NormalizationError)
+                     HaarentError, SumOverflowError)
 from .groups import (_NUMBER, Group, MultiplicativePositiveReals,
                      generated_subgroup, group_from_descriptor, haar)
 from .maxent import _maximizer, maximize_entropy
@@ -280,6 +281,13 @@ def _cell(v) -> str:
 
 
 def _render_record(fmt: str, rec: dict) -> str:
+    # an inf or nan prints in no format as a number: json.dumps would write
+    # the non-JSON Infinity
+    for k, v in rec.items():
+        for x in v if isinstance(v, (list, tuple)) else (v,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise SumOverflowError(
+                    f"{k} is {x!r}, outside the float range")
     if fmt == "json":
         return json.dumps(rec, indent=2) + "\n"
     if fmt == "csv":
@@ -344,12 +352,7 @@ def _cmd_supnorm(args, tol: float | None) -> int:
     s = dsl.parse_set(args.set if args.set is not None else "full",
                       reference.space)
     if len(measures) == 1:
-        sup = sup_density(measures[0], reference, s)
-        if not math.isfinite(sup):  # as sup_normalize does with two
-            raise NormalizationError(
-                f"sup of dm/dreference over the set is {sup!r}, outside "
-                f"the float range")
-        rec = {"sup": sup}
+        rec = {"sup": sup_density(measures[0], reference, s)}
     else:
         _, _, report = sup_normalize(measures[0], measures[1], reference, s)
         rec = report.to_dict()

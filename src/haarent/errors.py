@@ -37,7 +37,8 @@ class ConvergenceError(HaarentError):
 
 
 class SumOverflowError(HaarentError):
-    """An exact finite sum or an integral exceeds the float range."""
+    """An exact finite sum or an integral exceeds the float range, or a
+    result the CLI is to print is inf or nan."""
 
 
 class WindowOverflowError(HaarentError):

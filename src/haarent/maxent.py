@@ -9,11 +9,11 @@ the ascent below exists to confirm that numerically from random starts.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
 
-from ._pcg64 import seed_int
 from .errors import DomainError, StepSizeError
 
 __all__ = ["SimplexPoint", "entropy_of_weights", "maximize_entropy",
@@ -34,10 +34,28 @@ class SimplexPoint:
     def __post_init__(self):
         if not all(w >= 0 for w in self.weights):  # NaN fails too
             raise DomainError("simplex weights must be nonnegative numbers")
-        total = math.fsum(self.weights)
-        if abs(total - self.mass) > _MASS_TOL * max(1.0, abs(self.mass)):
-            raise DomainError(
-                f"weights sum to {total!r}, expected mass {self.mass!r}")
+        # half the sum, which stays finite for weights up to the largest
+        # float, and exact for normal weights
+        half = math.fsum([0.5 * w for w in self.weights])
+        if abs(half - 0.5 * self.mass) > \
+                0.5 * _MASS_TOL * max(1.0, abs(self.mass)):
+            raise DomainError(f"weights sum to {2.0 * half!r}, expected "
+                              f"mass {self.mass!r}")
+
+
+def seed_int(seed) -> int:
+    """seed as an int, or DomainError unless it is a non-negative
+    integer (a bool counts as one). The one seed rule of the package's
+    random.Random generators, here and in the verifier: random.Random
+    would take abs() of a negative int and hash a float."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise DomainError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def entropy_of_weights(p, nu) -> float:

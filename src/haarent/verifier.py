@@ -6,14 +6,18 @@ instances, and a checker. Reports are reproducible from (claim id, seed,
 trial index). Finite-group instances are exact (finite sums), so their
 tolerance tightens to 1e-12.
 
-Each trial draws from its own stream: a PCG64 generator
-(_pcg64.Stream) seeded with [seed, trial, crc32(claim id)], bit-equal to
-numpy.random.default_rng with that seed, so the verifier runs without
-numpy. The maxent-concavity claim draws its pairs from the
-random.Random that maxent.concavity_probe seeds from the trial's
-stream.
+Each trial draws from its own generator, random.Random seeded with the
+str "<claim id> <seed> <trial>". A str seed is hashed with sha512, so it
+does not depend on PYTHONHASHSEED, and Python keeps the random()
+sequence of a given seed across versions. Every draw goes through
+random(), never randrange, choice, shuffle or sample, whose sequences
+Python does not promise to keep: a uniform on [lo, hi) is
+lo + (hi - lo) * random() (random.Random.uniform's formula), and an
+index below n is int(random() * n). The maxent-concavity claim draws its
+pairs from the random.Random that maxent.concavity_probe seeds from the
+trial's generator.
 
-A checker is called as checker(rng, trial, tol) with the trial's stream
+A checker is called as checker(rng, trial, tol) with the trial's generator
 and returns what it compared, never a report: a tuple
 (relation, lhs, rhs, notes) with relation "=" (equal within the
 tolerance), "<=" (lhs at most rhs within it) or "<" (strict: rhs - lhs must
@@ -31,12 +35,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import random
 import warnings
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ._pcg64 import Stream, seed_int
 from .entropy import (NonUnitMassWarning, Verdict, change_reference,
                       entropic_gap, entropy_finite, entropy_prob,
                       entropy_weight, nonneg_certificate, uniform_measure)
@@ -44,7 +47,7 @@ from .errors import CatalogError, DomainError
 from .groups import (AdditiveReals, Cyclic, Dihedral, FiniteGroup,
                      MultiplicativePositiveReals, haar, subgroups,
                      translate_set)
-from .maxent import concavity_probe
+from .maxent import concavity_probe, seed_int
 from .measures import (Density, MeasurableSet, Measure, Space, mass,
                        measure_of_weight, step_density, table_density)
 from .quadrature import DEFAULT_INTEGRATOR as CFG
@@ -58,28 +61,40 @@ _TOL_EXACT = 1e-12
 _TOL_QUAD = 1e-8
 
 
-def _trial_rng(claim_id: str, seed: int, trial: int) -> Stream:
-    return Stream([seed, trial, zlib.crc32(claim_id.encode("utf-8"))])
+def _trial_rng(claim_id: str, seed: int, trial: int) -> random.Random:
+    return random.Random(f"{claim_id} {seed} {trial}")
 
 
 # ---------------------------------------------------------------------------
 # Random instance ingredients
 
 
+def _uniforms(rng, lo: float, hi: float, n: int) -> list:
+    return [lo + (hi - lo) * rng.random() for _ in range(n)]
+
+
+def _below(rng, n: int) -> int:
+    return int(rng.random() * n)
+
+
+def _pick(rng, seq):
+    return seq[_below(rng, len(seq))]
+
+
 def _cuts(rng, lo: float, hi: float, pieces: int) -> tuple:
-    return tuple(sorted(rng.uniform(lo, hi, pieces - 1)))
+    return tuple(sorted(_uniforms(rng, lo, hi, pieces - 1)))
 
 
 def _step(rng, lo: float, hi: float, vmin: float, vmax: float,
           pieces: int = 5) -> Density:
-    values = tuple(rng.uniform(vmin, vmax, pieces))
+    values = tuple(_uniforms(rng, vmin, vmax, pieces))
     return step_density(_cuts(rng, lo, hi, pieces), values)
 
 
 def _linear(rng, lo: float, hi: float, vmin: float, vmax: float,
             pieces: int = 4) -> Density:
     edges = (lo, *_cuts(rng, lo, hi, pieces), hi)
-    values = tuple(rng.uniform(vmin, vmax, pieces + 1))
+    values = tuple(_uniforms(rng, vmin, vmax, pieces + 1))
 
     def ev(x, edges=edges, values=values):
         i = bisect.bisect_right(edges, x) - 1
@@ -91,18 +106,15 @@ def _linear(rng, lo: float, hi: float, vmin: float, vmax: float,
     return Density(ev, breakpoints=edges[1:-1])
 
 
-# _table and _subset make one batched draw each: the same doubles, and the
-# same stream state after, as one scalar draw per atom
 def _table(rng, space: Space, vmin: float, vmax: float) -> Density:
-    values = rng.uniform(vmin, vmax, len(space.atoms))
+    values = _uniforms(rng, vmin, vmax, len(space.atoms))
     return table_density(space, dict(zip(space.atoms, values)))
 
 
 def _subset(rng, space: Space) -> MeasurableSet:
-    picks = [a for a, u in zip(space.atoms, rng.random(len(space.atoms)))
-             if u < 0.5]
+    picks = [a for a in space.atoms if rng.random() < 0.5]
     if not picks:
-        picks = [space.atoms[rng.integers(len(space.atoms))]]
+        picks = [_pick(rng, space.atoms)]
     return MeasurableSet.of_atoms(space, picks)
 
 
@@ -139,10 +151,6 @@ _SYMMETRY_POOL = (Cyclic(8), Cyclic(10), Cyclic(12), Cyclic(16), Dihedral(6))
 @functools.cache
 def _subgroups_of(group: FiniteGroup) -> tuple:
     return tuple(subgroups(group))
-
-
-def _pick(rng, seq):
-    return seq[rng.integers(len(seq))]
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +235,12 @@ def _check_uniform_maximizer(rng, trial, tol):
 
 
 def _check_concavity(rng, trial, tol):
-    n = rng.integers(2, 11)
-    nu = tuple(rng.uniform(0.2, 2.0, n))
+    n = 2 + _below(rng, 9)
+    nu = tuple(_uniforms(rng, 0.2, 2.0, n))
     # the pairs come from this trial's generator: the chord excess does
     # not depend on nu, so pairs seeded by the run alone would repeat
     # across every trial with the same n
-    pairs_seed = rng.integers(2**32)
+    pairs_seed = _below(rng, 2**32)
     gap, notes = concavity_probe(nu, trials=40, seed=pairs_seed, tol=tol)
     return "<=", gap, 0.0, notes
 
@@ -371,8 +379,8 @@ def _check_relative_symmetry(rng, trial, tol):
         h_sub = _pick(rng, proper)
         h_labels = h_sub.elements
         rest = [a for a in space.atoms if a not in set(h_labels)]
-        k = rng.integers(1, len(rest) + 1)
-        extra = [rest[i] for i in rng.permutation(len(rest))[:k]]
+        k = 1 + _below(rng, len(rest))
+        extra = sorted(rest, key=lambda _: rng.random())[:k]
         a_labels = tuple(h_labels) + tuple(extra)
         mode_note = f"A a plain superset, |H|={h_sub.order}, |A|={len(a_labels)}"
     h_set = MeasurableSet.of_atoms(space, h_labels)

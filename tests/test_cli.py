@@ -557,6 +557,17 @@ class TestExitCodes:
         assert re.search("exceeds the float range|outside the float range",
                          captured.err)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("mass", ["1e308", "1.7976931348623157e308"])
+    def test_infinite_maxent_entropy_exits_three(self, capsys, mass, fmt):
+        # p* is finite, but its entropy overflows to -inf
+        assert main(["maxent", "--n", "3", "--mass", mass,
+                     "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search("exceeds the float range|outside the float range",
+                         captured.err)
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["entropy", "--bogus"]) == 2
         capsys.readouterr()

@@ -100,6 +100,13 @@ class TestSimplexPoint:
         with pytest.raises(DomainError):
             SimplexPoint((math.nan, 1.0), 1.0)
 
+    def test_sum_up_to_the_largest_float(self):
+        # a plain fsum of either weight vector overflows in its partial sums
+        top = 1.7976931348623157e308
+        SimplexPoint((top / 3,) * 3, top)
+        with pytest.raises(DomainError, match="weights sum to inf"):
+            SimplexPoint((top, top / 2), top)
+
 
 class TestEntropyOfWeights:
     def test_uniform_attains_log_n(self):
@@ -391,6 +398,13 @@ class TestEarlyStopIsExact:
         assert len(calls) - 1 < 1000
         assert point.weights == tuple(
             maxent._maximizer(nu, kwargs.get("mass", 1.0)))
+
+    def test_largest_mass_returns_the_maximizer(self):
+        # p* is finite, but each p_i log p_i overflows
+        top = 1.7976931348623157e308
+        point, value = maximize_entropy([1, 1, 1], mass=top)
+        assert point.weights == tuple(maxent._maximizer([1.0] * 3, top))
+        assert value == -math.inf
 
 
 def one_pair_at_a_time_probe(nu, trials=1000, seed=0, tol=1e-10):
