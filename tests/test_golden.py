@@ -15,6 +15,7 @@ import io
 import json
 import platform
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -40,9 +41,27 @@ _EXPR_SPECS = (
 )
 _FAULTING = ("log-fault", "log(x - 1)", "R+add:[0.0,2.0]")
 
+# (case name, spec name, density, group arguments) on the finite groups:
+# S5 restricted to <a 5-cycle, a 3-cycle>, D12 to <r2, s1>, and README's
+# Z6 example in its default table rendering
+_FINITE_CASES = (
+    ("entropy/S5/subgroup", "s5-table",
+     {"kind": "table",
+      "payload": {"".join(p): 1.0 + k % 7 / 4
+                  for k, p in enumerate(permutations("01234"))}},
+     ["--group", "S5", "--subgroup", "12340,12034", "--format", "json"]),
+    ("entropy/D12/subgroup", "uniform",
+     {"kind": "builtin", "payload": "uniform"},
+     ["--group", "D12", "--subgroup", "r2,s1", "--format", "json"]),
+    ("entropy/Z6/set", "z6-table",
+     {"kind": "table", "payload": {"0": 0.5, "1": 1.0, "2": 2.0,
+                                   "3": 0.25, "4": 1.5, "5": 3.0}},
+     ["--group", "Z6", "--set", "{0,3}"]),
+)
+
 
 def _cases() -> list:
-    """(case name, argv, {spec name: expression}) for every golden case;
+    """(case name, argv, {spec name: density}) for every golden case;
     argv names spec files as {name}."""
     cases = []
     for cid in verifier.claim_ids():
@@ -56,7 +75,7 @@ def _cases() -> list:
     cases.append(("verify/all", ["verify", "--all", "--trials", "2",
                                  "--seed", "7", "--format", "json"], {}))
     for name, expr, group in _EXPR_SPECS + (_FAULTING,):
-        specs = {name: expr}
+        specs = {name: _expr(expr)}
         for tol in ("1e-6", "1e-10"):
             cases.append((f"entropy/{name}/tol{tol}",
                           ["entropy", "--measure", f"{{{name}}}", "--group",
@@ -64,21 +83,26 @@ def _cases() -> list:
         cases.append((f"supnorm/{name}",
                       ["supnorm", "--measure", f"{{{name}}}", "--group",
                        group, "--format", "json"], specs))
-    pair = {name: expr for name, expr, _ in _EXPR_SPECS[2:4]}
+    pair = {name: _expr(expr) for name, expr, _ in _EXPR_SPECS[2:4]}
     cases.append(("supnorm/pair",
                   ["supnorm", "--measure", "{sqrt-log}", "--measure",
                    "{abs}", "--group", "R+add:[0.0,4.0]", "--format",
                    "json"], pair))
+    for case, name, density, group_args in _FINITE_CASES:
+        cases.append((case, ["entropy", "--measure", f"{{{name}}}",
+                             *group_args], {name: density}))
     return cases
+
+
+def _expr(expr: str) -> dict:
+    return {"kind": "expr", "payload": expr}
 
 
 def _run(argv, specs, workdir: Path) -> dict:
     paths = {}
-    for name, expr in specs.items():
+    for name, density in specs.items():
         path = workdir / f"{name}.json"
-        path.write_text(json.dumps(
-            {"density": {"kind": "expr", "payload": expr}}),
-            encoding="utf-8")
+        path.write_text(json.dumps({"density": density}), encoding="utf-8")
         paths[name] = str(path)
     argv = [paths.get(a[1:-1], a) if a.startswith("{") else a
             for a in argv]
@@ -131,6 +155,16 @@ def test_faulting_expression_is_recorded_as_a_numeric_failure():
 def test_output_is_byte_identical(name, argv, specs, tmp_path):
     _require_recorded_environment()
     assert _run(argv, specs, tmp_path) == _golden()[name]
+
+
+def test_second_run_in_one_process_is_byte_identical(tmp_path):
+    # the second run of a finite case finds its group built by the first
+    _require_recorded_environment()
+    golden = _golden()
+    for name, argv, specs in _cases():
+        first = _run(argv, specs, tmp_path)
+        assert (first, _run(argv, specs, tmp_path)) == (golden[name],) * 2, \
+            name
 
 
 def _record() -> None:
