@@ -26,11 +26,16 @@ order.
 Subgroups of a finite kind are closed by one routine, `_extend`, Dimino's
 walk over the right cosets of H inside <H, x>, which stops with all of G
 once its cosets hold more than half the group (Lagrange):
-`generated_subgroup` uses it alone, and `subgroups` (read by
-`subgroup_chains`) walks each cyclic subgroup by the powers of one
-generator, extends by `_extend` from there, and takes in the conjugates of
-each subgroup it extends, conjugating by index through the columns and
-the inverse map.
+`generated_subgroup` uses it alone, and `_enumerate_subgroups` walks each
+cyclic subgroup by the powers of one generator, extends by `_extend` from
+there, and takes in the conjugates of each subgroup it extends,
+conjugating by index through the columns and the inverse map.
+
+A finite group object keeps what it computes: its tables, its lattice
+(`FiniteGroup._lattice`, which `subgroups` copies) and its maximal chains
+(`FiniteGroup._chains`, which `subgroup_chains` copies).
+`group_from_descriptor` returns one object per finite group, so a process
+builds each of these once.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress, permutations
 from operator import itemgetter
 from typing import Iterable
@@ -59,6 +64,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest order of a Cyclic or Dihedral group. A group's tables grow in
+# proportion to its order: Z_{2^16}'s carrier, Haar measure and one finite
+# entropy take about 11 MB, so a group at this limit takes about 180 MB.
+MAX_ORDER = 2 ** 20
 
 
 class Group:
@@ -167,6 +176,17 @@ class FiniteGroup(Group):
         """[x*b for x in xs]: the group law, once per kind, in bulk."""
         raise NotImplementedError
 
+    # the lattice and its maximal chains, computed on first use; callers
+    # get copies from subgroups and subgroup_chains, so these never change
+
+    @cached_property
+    def _lattice(self) -> list:
+        return _enumerate_subgroups(self)
+
+    @cached_property
+    def _chains(self) -> list:
+        return _maximal_chains(self)
+
 
 @dataclass(frozen=True)
 class Cyclic(FiniteGroup):
@@ -175,8 +195,9 @@ class Cyclic(FiniteGroup):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("cyclic order must be >= 1")
+        if not 1 <= self.n <= MAX_ORDER:
+            raise DomainError(
+                f"cyclic order must be between 1 and {MAX_ORDER}")
 
     def _reps(self):
         return tuple(range(self.n))
@@ -202,8 +223,9 @@ class Dihedral(FiniteGroup):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("dihedral index must be >= 1")
+        if not 1 <= 2 * self.n <= MAX_ORDER:
+            raise DomainError(f"dihedral index must be between 1 and "
+                              f"{MAX_ORDER // 2} (order {MAX_ORDER})")
 
     def _reps(self):
         return tuple((r, f) for f in (0, 1) for r in range(self.n))
@@ -545,8 +567,9 @@ def _conjugates(mask: bytes, conj: list[list[int]]) -> set[bytes]:
     return orbit
 
 
-def subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """All subgroups, sorted by order (trivial and full included).
+def _enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
+    """All subgroups, sorted by order (trivial and full included), up to
+    order 720.
 
     The cyclic extension method, extending one subgroup per conjugacy
     class (Neubueser 1960; Holt, Eick & O'Brien, Handbook of Computational
@@ -567,9 +590,6 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
     So <H^g, x> is H^g itself (y in H) or a conjugate of the extension
     <H, y>, which entered with its class.
     """
-    if not group.is_finite:
-        raise UnsupportedOperationError(
-            f"subgroup enumeration needs a finite kind, got {group.describe()}")
     n = group.order
     if n > 720:
         raise DomainError(f"subgroup enumeration capped at order 720, got {n}")
@@ -616,15 +636,14 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
     return subs
 
 
-def subgroup_chains(group: FiniteGroup) -> list[list[Subgroup]]:
-    """All maximal chains of the subgroup lattice, trivial to full.
+def _maximal_chains(group: FiniteGroup) -> list[list[Subgroup]]:
+    """All maximal chains of the lattice, trivial to full.
 
     Covers come from the membership masks read as ints (H <= K iff
     H & ~K == 0): a larger K covers H unless a cover of H found earlier
     lies inside K.
     """
-    subs = subgroups(group)
-    keys = sorted(subs, key=lambda s: (s.order, sorted(s.elements)))
+    keys = sorted(group._lattice, key=lambda s: (s.order, sorted(s.elements)))
     index = {a: i for i, a in enumerate(group.carrier.atoms)}
     bits = [int.from_bytes(_mask(group.order, (index[a] for a in s.elements)),
                            "little") for s in keys]
@@ -647,6 +666,34 @@ def subgroup_chains(group: FiniteGroup) -> list[list[Subgroup]]:
 
     walk(0, [0])
     return chains
+
+
+def _finite(group: Group) -> FiniteGroup:
+    if not group.is_finite:
+        raise UnsupportedOperationError(
+            f"subgroup enumeration needs a finite kind, got {group.describe()}")
+    return group
+
+
+def subgroups(group: FiniteGroup) -> list[Subgroup]:
+    """All subgroups, sorted by order (trivial and full included), for a
+    finite group of order up to 720; a larger order raises DomainError.
+
+    The group object enumerates its lattice once, on the first call (see
+    `_enumerate_subgroups`); every call returns a new list of the same
+    Subgroup objects, which the caller may change freely.
+    """
+    return list(_finite(group)._lattice)
+
+
+def subgroup_chains(group: FiniteGroup) -> list[list[Subgroup]]:
+    """All maximal chains of the subgroup lattice, trivial to full, each a
+    list of the lattice's own Subgroup objects (those `subgroups` lists).
+
+    The group object computes its chains once, on the first call; every
+    call returns new lists.
+    """
+    return [list(c) for c in _finite(group)._chains]
 
 
 def _translation_range(group: Group, s: MeasurableSet) -> tuple:
@@ -731,27 +778,42 @@ def translation_samples(group: Group, count: int = 64,
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 _DESCRIPTOR_RE = re.compile(
-    r"^(?:(?P<cyc>[ZC])(?P<cycn>[0-9]+)|D(?P<dihn>[0-9]+)|S(?P<symn>[0-9]+)|"
+    r"^(?:(?P<kind>[ZCDS])(?P<n>[0-9]+)|"
     rf"R\+add:\[\s*(?P<alo>-?{_NUMBER})\s*,\s*(?P<ahi>-?{_NUMBER})\s*\]|"
     rf"R\*mul:\[\s*(?P<mlo>-?{_NUMBER})\s*,\s*(?P<mhi>-?{_NUMBER})\s*\]|"
     r"(?P<circ>circle))$")
+_FINITE_KINDS = {"Z": Cyclic, "C": Cyclic, "D": Dihedral, "S": Symmetric}
 
 
 def group_from_descriptor(text: str) -> Group:
     """Parse CLI descriptors like "Z6", "D4", "S4", "R+add:[0,10]",
-    "R*mul:[0.1,100]", "circle"; a window bound is '-'? NUMBER, as in --set."""
+    "R*mul:[0.1,100]", "circle"; a window bound is '-'? NUMBER, as in --set.
+
+    A finite group is built once per process and kept for its life: every
+    spelling of it ("Z6", " Z6 ", "C06") returns the same object, so its
+    tables, subgroup lattice and chains are computed once. Windowed kinds
+    and the circle, which hold no tables, are new objects on each call.
+    """
     m = _DESCRIPTOR_RE.match(text.strip())
     if not m:
         raise DomainError(f"unrecognized group descriptor {text!r}")
-    if m.group("cyc"):
-        return Cyclic(int(m.group("cycn")))
-    if m.group("dihn"):
-        return Dihedral(int(m.group("dihn")))
-    if m.group("symn"):
-        return Symmetric(int(m.group("symn")))
+    if m.group("kind"):
+        digits = m.group("n")
+        try:
+            n = int(digits)
+        except ValueError:  # more digits than int() reads
+            raise DomainError(f"a group index of {len(digits)} digits is "
+                              f"too large") from None
+        return _finite_group(_FINITE_KINDS[m.group("kind")], n)
     if m.group("alo"):
         return AdditiveReals((float(m.group("alo")), float(m.group("ahi"))))
     if m.group("mlo"):
         return MultiplicativePositiveReals(
             (float(m.group("mlo")), float(m.group("mhi"))))
     return Circle()
+
+
+@cache
+def _finite_group(kind: type, n: int) -> FiniteGroup:
+    # a kind that rejects n raises, and the cache keeps nothing
+    return kind(n)

@@ -33,7 +33,6 @@ means slack >= -tolerance.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import random
 import warnings
@@ -44,7 +43,7 @@ from .entropy import (NonUnitMassWarning, Verdict, change_reference,
                       entropic_gap, entropy_finite, entropy_prob,
                       entropy_weight, nonneg_certificate, uniform_measure)
 from .errors import CatalogError, DomainError
-from .groups import (AdditiveReals, Cyclic, Dihedral, FiniteGroup,
+from .groups import (AdditiveReals, Cyclic, Dihedral,
                      MultiplicativePositiveReals, haar, subgroups,
                      translate_set)
 from .maxent import concavity_probe, seed_int
@@ -146,11 +145,6 @@ def _base(space: Space) -> Measure:
 _Z10, _Z12, _Z16 = (Cyclic(n).carrier for n in (10, 12, 16))
 _FINITE_POOL = (Cyclic(8), Cyclic(12), Cyclic(16), Dihedral(3), Dihedral(4))
 _SYMMETRY_POOL = (Cyclic(8), Cyclic(10), Cyclic(12), Cyclic(16), Dihedral(6))
-
-
-@functools.cache
-def _subgroups_of(group: FiniteGroup) -> tuple:
-    return tuple(subgroups(group))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +269,7 @@ def _check_nested_haar(rng, trial, tol):
     group = _pick(rng, _FINITE_POOL)
     scale = rng.uniform(0.5, 2.0)
     nu = haar(group, scale)
-    sub = _pick(rng, _subgroups_of(group))
+    sub = _pick(rng, subgroups(group))
     h_set = sub.as_set()
     value = entropy_finite(nu.restricted(h_set), nu, h_set, CFG).nats
     target = math.log(scale * sub.order)
@@ -349,7 +343,7 @@ def _check_monotonicity(rng, trial, tol):
     space = group.carrier
     mu_g = haar(group)
     xi = Measure.from_density(space, _table(rng, space, 0.0, 1.0))
-    proper = [s for s in _subgroups_of(group) if s.order < group.order]
+    proper = [s for s in subgroups(group) if s.order < group.order]
     sub = _pick(rng, proper)
     s_h = entropy_finite(xi, mu_g, sub.as_set(), CFG).nats
     s_g = entropy_finite(xi, mu_g, MeasurableSet.full(space), CFG).nats
@@ -361,7 +355,7 @@ def _check_monotonicity(rng, trial, tol):
 def _check_relative_symmetry(rng, trial, tol):
     group = _pick(rng, _SYMMETRY_POOL)
     space = group.carrier
-    subs = _subgroups_of(group)
+    subs = subgroups(group)
     mode = trial % 3
     if mode == 0:
         sub = _pick(rng, subs)

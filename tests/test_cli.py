@@ -595,6 +595,15 @@ class TestExitCodes:
                      "--group", group]) == 2
         assert "unrecognized group descriptor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group", [
+        "Z99999999999999999999",   # was an OverflowError traceback
+        "D99999999999999999999"])  # was a table built until memory ran out
+    def test_order_past_the_limit_exits_two(self, spaceless_uniform, capsys,
+                                            group):
+        assert main(["entropy", "--measure", spaceless_uniform,
+                     "--group", group]) == 2
+        assert "must be between 1 and" in capsys.readouterr().err
+
 
 class TestNumberOptions:
     """Numeric options and HAARENT_TOL are ASCII literals: int() and

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from haarent import groups
 from haarent.errors import (DomainError, UnsupportedOperationError,
                              WindowOverflowError)
-from haarent.groups import (AdditiveReals, Circle, Cyclic, Dihedral,
-                            MultiplicativePositiveReals, Subgroup, Symmetric,
-                            generated_subgroup, group_from_descriptor, haar,
-                            subgroup_chains, subgroups, translate_set,
-                            translation_samples)
+from haarent.groups import (MAX_ORDER, AdditiveReals, Circle, Cyclic,
+                            Dihedral, MultiplicativePositiveReals, Subgroup,
+                            Symmetric, generated_subgroup,
+                            group_from_descriptor, haar, subgroup_chains,
+                            subgroups, translate_set, translation_samples)
 from haarent.groups import (_extend, _is_prime_power, _mask, _members,
                             _subgroup, _translation_knots, _translation_range)
 from haarent.measures import MeasurableSet, mass
@@ -721,19 +721,12 @@ def _divisors(n):
 class TestDeclaredDomain:
     """Subgroup enumeration covers every finite group up to order 720."""
 
-    def test_symmetric_six(self, monkeypatch):
-        lattices = []
-
-        def spy(group):
-            lattices.append(subgroups(group))
-            return lattices[-1]
-
-        # one enumeration (about 0.5 s): keep the lattice subgroup_chains
-        # gets
-        monkeypatch.setattr(groups, "subgroups", spy)
+    def test_symmetric_six(self):
+        # one enumeration (about 0.5 s), which subgroup_chains reads from
+        # the group object
         g = Symmetric(6)
+        lattice = subgroups(g)
         chains = subgroup_chains(g)
-        [lattice] = lattices
         assert len(lattice) == 1455
         # cross-checked by an independent count of paths over the covers
         # of the lattice (maximal_chains in the benchmark's workloads)
@@ -757,10 +750,92 @@ class TestDeclaredDomain:
         assert len(_divisors(720)) == 30
 
     def test_order_721_rejected(self):
-        with pytest.raises(DomainError, match="capped at order 720"):
-            subgroups(Cyclic(721))
-        with pytest.raises(DomainError, match="capped at order 720"):
-            subgroup_chains(Cyclic(721))
+        # on every call: a rejected lattice is not cached
+        g = Cyclic(721)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="capped at order 720"):
+                subgroups(g)
+            with pytest.raises(DomainError, match="capped at order 720"):
+                subgroup_chains(g)
+
+    @pytest.mark.parametrize("text", ["Z", "C", "D"])
+    def test_order_past_the_limit_rejected(self, text):
+        # the check comes before any table: nothing of this size is built
+        with pytest.raises(DomainError, match=str(MAX_ORDER)):
+            group_from_descriptor(text + "9" * 20)
+        with pytest.raises(DomainError, match="too large"):
+            group_from_descriptor(text + "9" * 5000)
+
+    def test_order_limit(self):
+        assert Cyclic(MAX_ORDER).n == MAX_ORDER
+        assert Dihedral(MAX_ORDER // 2).n == MAX_ORDER // 2
+        with pytest.raises(DomainError):
+            Cyclic(MAX_ORDER + 1)
+        with pytest.raises(DomainError):
+            Dihedral(MAX_ORDER // 2 + 1)
+
+
+class TestOneObjectPerGroup:
+    """A finite descriptor gives one object per process, which enumerates
+    its lattice and chains once and hands out copies."""
+
+    def test_every_spelling_gives_one_object(self):
+        assert group_from_descriptor("S5") is group_from_descriptor(" S5 ")
+        assert group_from_descriptor("Z06") is group_from_descriptor("Z6")
+        assert group_from_descriptor("C6") is group_from_descriptor("Z6")
+        assert group_from_descriptor("D12") is not group_from_descriptor(
+            "Z12")
+
+    def test_tableless_kinds_are_new_objects(self):
+        for text in ("circle", "R+add:[0,10]", "R*mul:[0.1,100]"):
+            assert group_from_descriptor(text) is not \
+                group_from_descriptor(text)
+
+    def test_subgroups_are_fresh_lists(self):
+        g = Dihedral(6)
+        first = subgroups(g)
+        want = list(first)
+        first.reverse()
+        first.pop()
+        assert subgroups(g) == want
+        assert subgroups(g) is not subgroups(g)
+
+    def test_chains_are_fresh_lists(self):
+        g = Dihedral(6)
+        first = subgroup_chains(g)
+        want = [list(c) for c in first]
+        first[0].clear()
+        first.pop()
+        assert subgroup_chains(g) == want
+        assert subgroup_chains(g)[0] is not subgroup_chains(g)[0]
+
+    def test_second_call_enumerates_nothing(self, monkeypatch):
+        walks, products = [], []
+        extend, law = groups._extend, Dihedral.compose_reps
+
+        def counting_extend(*args):
+            walks.append(1)
+            return extend(*args)
+
+        def counting_law(self, a, b):
+            products.append(1)
+            return law(self, a, b)
+
+        monkeypatch.setattr(groups, "_extend", counting_extend)
+        monkeypatch.setattr(Dihedral, "compose_reps", counting_law)
+        g = Dihedral(12)
+        want = (subgroups(g), subgroup_chains(g))
+        assert walks and products
+        walks.clear()
+        products.clear()
+        assert (subgroups(g), subgroup_chains(g)) == want
+        assert walks == products == []
+
+    def test_non_finite_group_rejected(self):
+        for call in (subgroups, subgroup_chains):
+            for _ in range(2):
+                with pytest.raises(UnsupportedOperationError):
+                    call(Circle())
 
 
 class TestDescriptors:
