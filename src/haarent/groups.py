@@ -34,8 +34,10 @@ conjugating by index through the columns and the inverse map.
 A finite group object keeps what it computes: its tables, its lattice
 (`FiniteGroup._lattice`, which `subgroups` copies) and its maximal chains
 (`FiniteGroup._chains`, which `subgroup_chains` copies).
-`group_from_descriptor` returns one object per finite group, so a process
-builds each of these once.
+`group_from_descriptor` keeps one object per finite group of order up to
+LATTICE_ORDER, the groups whose lattice can be enumerated, so a process
+builds each of these once; a larger group is a new object on each call
+and is freed with it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import compress, permutations
 from operator import itemgetter
 from typing import Iterable
@@ -68,6 +70,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # proportion to its order: Z_{2^16}'s carrier, Haar measure and one finite
 # entropy take about 11 MB, so a group at this limit takes about 180 MB.
 MAX_ORDER = 2 ** 20
+# Largest order whose subgroup lattice is enumerated, and so the largest
+# group that group_from_descriptor keeps.
+LATTICE_ORDER = 720
 
 
 class Group:
@@ -199,6 +204,10 @@ class Cyclic(FiniteGroup):
             raise DomainError(
                 f"cyclic order must be between 1 and {MAX_ORDER}")
 
+    @property
+    def order(self) -> int:
+        return self.n
+
     def _reps(self):
         return tuple(range(self.n))
 
@@ -226,6 +235,10 @@ class Dihedral(FiniteGroup):
         if not 1 <= 2 * self.n <= MAX_ORDER:
             raise DomainError(f"dihedral index must be between 1 and "
                               f"{MAX_ORDER // 2} (order {MAX_ORDER})")
+
+    @property
+    def order(self) -> int:
+        return 2 * self.n
 
     def _reps(self):
         return tuple((r, f) for f in (0, 1) for r in range(self.n))
@@ -569,7 +582,7 @@ def _conjugates(mask: bytes, conj: list[list[int]]) -> set[bytes]:
 
 def _enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by order (trivial and full included), up to
-    order 720.
+    order LATTICE_ORDER.
 
     The cyclic extension method, extending one subgroup per conjugacy
     class (Neubueser 1960; Holt, Eick & O'Brien, Handbook of Computational
@@ -591,8 +604,9 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     <H, y>, which entered with its class.
     """
     n = group.order
-    if n > 720:
-        raise DomainError(f"subgroup enumeration capped at order 720, got {n}")
+    if n > LATTICE_ORDER:
+        raise DomainError(f"subgroup enumeration capped at order "
+                          f"{LATTICE_ORDER}, got {n}")
     e = group._index[group.identity_rep()]
     trivial = _mask(n, [e])
 
@@ -677,7 +691,8 @@ def _finite(group: Group) -> FiniteGroup:
 
 def subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by order (trivial and full included), for a
-    finite group of order up to 720; a larger order raises DomainError.
+    finite group of order up to LATTICE_ORDER (720); a larger order
+    raises DomainError.
 
     The group object enumerates its lattice once, on the first call (see
     `_enumerate_subgroups`); every call returns a new list of the same
@@ -789,22 +804,23 @@ def group_from_descriptor(text: str) -> Group:
     """Parse CLI descriptors like "Z6", "D4", "S4", "R+add:[0,10]",
     "R*mul:[0.1,100]", "circle"; a window bound is '-'? NUMBER, as in --set.
 
-    A finite group is built once per process and kept for its life: every
-    spelling of it ("Z6", " Z6 ", "C06") returns the same object, so its
-    tables, subgroup lattice and chains are computed once. Windowed kinds
-    and the circle, which hold no tables, are new objects on each call.
+    A finite group of order up to LATTICE_ORDER is built once per process
+    and kept for its life: every spelling of it ("Z6", " Z6 ", "C06")
+    returns the same object, so its tables, subgroup lattice and chains
+    are computed once. A larger finite group, whose lattice cannot be
+    enumerated, and the windowed kinds and the circle, which hold no
+    tables, are new objects on each call.
     """
     m = _DESCRIPTOR_RE.match(text.strip())
     if not m:
         raise DomainError(f"unrecognized group descriptor {text!r}")
     if m.group("kind"):
-        digits = m.group("n")
-        try:
-            n = int(digits)
-        except ValueError:  # more digits than int() reads
-            raise DomainError(f"a group index of {len(digits)} digits is "
-                              f"too large") from None
-        return _finite_group(_FINITE_KINDS[m.group("kind")], n)
+        digits = m.group("n").lstrip("0")
+        if len(digits) > len(str(MAX_ORDER)):
+            raise DomainError(f"a group index of {len(digits)} digits is too "
+                              f"large: orders must be between 1 and "
+                              f"{MAX_ORDER}")
+        return _finite_group(_FINITE_KINDS[m.group("kind")], int(digits or 0))
     if m.group("alo"):
         return AdditiveReals((float(m.group("alo")), float(m.group("ahi"))))
     if m.group("mlo"):
@@ -813,7 +829,14 @@ def group_from_descriptor(text: str) -> Group:
     return Circle()
 
 
-@cache
+# (kind, n) -> the one object of that group, for orders up to LATTICE_ORDER
+_KEPT: dict = {}
+
+
 def _finite_group(kind: type, n: int) -> FiniteGroup:
-    # a kind that rejects n raises, and the cache keeps nothing
-    return kind(n)
+    group = _KEPT.get((kind, n))
+    if group is None:
+        group = kind(n)  # a kind that rejects n raises, and nothing is kept
+        if group.order <= LATTICE_ORDER:
+            _KEPT[kind, n] = group
+    return group

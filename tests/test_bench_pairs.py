@@ -14,14 +14,15 @@ DECLARED = [{"name": "ops_per_s", "unit": "1/s", "better": "higher"},
             {"name": "wall_s", "unit": "s", "better": "lower"}]
 
 
-def _runs(values: list) -> list:
+def _runs(values: list, failed: int = 0) -> list:
     return [{"metrics": {"ops_per_s": {"value": v},
-                         "wall_s": {"value": 1.0 / v}}} for v in values]
+                         "wall_s": {"value": 1.0 / v}},
+             "failed": failed} for v in values]
 
 
-def _gains(parent: list, change: list) -> dict:
-    rows = bench_pairs.summary(DECLARED, {"parent": _runs(parent),
-                                          "change": _runs(change)})
+def _gains(parent: list, change: list, failed: tuple = (0, 0)) -> dict:
+    rows = bench_pairs.summary(DECLARED, {"parent": _runs(parent, failed[0]),
+                                          "change": _runs(change, failed[1])})
     return {name: (wins, gain) for name, _, _, _, wins, _, gain in rows}
 
 
@@ -43,6 +44,13 @@ def test_eight_wins_do_not_hold():
 def test_a_gap_inside_the_spread_does_not_hold():
     change = [v + 10 for v in PARENT]
     assert _gains(PARENT, change)["ops_per_s"] == (10, False)
+
+
+def test_more_failed_operations_are_no_gain():
+    change = [v + 100 for v in PARENT]
+    assert _gains(PARENT, change, failed=(0, 1)) == {"ops_per_s": (10, False),
+                                                      "wall_s": (10, False)}
+    assert _gains(PARENT, change, failed=(1, 1))["ops_per_s"] == (10, True)
 
 
 def test_a_loss_is_no_gain():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from haarent import cli, verifier
+from haarent import cli, groups, verifier
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -157,14 +157,22 @@ def test_output_is_byte_identical(name, argv, specs, tmp_path):
     assert _run(argv, specs, tmp_path) == _golden()[name]
 
 
-def test_second_run_in_one_process_is_byte_identical(tmp_path):
-    # the second run of a finite case finds its group built by the first
+def _finite_cases() -> list:
+    names = {case for case, _, _, _ in _FINITE_CASES}
+    return [c for c in _cases() if c[0] in names]
+
+
+@pytest.mark.parametrize("name,argv,specs", _finite_cases(),
+                         ids=[c[0] for c in _finite_cases()])
+def test_kept_group_gives_the_same_bytes(name, argv, specs, tmp_path,
+                                         monkeypatch):
+    # the first run builds the group in an empty process-wide store, the
+    # second is served by the object the first one kept
     _require_recorded_environment()
-    golden = _golden()
-    for name, argv, specs in _cases():
-        first = _run(argv, specs, tmp_path)
-        assert (first, _run(argv, specs, tmp_path)) == (golden[name],) * 2, \
-            name
+    monkeypatch.setattr(groups, "_KEPT", {})
+    first = _run(argv, specs, tmp_path)
+    assert len(groups._KEPT) == 1
+    assert (first, _run(argv, specs, tmp_path)) == (_golden()[name],) * 2
 
 
 def _record() -> None:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from haarent import groups
 from haarent.errors import (DomainError, UnsupportedOperationError,
                              WindowOverflowError)
-from haarent.groups import (MAX_ORDER, AdditiveReals, Circle, Cyclic,
-                            Dihedral, MultiplicativePositiveReals, Subgroup,
-                            Symmetric, generated_subgroup,
+from haarent.groups import (LATTICE_ORDER, MAX_ORDER, AdditiveReals, Circle,
+                            Cyclic, Dihedral, MultiplicativePositiveReals,
+                            Subgroup, Symmetric, generated_subgroup,
                             group_from_descriptor, haar, subgroup_chains,
                             subgroups, translate_set, translation_samples)
 from haarent.groups import (_extend, _is_prime_power, _mask, _members,
@@ -767,8 +767,10 @@ class TestDeclaredDomain:
             group_from_descriptor(text + "9" * 5000)
 
     def test_order_limit(self):
-        assert Cyclic(MAX_ORDER).n == MAX_ORDER
-        assert Dihedral(MAX_ORDER // 2).n == MAX_ORDER // 2
+        # a group's order is read without building its table
+        for g in (Cyclic(MAX_ORDER), Dihedral(MAX_ORDER // 2)):
+            assert g.order == MAX_ORDER
+            assert "reps" not in vars(g)
         with pytest.raises(DomainError):
             Cyclic(MAX_ORDER + 1)
         with pytest.raises(DomainError):
@@ -785,6 +787,15 @@ class TestOneObjectPerGroup:
         assert group_from_descriptor("C6") is group_from_descriptor("Z6")
         assert group_from_descriptor("D12") is not group_from_descriptor(
             "Z12")
+
+    def test_only_groups_with_a_lattice_are_kept(self):
+        # past LATTICE_ORDER a group is a new object, freed with its caller
+        assert group_from_descriptor("Z720") is group_from_descriptor("Z720")
+        assert group_from_descriptor("D360") is group_from_descriptor("D360")
+        for text in ("Z721", "D361", "Z" + str(MAX_ORDER)):
+            assert group_from_descriptor(text) is not \
+                group_from_descriptor(text)
+        assert group_from_descriptor("Z721") == Cyclic(LATTICE_ORDER + 1)
 
     def test_tableless_kinds_are_new_objects(self):
         for text in ("circle", "R+add:[0,10]", "R*mul:[0.1,100]"):

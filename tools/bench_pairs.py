@@ -8,10 +8,10 @@ Each pair runs `python3 bench/run.py --workload W --seed S --seconds T
 change first in odd ones. For every end-to-end metric the parent's
 BENCHMARK.json declares, it prints each side's median and quartiles, the
 pairs the change won (ties count for neither side), and whether a gain
-may be claimed: the change wins at least 9 pairs in 10, and its median
-is better than the parent's by more than the parent's interquartile
-range. It also prints each side's failed operations and whether every
-run was correct.
+may be claimed: the change wins at least 9 pairs in 10, its median is
+better than the parent's by more than the parent's interquartile range,
+and its runs fail no more operations in all than the parent's. It also
+prints each side's failed operations and whether every run was correct.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ def quartiles(values: list) -> tuple:
 def summary(declared: list, runs: dict) -> list:
     """One row per metric: (name, unit, parent quartiles, change
     quartiles, change wins, pairs, whether a gain may be claimed)."""
+    failed = {side: sum(r["failed"] for r in results)
+              for side, results in runs.items()}
     rows = []
     for m in declared:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -54,7 +56,8 @@ def summary(declared: list, runs: dict) -> list:
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         pq, cq = quartiles(old), quartiles(new)
         gain = (wins >= 0.9 * len(old)
-                and sign * (cq[1] - pq[1]) > pq[2] - pq[0])
+                and sign * (cq[1] - pq[1]) > pq[2] - pq[0]
+                and failed["change"] <= failed["parent"])
         rows.append((name, m["unit"], pq, cq, wins, len(old), gain))
     return rows
 
