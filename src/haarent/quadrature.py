@@ -150,6 +150,7 @@ _WG = _WG7 + (0.417959183673469387755102040816327,) + _WG7[::-1]
 _WD = tuple(k - g for k, g in zip(_WK, _WG))
 _FIRST = _NODES[:1]   # where a piecewise-constant integrand is called
 _ROUNDOFF = 50.0 * 2.0 ** -52
+_SAFE = 2.0 ** -900   # values and floors at least this are far from subnormal
 _NARROW = 1.0 + 4.0 * 2.0 ** -52  # qage's narrow-panel test has 100 eps
 _TINY = 1000.0 * 2.0 ** -1022     # 1000 times the least normal float
 # Cap on the bisections of one integral, so on the panels it adds to
@@ -162,31 +163,21 @@ _TINY = 1000.0 * 2.0 ** -1022     # 1000 times the least normal float
 _MAX_SPLITS = 2000
 
 
-def _kronrod(f, a: float, b: float,
-             piecewise_constant: bool = False) -> tuple[float, float, bool]:
-    """G7K15 on [a, b]: (value, error estimate, final).
+def _at_nodes(f, a: float, b: float, ts) -> tuple[float, list]:
+    """(h, values): the half-width h of [a, b] and f at its nodes a+h+h*t.
 
-    The estimate is QUADPACK's: the Kronrod-Gauss difference scaled by
-    resasc (the mean absolute deviation of f), floored at the rounding
-    error 50*eps*resabs. A panel at that floor is final: bisecting it
-    cannot lower its estimate.
-
-    With piecewise_constant, f is constant inside the panel: it is called
-    once, at the first node, and the rule's sums are formed from that one
-    value with the same float operations as on 15 equal node values, so
-    the result is bit for bit the one the 15 calls would give.
+    f is called once per node, an overflow read as inf and a division by
+    zero as nan; only a value that is not a finite float goes on to
+    _step_off, and a nan left after it raises DomainError.
     """
     h = 0.5 * b - 0.5 * a  # b - a may overflow; its half does not
     c = a + h
-    xs = [c + h * t for t in (_FIRST if piecewise_constant else _NODES)]
+    xs = [c + h * t for t in ts]
     if xs[0] <= a or xs[-1] >= b:
         # a panel a few ulps wide: rounding put an outer node on an end
         lo, hi = math.nextafter(a, b), math.nextafter(b, a)
         xs = [min(max(x, lo), hi) for x in xs]
     nudge = h * 2e-12
-    # one call of f per node, an overflow read as inf and a division by
-    # zero as nan; only a value that is not a finite float goes on to
-    # _step_off
     isfinite = math.isfinite
     fx = []
     for x in xs:
@@ -203,27 +194,27 @@ def _kronrod(f, a: float, b: float,
                     f"the integrand is nan at {x!r} on the panel "
                     f"[{a!r}, {b!r}]")
         fx.append(v)
-    if piecewise_constant:
-        # the sums over 15 nodes that all hold v
-        resk = sum(map(mul, _WK, repeat(v, 15)))
-        # w*|v| == |w*v| and a sum of negated terms is the negated sum,
-        # as rounding to nearest is symmetric about 0
-        resabs = h * abs(resk)
-        err = h * abs(sum(map(mul, _WD, repeat(v, 15))))
-        dev = abs(v - 0.5 * resk)   # |f - mean| at every node
-        # resasc only scales a nonzero err, and is 0 when dev is
-        resasc = (h * sum(map(mul, _WK, repeat(dev, 15)))
-                  if dev != 0.0 and err != 0.0 else 0.0)
-    else:
-        resk = sum(map(mul, _WK, fx))
-        resabs = h * sum(map(mul, _WK, map(abs, fx)))
-        mean = 0.5 * resk
-        resasc = h * sum(map(mul, _WK, map(abs, map(sub, fx, repeat(mean)))))
-        err = h * abs(sum(map(mul, _WD, fx)))
+    return h, fx
+
+
+def _kronrod(f, a: float, b: float) -> tuple[float, float, bool]:
+    """G7K15 on [a, b]: (value, error estimate, final).
+
+    The estimate is QUADPACK's: the Kronrod-Gauss difference scaled by
+    resasc (the mean absolute deviation of f), floored at the rounding
+    error 50*eps*resabs. A panel at that floor is final: bisecting it
+    cannot lower its estimate.
+    """
+    h, fx = _at_nodes(f, a, b, _NODES)
+    resk = sum(map(mul, _WK, fx))
+    resabs = h * sum(map(mul, _WK, map(abs, fx)))
+    mean = 0.5 * resk
+    resasc = h * sum(map(mul, _WK, map(abs, map(sub, fx, repeat(mean)))))
+    err = h * abs(sum(map(mul, _WD, fx)))
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     value = h * resk
-    if not (isfinite(value) and isfinite(err)):
+    if not (math.isfinite(value) and math.isfinite(err)):
         return value, math.inf, False
     floor = _ROUNDOFF * resabs
     if err <= floor:
@@ -231,11 +222,33 @@ def _kronrod(f, a: float, b: float,
     return value, err, False
 
 
-def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
-                     breakpoints: Sequence[float] = (),
-                     piecewise_constant: bool = False) -> IntegralResult:
-    """Like integrate, but returns the value with its error bound, the
-    nodes evaluated and the final partition's size and worst panel."""
+def _one_node(f, a: float, b: float) -> tuple[float, float, bool]:
+    """_kronrod for an f constant inside [a, b], from one call of f.
+
+    f is called at the first node only, and the result is bit for bit
+    what _kronrod returns on 15 node values equal to that one, v. On 15
+    equal values every node's deviation from the mean is the rounding
+    residue of the sum resk, a few ulps of v, so the estimate, at most
+    about 2h times that, lies far below the floor 50*eps*h*|resk| and the
+    panel is final with the floor as its bound. That holds while every
+    product and sum stays a normal float: for v == 0, or for |v| and the
+    floor both at least _SAFE with a finite value. Any other panel (a
+    value or a width near the bottom of the range, or an integral past
+    its top) runs the 15-node rule on the constant v.
+    """
+    h, (v,) = _at_nodes(f, a, b, _FIRST)
+    resk = sum(map(mul, _WK, repeat(v, 15)))
+    value = h * resk
+    floor = _ROUNDOFF * (h * abs(resk))
+    if math.isfinite(value) and (
+            v == 0.0 or (abs(v) >= _SAFE and floor >= _SAFE)):
+        return value, floor, True
+    return _kronrod(lambda x: v, a, b)
+
+
+def _integrate(f: Callable, s, cfg: Integrator, breakpoints: Sequence[float],
+               piecewise_constant: bool) -> tuple:
+    """The fields of integrate_result's IntegralResult, as a tuple."""
     if s.is_finite:
         terms = [f(a) for a in s.atoms]
         try:
@@ -253,7 +266,7 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
             raise SumOverflowError(
                 f"the sum over {len(terms)} atoms exceeds the float range "
                 f"(largest term {max(terms, key=abs)!r})")
-        return IntegralResult(total, 0.0, len(terms), 0, None)
+        return total, 0.0, len(terms), 0, None
 
     heap = []      # (-error, index, a, b, value) of the splittable panels
     done = []      # (a, b, value, error) of the final panels
@@ -264,10 +277,11 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
     todo = _split_panels(s.intervals, breakpoints)
     if todo:  # the narrowest panel worth splitting: 2^-50 of the extent
         least = math.ldexp(0.5 * todo[-1][1] - 0.5 * todo[0][0], -49)
+    rule = _one_node if piecewise_constant else _kronrod
     count = splits = 0
     while True:
         for a, b in todo:
-            v, err, final = _kronrod(f, a, b, piecewise_constant)
+            v, err, final = rule(f, a, b)
             if math.isinf(v):
                 raise SumOverflowError(
                     f"the integral exceeds the float range: {v!r} on the "
@@ -318,10 +332,17 @@ def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
             f"{value!r}, error bound {bound!r}; worst panel "
             f"[{a!r}, {b!r}] with error {err!r})",
             estimate=value, error_bound=bound)
-    return IntegralResult(value, bound,
-                          count if piecewise_constant else 15 * count,
-                          len(parts),
-                          None if worst is None else worst[:2])
+    return (value, bound, count if piecewise_constant else 15 * count,
+            len(parts), None if worst is None else worst[:2])
+
+
+def integrate_result(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
+                     breakpoints: Sequence[float] = (),
+                     piecewise_constant: bool = False) -> IntegralResult:
+    """Like integrate, but returns the value with its error bound, the
+    nodes evaluated and the final partition's size and worst panel."""
+    return IntegralResult(*_integrate(f, s, cfg, breakpoints,
+                                      piecewise_constant))
 
 
 def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
@@ -346,10 +367,12 @@ def integrate(f: Callable, s, cfg: Integrator = DEFAULT_INTEGRATOR,
 
     piecewise_constant promises that f is constant on each open interval
     between consecutive breakpoints; each panel then costs one call of f
-    instead of 15, and the result is bit for bit the same. A false
+    and one 15-term sum instead of 15 calls and four sums, and is final at
+    once with the rounding floor as its bound unless its value is below
+    2^-900 in magnitude. The result is bit for bit the same. A false
     promise gives a wrong integral without any error, so callers pass
     the flag of a Density, never a guess: Density.const and
     step_density set it, and a density built from others keeps it only
     when every operand has it, the one rule of measures._combined.
     """
-    return integrate_result(f, s, cfg, breakpoints, piecewise_constant).value
+    return _integrate(f, s, cfg, breakpoints, piecewise_constant)[0]

@@ -96,8 +96,7 @@ def _linear(rng, lo: float, hi: float, vmin: float, vmax: float,
     values = tuple(_uniforms(rng, vmin, vmax, pieces + 1))
 
     def ev(x, edges=edges, values=values):
-        i = bisect.bisect_right(edges, x) - 1
-        i = min(max(i, 0), len(edges) - 2)
+        i = bisect.bisect_right(edges, x, 1, len(edges) - 1) - 1
         x0, x1 = edges[i], edges[i + 1]
         t = (x - x0) / (x1 - x0)
         return values[i] * (1.0 - t) + values[i + 1] * t

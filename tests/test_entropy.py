@@ -478,7 +478,9 @@ class TestQuadratureEntryPoint:
     def counted(self, monkeypatch):
         from haarent import quadrature
         calls = {"integrate": 0, "inside": 0}
-        integrate, inner = quadrature.integrate, quadrature.integrate_result
+        integrate = quadrature.integrate
+        inner = {name: getattr(quadrature, name)
+                 for name in ("integrate_result", "_integrate")}
 
         def counting_integrate(*args, **kwargs):
             calls["integrate"] += 1
@@ -488,12 +490,15 @@ class TestQuadratureEntryPoint:
             finally:
                 calls["inside"] -= 1
 
-        def guarded_result(*args, **kwargs):
-            assert calls["inside"] == 1, "integrate_result called directly"
-            return inner(*args, **kwargs)
+        def guarded(name):
+            def inside(*args, **kwargs):
+                assert calls["inside"] == 1, f"{name} called directly"
+                return inner[name](*args, **kwargs)
+            return inside
 
         monkeypatch.setattr(quadrature, "integrate", counting_integrate)
-        monkeypatch.setattr(quadrature, "integrate_result", guarded_result)
+        for name in inner:
+            monkeypatch.setattr(quadrature, name, guarded(name))
         return calls
 
     @pytest.mark.parametrize("finite", [False, True], ids=["interval", "atoms"])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from haarent.errors import ConvergenceError, DomainError, SumOverflowError
 from haarent.measures import MeasurableSet, Space, step_density
-from haarent.quadrature import (DEFAULT_INTEGRATOR, IntegralResult,
-                                Integrator, _kronrod, integrate,
+from haarent.quadrature import (_ROUNDOFF, _SAFE, _WK, DEFAULT_INTEGRATOR,
+                                IntegralResult, Integrator, _kronrod,
+                                _one_node, _split_panels, integrate,
                                 integrate_result, xlogx)
 
 UNIT = Space.interval(0.0, 1.0)
@@ -246,6 +247,16 @@ class TestContract:
             integrate(noise, full(a, b))
         assert a < min(xs) and max(xs) < b
 
+    def test_extent_floor_on_a_window_off_zero(self):
+        # the narrowest panel split is 2^-50 of the extent, 4 here, not of
+        # the window's midpoint or its right end
+        def f(x):
+            return x ** -0.9 if x > 0.0 else 0.0
+        with pytest.raises(ConvergenceError) as err:
+            integrate(f, full(-3.0, 1.0))
+        assert "too narrow to split" in str(err.value)
+        assert f"worst panel [0.0, {2.0 ** -48!r}]" in str(err.value)
+
     def test_convergence_error_names_worst_panel(self):
         with pytest.raises(ConvergenceError) as err:
             integrate(lambda x: x ** -0.9, full(0.0, 1.0))
@@ -259,11 +270,14 @@ class TestContract:
     def test_endless_oscillation_hits_the_bisection_cap(self):
         # sin(1/x) doubles its oscillations at every level near 0, so the
         # panels there multiply before any is too narrow to split
+        f, seen = _counted(lambda x: math.sin(1.0 / x))
         t0 = time.perf_counter()
         with pytest.raises(ConvergenceError) as err:
-            integrate(lambda x: math.sin(1.0 / x), full(0.0, 1.0))
+            integrate(f, full(0.0, 1.0))
         assert time.perf_counter() - t0 < 2.0
         assert "2000 bisections did not suffice" in str(err.value)
+        # the one seeded panel and the two halves of each bisection
+        assert len(seen) == 15 * (1 + 2 * 2000)
         assert "worst panel [" in str(err.value)
         # the exact value is 0.504067061906928...
         assert abs(err.value.estimate - 0.5040670619) < err.value.error_bound
@@ -296,14 +310,17 @@ def _counted(f):
 
 
 class TestPiecewiseConstant:
-    """The flagged rule calls f once per panel and returns, bit for bit,
+    """The one-node rule calls f once per panel and returns, bit for bit,
     what the 15-node rule returns for a function constant on the panel."""
 
     @staticmethod
     def _triples(rng, n):
-        """(a, b, v): panels from a few ulps to 1e3 wide at magnitudes up
+        """(a, b, v): n panels from a few ulps to 1e3 wide at magnitudes up
         to 1e3, values of every sign and magnitude from subnormal to 1e305,
-        and the edge values repeated."""
+        and the edge values repeated; then the edges of the one-node rule's
+        early return: values at _SAFE and its neighbouring floats, panels
+        whose rounding floor sits at _SAFE, and panels up to 1e300 wide,
+        where the value overflows."""
         special = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310,
                    2.2250738585072014e-308, 1e300, -1e300, 1e305, -1e305)
         mags = 10.0 ** rng.uniform(-323.0, 305.0, n)
@@ -328,29 +345,88 @@ class TestPiecewiseConstant:
                  else float(signs[i] * mags[i]))
             yield a, b, v
 
-    def test_flagged_rule_is_the_15_node_rule_bit_for_bit(self):
+        def steps(x, k):  # x and the k floats on either side of it
+            out = [x]
+            for _ in range(k):
+                out = ([math.nextafter(out[0], -math.inf)] + out
+                       + [math.nextafter(out[-1], math.inf)])
+            return out
+
+        for v in steps(_SAFE, 4) + [0.5 * _SAFE, 2.0 * _SAFE]:
+            for a, b in ((0.0, 1e-300), (-1.0, 1.0), (1e3, 1e3 + 1e-9),
+                         (0.0, 1e300), (5.0, math.nextafter(5.0, 6.0))):
+                yield a, b, v
+                yield a, b, -v
+        for v in 10.0 ** rng.uniform(-250.0, 250.0, 200):
+            # half-width h with 50*eps*h*|2v| at _SAFE, and its neighbours
+            h = _SAFE / (_ROUNDOFF * 2.0 * float(v))
+            for b in steps(2.0 * h, 4):
+                yield 0.0, b, float(v)
+                yield 0.0, b, -float(v)
+        for w in 10.0 ** rng.uniform(250.0, 300.0, 200):
+            a = float(rng.uniform(-1.0, 1.0)) * 1e300
+            v = float(10.0 ** rng.uniform(-5.0, 305.0))
+            yield a, a + float(w), v
+            yield a, a + float(w), -v
+
+    def test_one_node_rule_is_the_15_node_rule_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
         bad = []
-        n = 0
+        n = early = 0
         for a, b, v in self._triples(rng, 100_000):
             f15, seen15 = _counted(lambda x, v=v: v)
             f1, seen1 = _counted(lambda x, v=v: v)
             want = _kronrod(f15, a, b)
-            got = _kronrod(f1, a, b, True)
+            got = _one_node(f1, a, b)
             # repr tells -0.0 from 0.0 and matches nan with nan
             if repr(got) != repr(want) or seen1 != seen15[:1]:
                 bad.append((a, b, v, got, want))
             n += 1
-        assert n == 100_000
+            early += got[2] and got[1] >= _SAFE
+        assert n == 100_000 + 2 * (11 * 5 + 200 * 9 + 200)
+        assert early > n // 2  # most panels take the early return
         assert bad == []
 
-    def test_flagged_rule_calls_f_at_the_first_node_only(self):
+    def test_floor_edge_panels_fall_on_both_sides(self):
+        # the panels built for the floor at _SAFE straddle it
+        rng = np.random.default_rng(20261018)
+        floors = [_ROUNDOFF * (0.5 * b * abs(sum(w * v for w in _WK)))
+                  for a, b, v in list(self._triples(rng, 0))[110:3710]]
+        assert min(floors) < _SAFE <= max(floors)
+
+    def test_one_node_rule_calls_f_at_the_first_node_only(self):
         f, seen = _counted(lambda x: 2.5)
-        _kronrod(f, 1.0, 3.0, True)
+        _one_node(f, 1.0, 3.0)
         g, every = _counted(lambda x: 2.5)
         _kronrod(g, 1.0, 3.0)
         assert len(seen) == 1 and len(every) == 15
         assert seen[0] == every[0] == min(every)
+
+    def test_every_panel_of_a_verify_run(self, monkeypatch, capsys):
+        # the flagged panels of real traffic, each against the 15-node
+        # rule on the constant that f returned there
+        from haarent import quadrature
+        from haarent.cli import main
+        one_node, panels = quadrature._one_node, []
+
+        def recorded(f, a, b):
+            seen = []
+
+            def g(x):
+                seen.append(f(x))
+                return seen[-1]
+            got = one_node(g, a, b)
+            panels.append((a, b, got, seen))
+            return got
+
+        monkeypatch.setattr(quadrature, "_one_node", recorded)
+        assert main(["verify", "--all", "--trials", "2"]) == 0
+        capsys.readouterr()
+        assert len(panels) > 100
+        for a, b, got, seen in panels:
+            assert len(seen) == 1
+            v = float(seen[0])
+            assert repr(got) == repr(_kronrod(lambda x: v, a, b)), (a, b, v)
 
     def test_step_densities_on_unions_match_the_unflagged_rule(self):
         rng = np.random.default_rng(91)
@@ -468,6 +544,13 @@ class TestIntervalOverflow:
         with pytest.raises(SumOverflowError, match="exceeds the float range"):
             integrate(lambda x: math.inf if x > 0.5 else -math.inf,
                       full(0.0, 1.0))
+
+
+def test_split_panels_cut_only_inside():
+    # breakpoints on an end, outside or repeated cut nothing
+    got = _split_panels([(0.0, 1.0), (2.0, 3.0)],
+                        [0.0, 0.5, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, math.inf])
+    assert got == [(0.0, 0.5), (0.5, 1.0), (2.0, 2.5), (2.5, 3.0)]
 
 
 class TestIntegratorConfig:

@@ -113,6 +113,18 @@ class TestStepOff:
         w = _step_off(f, x, 1e-30, math.nan)
         assert w == f(math.nextafter(x, math.inf))
 
+    def test_steps_by_the_nudge(self):
+        # the first try is x + nudge when that is more than one float off
+        w = _step_off(lambda t: t, 1.0, 1e-6, math.nan)
+        assert w == 1.0 + 1e-6
+
+    def test_finite_value_that_is_no_float_is_kept(self):
+        # an int is read as a float, and f is not called again
+        calls = []
+        w = _step_off(lambda t: calls.append(t) or 0.0, 1.0, 1e-6, 7)
+        assert type(w) is float and w == 7.0
+        assert calls == []
+
     def test_interior_singularity_off_the_breakpoints(self):
         # a node lands on x0, where f faults; a step shorter than one
         # float would call f on x0 again, and the estimate would be nan
