@@ -299,6 +299,15 @@ class TestContract:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), name
 
 
+def _steps(x, k):
+    """x and the k floats on either side of it, in increasing order."""
+    out = [x]
+    for _ in range(k):
+        out = ([math.nextafter(out[0], -math.inf)] + out
+               + [math.nextafter(out[-1], math.inf)])
+    return out
+
+
 def _counted(f):
     """f with a list that receives every point it is called at."""
     seen = []
@@ -345,31 +354,30 @@ class TestPiecewiseConstant:
                  else float(signs[i] * mags[i]))
             yield a, b, v
 
-        def steps(x, k):  # x and the k floats on either side of it
-            out = [x]
-            for _ in range(k):
-                out = ([math.nextafter(out[0], -math.inf)] + out
-                       + [math.nextafter(out[-1], math.inf)])
-            return out
-
-        for v in steps(_SAFE, 4) + [0.5 * _SAFE, 2.0 * _SAFE]:
+        for v in _steps(_SAFE, 4) + [0.5 * _SAFE, 2.0 * _SAFE]:
             for a, b in ((0.0, 1e-300), (-1.0, 1.0), (1e3, 1e3 + 1e-9),
                          (0.0, 1e300), (5.0, math.nextafter(5.0, 6.0))):
                 yield a, b, v
                 yield a, b, -v
-        for v in 10.0 ** rng.uniform(-250.0, 250.0, 200):
-            # half-width h with 50*eps*h*|2v| at _SAFE, and its neighbours
-            h = _SAFE / (_ROUNDOFF * 2.0 * float(v))
-            for b in steps(2.0 * h, 4):
-                yield 0.0, b, float(v)
-                yield 0.0, b, -float(v)
+        yield from TestPiecewiseConstant._floor_edges(rng)
         for w in 10.0 ** rng.uniform(250.0, 300.0, 200):
             a = float(rng.uniform(-1.0, 1.0)) * 1e300
             v = float(10.0 ** rng.uniform(-5.0, 305.0))
             yield a, a + float(w), v
             yield a, a + float(w), -v
 
-    def test_one_node_rule_is_the_15_node_rule_bit_for_bit(self):
+    @staticmethod
+    def _floor_edges(rng):
+        """(a, b, v): 200 values from 1e-250 to 1e250 of either sign, each
+        on the panel whose rounding floor 50*eps*h*|2v| is _SAFE and on
+        the panels up to 4 floats wider or narrower."""
+        for v in 10.0 ** rng.uniform(-250.0, 250.0, 200):
+            h = _SAFE / (_ROUNDOFF * 2.0 * float(v))
+            for b in _steps(2.0 * h, 4):
+                yield 0.0, b, float(v)
+                yield 0.0, b, -float(v)
+
+    def test_flagged_rule_is_the_15_node_rule_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
         bad = []
         n = early = 0
@@ -388,13 +396,11 @@ class TestPiecewiseConstant:
         assert bad == []
 
     def test_floor_edge_panels_fall_on_both_sides(self):
-        # the panels built for the floor at _SAFE straddle it
-        rng = np.random.default_rng(20261018)
         floors = [_ROUNDOFF * (0.5 * b * abs(sum(w * v for w in _WK)))
-                  for a, b, v in list(self._triples(rng, 0))[110:3710]]
+                  for a, b, v in self._floor_edges(np.random.default_rng(5))]
         assert min(floors) < _SAFE <= max(floors)
 
-    def test_one_node_rule_calls_f_at_the_first_node_only(self):
+    def test_flagged_rule_calls_f_at_the_first_node_only(self):
         f, seen = _counted(lambda x: 2.5)
         _one_node(f, 1.0, 3.0)
         g, every = _counted(lambda x: 2.5)
